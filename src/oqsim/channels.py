@@ -152,10 +152,6 @@ def vec(matrix) -> np.ndarray:
     return as_complex_matrix(matrix).T.reshape(-1)
 
 
-def unvec(vector, dim: int) -> np.ndarray:
-    return np.asarray(vector, dtype=complex).reshape(dim, dim).T
-
-
 def validate(ch: KrausChannel) -> ValidationReport:
     """Report the Frobenius deviation of sum K^dag K from the identity."""
     acc = np.zeros((ch.dim, ch.dim), dtype=complex)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from .qmath import (
     DimensionMismatchError,
     Wire,
     as_complex_matrix,
-    embed_operator,
     is_unitary,
     reset_factor,
     wire_index,
@@ -377,23 +377,58 @@ def build_dilation_step(ch: ch_mod.KrausChannel) -> StepCircuit:
     return StepCircuit(f"dilation-{ch.label}", layout, ("q",), ops)
 
 
+def _swap_index(dims, a: int, b: int) -> np.ndarray:
+    """Flat-index gather that swaps the equal-dim factors at ``a`` and ``b``."""
+    return np.arange(math.prod(dims)).reshape(dims).swapaxes(a, b).reshape(-1)
+
+
+def _apply_rows(u: np.ndarray, gate: np.ndarray, positions, dims) -> np.ndarray:
+    """``gate`` on the factors at ``positions`` times ``u``, touching those rows only."""
+    m = len(positions)
+    g = gate.reshape([dims[p] for p in positions] * 2)
+    t = np.tensordot(g, u.reshape(dims + [u.shape[1]]), axes=(range(m, 2 * m), positions))
+    return np.moveaxis(t, range(m), positions).reshape(u.shape)
+
+
+def _fuse(ops, layout, dims):
+    """One program entry for a run of gates and swaps with no reset inside."""
+    acc = np.arange(math.prod(dims))  # a row gather until the first gate
+    for op in ops:
+        positions = [wire_index(layout, w) for w in op.wires]
+        if op.kind == "swap":
+            acc = acc[_swap_index(dims, *positions)]
+            continue
+        if acc.ndim == 1:
+            acc = np.eye(acc.size, dtype=complex)[acc]
+        acc = _apply_rows(acc, op.matrix, positions, dims)
+    return ("unitary" if acc.ndim == 2 else "permute", acc)
+
+
 def compile_step(step: StepCircuit):
-    """Precompute full-space matrices for every op of a step."""
+    """Compile a step into ``(dims, program)`` for :func:`run_compiled`.
+
+    Each maximal run of gates and swaps between resets becomes one entry:
+    ``("unitary", U)``, the run's product, built gate by gate on the rows of
+    its own wires (a swap reindexes the rows) and applied as ``U rho U^dag``;
+    or, for swaps only, ``("permute", idx)``, applied as ``rho[idx][:, idx]``.
+    A reset stays ``("reset", axis)`` for :func:`qmath.reset_factor`.
+    """
     dims = [w.dim for w in step.layout]
-    compiled = []
-    for op in step.ops:
-        positions = [wire_index(step.layout, w) for w in op.wires]
-        if op.kind == "trace-reset":
-            compiled.append(("reset", positions[0]))
+    program = []
+    for is_reset, ops in groupby(step.ops, key=lambda op: op.kind == "trace-reset"):
+        if is_reset:
+            program += [("reset", wire_index(step.layout, op.wires[0])) for op in ops]
         else:
-            compiled.append(("unitary", embed_operator(op.matrix, positions, dims)))
-    return dims, compiled
+            program.append(_fuse(ops, step.layout, dims))
+    return dims, program
 
 
 def run_compiled(compiled, dims, matrix: np.ndarray) -> np.ndarray:
     for kind, payload in compiled:
         if kind == "unitary":
             matrix = payload @ matrix @ payload.conj().T
+        elif kind == "permute":
+            matrix = matrix[np.ix_(payload, payload)]
         else:
             matrix = reset_factor(matrix, dims, payload)
     return matrix
@@ -467,29 +502,19 @@ def parse_circuit(text: str) -> StepCircuit:
                 a, b = rest
                 ops.append(GateOp.swap(a, b))
             elif head == "GATE":
-                name = rest[0]
-                if rest and _looks_like_number(rest[-1]):
-                    theta = float(rest[-1])
-                    wires = rest[1:-1]
-                else:
-                    theta = None
-                    wires = rest[1:]
+                name, *wires = rest
+                rotation = _canonical_name(name) in _ROTATION_GATES
+                theta = float(wires.pop()) if rotation else None
                 ops.append(GateOp.gate(name, tuple(wires), theta))
+                if 2 ** len(wires) != ops[-1].matrix.shape[0]:
+                    raise CircuitFormatError(f"gate {name} given {len(wires)} wires")
             else:
                 raise CircuitFormatError(f"unknown directive {head!r}")
-        except (ValueError, BuilderError) as exc:
+        except (ValueError, IndexError, BuilderError) as exc:
             raise CircuitFormatError(f"line {ln}: {exc}") from exc
     if layout is None or system is None:
         raise CircuitFormatError("missing WIRES or SYSTEM header line")
     return StepCircuit(label, layout, system, ops)
-
-
-def _looks_like_number(token: str) -> bool:
-    try:
-        float(token)
-    except ValueError:
-        return False
-    return True
 
 
 def same_circuit(a: StepCircuit, b: StepCircuit) -> bool:

@@ -12,6 +12,7 @@ import math
 import os
 import re
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -23,6 +24,7 @@ from .qmath import DensityMatrix, Wire
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+EXIT_OUTPUT = 4
 
 
 class ConfigError(Exception):
@@ -320,11 +322,29 @@ def parse_config(path) -> ExperimentConfig:
     return _build_config(_read_keyvalues(path), path=path)
 
 
+class OutputError(Exception):
+    """An output file could not be written."""
+
+
+# mkstemp creates files with mode 0600; outputs get the mode open() would give.
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
+
+
 def _atomic_write(path, text: str):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    """Write via a unique temp file beside ``path`` (no race between writers), then rename."""
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                os.fchmod(fh.fileno(), 0o666 & ~_UMASK)
+                fh.write(text)
+            os.replace(tmp, path)
+        except OSError:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def write_csv(path, traj: engine.Trajectory):
@@ -530,43 +550,47 @@ _FLAG_KEYS = (
 )
 
 
-def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+def _exit_code(run) -> int:
+    """Call ``run()``; map each documented failure to its exit code and one stderr line."""
     try:
-        if args.sweep:
-            with ThreadPoolExecutor(max_workers=min(8, len(args.sweep))) as pool:
-                codes = list(pool.map(_run_one_config, args.sweep))
-            return max(codes)
-        raw = _read_keyvalues(args.config) if args.config else {}
-        for key in _FLAG_KEYS:
-            value = getattr(args, key)
-            if value is not None:
-                raw[key] = (value, None)
-        if args.dump_circuit is not None:
-            raw["circuit"] = (args.dump_circuit, None)
-        if not raw:
-            print("nothing to do: pass --config, --preset or experiment flags",
-                  file=sys.stderr)
-            return EXIT_CONFIG
-        cfg = _build_config(raw, path=args.config, resource_table=args.resource_table)
-        return run_experiment(cfg)
+        return run()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except engine.NumericalViolationError as exc:
         print(f"numerical invariant violation: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
+
+
+def _run_flags(args) -> int:
+    raw = _read_keyvalues(args.config) if args.config else {}
+    for key in _FLAG_KEYS:
+        value = getattr(args, key)
+        if value is not None:
+            raw[key] = (value, None)
+    if args.dump_circuit is not None:
+        raw["circuit"] = (args.dump_circuit, None)
+    if not raw:
+        print("nothing to do: pass --config, --preset or experiment flags",
+              file=sys.stderr)
+        return EXIT_CONFIG
+    cfg = _build_config(raw, path=args.config, resource_table=args.resource_table)
+    return run_experiment(cfg)
 
 
 def _run_one_config(path) -> int:
-    try:
-        return run_experiment(parse_config(path))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except engine.NumericalViolationError as exc:
-        print(f"numerical invariant violation: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    return _exit_code(lambda: run_experiment(parse_config(path)))
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    if args.sweep:
+        with ThreadPoolExecutor(max_workers=min(8, len(args.sweep))) as pool:
+            return max(pool.map(_run_one_config, args.sweep))
+    return _exit_code(lambda: _run_flags(args))
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from .qmath import (
     DimensionMismatchError,
     InvalidStateError,
     is_hermitian,
+    layout_dim,
     partial_trace_matrix,
     tensor_product,
     wire_index,
@@ -101,19 +102,10 @@ def _initial_full_matrix(step: StepCircuit, rho0: DensityMatrix) -> np.ndarray:
     positions = [wire_index(step.layout, s) for s in sys_labels]
     if positions != list(range(positions[0], positions[0] + len(positions))):
         raise DimensionMismatchError("system wires must be contiguous in the layout")
-    full = None
-    placed = False
-    for i, w in enumerate(step.layout):
-        if w.label in sys_labels:
-            if placed:
-                continue
-            block = rho0.matrix
-            placed = True
-        else:
-            block = np.zeros((w.dim, w.dim), dtype=complex)
-            block[0, 0] = 1.0
-        full = block if full is None else tensor_product(full, block)
-    return full
+    before = layout_dim(step.layout[: positions[0]])
+    after = layout_dim(step.layout[positions[-1] + 1:])
+    ground = [np.eye(n, 1) @ np.eye(1, n) for n in (before, after)]  # |0><0|
+    return tensor_product(tensor_product(ground[0], rho0.matrix), ground[1])
 
 
 def _reduced_system(matrix: np.ndarray, step: StepCircuit) -> np.ndarray:

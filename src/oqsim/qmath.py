@@ -199,48 +199,10 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return float(0.5 * np.abs(eigs).sum())
 
 
-def _flat_permutation(dims, order) -> np.ndarray:
-    """Index map from layout-order flat indices to ``order``-first flat indices."""
-    m = len(dims)
-    total = math.prod(dims)
-    place = [math.prod(dims[i + 1:]) for i in range(m)]
-    pdims = [dims[o] for o in order]
-    pplace = [math.prod(pdims[j + 1:]) for j in range(m)]
-    idx = np.arange(total)
-    nu = np.zeros(total, dtype=np.intp)
-    for j, o in enumerate(order):
-        nu += ((idx // place[o]) % dims[o]) * pplace[j]
-    return nu
-
-
-def embed_operator(op, positions, dims) -> np.ndarray:
-    """Lift an operator acting on the factors at ``positions`` to the full space.
-
-    ``positions`` gives the target factors in the operator's own order
-    (its first index block corresponds to ``positions[0]``).
-    """
-    op = as_complex_matrix(op)
-    dims = list(dims)
-    positions = list(positions)
-    sub = math.prod(dims[p] for p in positions)
-    if op.shape[0] != sub:
-        raise DimensionMismatchError(
-            f"operator dim {op.shape[0]} does not match target dims product {sub}"
-        )
-    rest = [i for i in range(len(dims)) if i not in positions]
-    rest_dim = math.prod(dims[i] for i in rest) if rest else 1
-    full = np.kron(op, np.eye(rest_dim, dtype=complex))
-    nu = _flat_permutation(dims, positions + rest)
-    return full[np.ix_(nu, nu)]
-
-
 def reset_factor(mat, dims, axis: int) -> np.ndarray:
     """Trace out one factor and re-tensor |0><0| at the same position."""
-    dims = list(dims)
-    red = partial_trace_matrix(mat, dims, axis)
-    proj = np.zeros((dims[axis], dims[axis]), dtype=complex)
-    proj[0, 0] = 1.0
-    rest = [i for i in range(len(dims)) if i != axis]
-    full = np.kron(red, proj)
-    nu = _flat_permutation(dims, rest + [axis])
-    return full[np.ix_(nu, nu)]
+    left, dim, right = math.prod(dims[:axis]), dims[axis], math.prod(dims[axis + 1:])
+    t = np.asarray(mat, dtype=complex).reshape(left, dim, right, left, dim, right)
+    out = np.zeros_like(t)
+    out[:, 0, :, :, 0, :] = np.trace(t, axis1=1, axis2=4)
+    return out.reshape(np.shape(mat))

@@ -1,6 +1,8 @@
 """Shared fixtures and brute-force oracles, kept independent of the package
 internals they check."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,74 @@ def kraus_apply(ops, rho):
     return out
 
 
+def _digits(x, dims):
+    ds = []
+    for d in reversed(dims):
+        ds.append(x % d)
+        x //= d
+    return ds[::-1]
+
+
+def embed_operator(op, positions, dims):
+    """Dense oracle: ``op`` on the factors at ``positions`` as a full-space matrix.
+
+    ``positions`` lists the target factors in the operator's own order.  Built
+    from a Kronecker product and an explicit permutation matrix.
+    """
+    op = np.asarray(op, dtype=complex)
+    dims, positions = list(dims), list(positions)
+    rest = [i for i in range(len(dims)) if i not in positions]
+    order = positions + rest
+    total = math.prod(dims)
+    perm = np.zeros((total, total))
+    for x in range(total):
+        ds = _digits(x, dims)
+        y = 0
+        for o in order:
+            y = y * dims[o] + ds[o]
+        perm[y, x] = 1.0
+    eye = np.eye(math.prod(dims[i] for i in rest), dtype=complex)
+    return perm.T @ np.kron(op, eye) @ perm
+
+
+def swap_matrix(d):
+    """SWAP of two d-level factors: |i j> -> |j i>."""
+    return np.eye(d * d)[[(x % d) * d + x // d for x in range(d * d)]]
+
+
+def dense_maps(step):
+    """Every op of a step as a list of full-space Kraus operators, one list per op.
+
+    A gate is its embedded matrix, a swap the embedded SWAP and a
+    trace-reset the Kraus set ``|0><j|`` on its wire.
+    """
+    labels = [w.label for w in step.layout]
+    dims = [w.dim for w in step.layout]
+    maps = []
+    for op in step.ops:
+        pos = [labels.index(w) for w in op.wires]
+        if op.kind == "trace-reset":
+            d = dims[pos[0]]
+            kraus = []
+            for j in range(d):
+                k = np.zeros((d, d))
+                k[0, j] = 1.0
+                kraus.append(embed_operator(k, pos, dims))
+            maps.append(kraus)
+        elif op.kind == "swap":
+            maps.append([embed_operator(swap_matrix(dims[pos[0]]), pos, dims)])
+        else:
+            maps.append([embed_operator(op.matrix, pos, dims)])
+    return maps
+
+
+def dense_apply(maps, rho):
+    """One step of the per-op dense oracle on a full-register matrix."""
+    for kraus in maps:
+        rho = sum(k @ rho @ k.conj().T for k in kraus)
+    return rho
+
+
 def brute_partial_trace(mat, dims, axis):
     """Partial trace by an explicit basis sum, no reshape tricks."""
     mat = np.asarray(mat, dtype=complex)
@@ -46,13 +116,6 @@ def brute_partial_trace(mat, dims, axis):
     keep = [i for i in range(m) if i != axis]
     out_dim = int(np.prod([dims[i] for i in keep])) if keep else 1
     out = np.zeros((out_dim, out_dim), dtype=complex)
-
-    def digits(x):
-        ds = []
-        for d in reversed(dims):
-            ds.append(x % d)
-            x //= d
-        return list(reversed(ds))
 
     def flat(ds, which):
         acc = 0
@@ -62,9 +125,9 @@ def brute_partial_trace(mat, dims, axis):
 
     total = int(np.prod(dims))
     for row in range(total):
-        dr = digits(row)
+        dr = _digits(row, dims)
         for col in range(total):
-            dc = digits(col)
+            dc = _digits(col, dims)
             if dr[axis] != dc[axis]:
                 continue
             out[flat(dr, keep), flat(dc, keep)] += mat[row, col]

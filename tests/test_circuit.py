@@ -438,6 +438,26 @@ class TestSerialization:
         with pytest.raises(CircuitFormatError, match="line 2"):
             parse_circuit("WIRES q:2\nGATE WAT q\nSYSTEM q")
 
+    def test_round_trip_numeric_wire_labels(self):
+        layout = (Wire("0"), Wire("1"), Wire("2"))
+        ops = [
+            GateOp.gate("CNOT", ("0", "1")),
+            GateOp.gate("Ry", ("2",), 0.5),
+            GateOp.gate("CRy", ("0", "2"), 1.25),
+            GateOp.swap("1", "2"),
+            GateOp.reset("1"),
+        ]
+        step = StepCircuit("numeric", layout, ("0",), ops)
+        text = dump_circuit(step)
+        assert "GATE CNOT 0 1\n" in text
+        assert same_circuit(parse_circuit(text), step)
+
+    def test_gate_arity_checked_with_line(self):
+        with pytest.raises(CircuitFormatError, match="line 3: gate CNOT given 3 wires"):
+            parse_circuit("WIRES 0:2 1:2\nSYSTEM 0\nGATE CNOT 0 1 1\n")
+        with pytest.raises(CircuitFormatError, match="line 1"):
+            parse_circuit("GATE Ry\nWIRES q:2\nSYSTEM q")
+
     def test_missing_header_rejected(self):
         with pytest.raises(CircuitFormatError, match="WIRES"):
             parse_circuit("GATE X q")

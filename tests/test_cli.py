@@ -314,3 +314,34 @@ class TestExitCodes:
         assert code == 3
         err = capsys.readouterr().err
         assert "step 7" in err and "trace" in err
+
+    def test_unwritable_output_exits_4(self, tmp_path, monkeypatch, capsys):
+        target = tmp_path / "missing" / "x.csv"
+        code = run_main_in(tmp_path, monkeypatch, ["--preset", "fig6", "--csv", str(target)])
+        assert code == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("output error: cannot write")
+        assert "x_markovian.csv" in err[0]
+
+
+class TestAtomicWrite:
+    def test_leaves_no_temp_file_and_keeps_default_mode(self, tmp_path):
+        path = tmp_path / "out.csv"
+        cli._atomic_write(str(path), "a\n")
+        cli._atomic_write(str(path), "b\n")
+        assert path.read_text() == "b\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
+        umask = os.umask(0)
+        os.umask(umask)
+        assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+
+    def test_concurrent_writers_to_one_path(self, tmp_path):
+        from concurrent.futures import ThreadPoolExecutor
+
+        path = tmp_path / "same.csv"
+        texts = [f"{i}\n" * 1000 for i in range(16)]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            list(pool.map(lambda t: cli._atomic_write(str(path), t), texts))
+        assert path.read_text() in texts
+        assert os.listdir(tmp_path) == ["same.csv"]
+

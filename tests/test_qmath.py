@@ -8,7 +8,6 @@ from oqsim.qmath import (
     PSDViolationError,
     UnknownWireError,
     Wire,
-    embed_operator,
     is_hermitian,
     is_psd,
     is_unitary,
@@ -20,7 +19,16 @@ from oqsim.qmath import (
     trace_distance,
 )
 
-from conftest import KET0, KET1, KETP, brute_partial_trace, proj, qstate, random_density
+from conftest import (
+    KET0,
+    KET1,
+    KETP,
+    brute_partial_trace,
+    embed_operator,
+    proj,
+    qstate,
+    random_density,
+)
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
