@@ -44,7 +44,7 @@ from .circuit import (
     build_sequential_step,
     standard_gate,
 )
-from .engine import Observable, Trajectory, projector_observable, purity, run
+from .engine import Observable, Trajectory, evolve, projector_observable, purity, run
 from .analysis import blp_witness, monotonicity_check, resource_count
 
 __all__ = [name for name in dir() if not name.startswith("_")]

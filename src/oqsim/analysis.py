@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import pairwise
 
-from .circuit import StepCircuit, compile_step, run_compiled
-from .engine import Trajectory, _initial_full_matrix, _reduced_system
+from .circuit import StepCircuit
+from .engine import Trajectory, evolve
 from .qmath import DensityMatrix, DimensionMismatchError, trace_distance
 
 MONOTONE_ATOL = 1e-9
@@ -53,25 +54,12 @@ def blp_witness(
     """
     if rho_a.layout != rho_b.layout:
         raise DimensionMismatchError("the two initial states must share a layout")
-    dims, compiled = compile_step(step)
-    mats = [_initial_full_matrix(step, rho_a), _initial_full_matrix(step, rho_b)]
     layout = rho_a.layout
-
-    def distance() -> float:
-        red = [
-            DensityMatrix(_reduced_system(m, step), layout) for m in mats
-        ]
-        return trace_distance(red[0], red[1])
-
-    prev = distance()
-    total = 0.0
-    for _ in range(steps):
-        mats = [run_compiled(compiled, dims, m) for m in mats]
-        cur = distance()
-        if cur > prev:
-            total += cur - prev
-        prev = cur
-    return total
+    distances = (
+        trace_distance(DensityMatrix(a, layout), DensityMatrix(b, layout))
+        for a, b in zip(evolve(step, rho_a, steps), evolve(step, rho_b, steps))
+    )
+    return sum((max(cur - prev, 0.0) for prev, cur in pairwise(distances)), 0.0)
 
 
 @dataclass(frozen=True)

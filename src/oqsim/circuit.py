@@ -478,6 +478,7 @@ def parse_circuit(text: str) -> StepCircuit:
     layout = None
     system = None
     ops = []
+    op_lines = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -512,8 +513,15 @@ def parse_circuit(text: str) -> StepCircuit:
                 raise CircuitFormatError(f"unknown directive {head!r}")
         except (ValueError, IndexError, BuilderError) as exc:
             raise CircuitFormatError(f"line {ln}: {exc}") from exc
+        if len(ops) > len(op_lines):
+            op_lines.append(ln)
     if layout is None or system is None:
         raise CircuitFormatError("missing WIRES or SYSTEM header line")
+    for ln, op in zip(op_lines, ops):  # checked against the header, wherever it stands
+        try:
+            StepCircuit(label, layout, system, (op,))
+        except BuilderError as exc:
+            raise CircuitFormatError(f"line {ln}: {exc}") from exc
     return StepCircuit(label, layout, system, ops)
 
 

@@ -13,7 +13,6 @@ import os
 import re
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,6 +90,7 @@ def parse_initial(text: str) -> DensityMatrix:
 
 _CHANNELS = ("amplitude-damping", "dephasing", "pauli", "custom-file")
 _MODES = ("markovian", "non-markovian", "sequential")
+_ARMS = dict(zip(_MODES, ("markovian", "nonmarkovian", "sequential")))  # in file names
 
 PRESETS = {
     "fig6": {
@@ -408,23 +408,17 @@ def _sequential_channel(cfg: ExperimentConfig) -> channels.KrausChannel:
 
 
 def _build_arm(cfg: ExperimentConfig, mode: str):
-    """Returns (arm name, step circuit, resource method, k, l)."""
+    """Returns (step circuit, resource method, k, l)."""
     try:
         if mode == "markovian":
             step = circuit.build_markovian_step(cfg.channel, cfg.theta)
-            return "markovian", step, "direct-dilation", 1, 2
+            return step, "direct-dilation", 1, 2
         if mode == "non-markovian":
             mem = circuit.MemorySpec(cfg.k, cfg.thetas)
             step = circuit.build_nonmarkovian_step(cfg.channel, mem)
-            return "nonmarkovian", step, "direct-dilation", cfg.k, 2
+            return step, "direct-dilation", cfg.k, 2
         ch = _sequential_channel(cfg)
-        report = channels.validate(ch)
-        if not report.passed:
-            raise ConfigError(
-                f"custom channel fails completeness by {report.deviation:.3e}"
-            )
-        step = circuit.build_sequential_step(ch)
-        return "sequential", step, "sequential", 1, len(ch)
+        return circuit.build_sequential_step(ch), "sequential", 1, len(ch)
     except circuit.BuilderError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -435,6 +429,19 @@ def _arm_path(base: str | None, default_stem: str, arm: str, many: bool, ext: st
     else:
         stem = base[: -len(ext)] if base.endswith(ext) else base
     return f"{stem}_{arm}{ext}" if many else (base or f"{stem}{ext}")
+
+
+def _output_paths(cfg: ExperimentConfig) -> dict:
+    """Every file a config writes, keyed ("csv" | "circuit", arm) or ("svg", None)."""
+    many = len(cfg.modes) > 1
+    paths = {}
+    for arm in (_ARMS[mode] for mode in cfg.modes):
+        paths["csv", arm] = _arm_path(cfg.csv, cfg.label, arm, many, ".csv")
+        if cfg.circuit_dump is not None:
+            paths["circuit", arm] = _arm_path(cfg.circuit_dump, cfg.label, arm, many, ".circuit")
+    if cfg.svg is not None:
+        paths["svg", None] = cfg.svg if cfg.svg.endswith(".svg") else f"{cfg.svg}.svg"
+    return paths
 
 
 def _resource_comparison_table() -> str:
@@ -459,19 +466,17 @@ def _resource_comparison_table() -> str:
 
 def run_experiment(cfg: ExperimentConfig) -> int:
     """Build the configured circuits, run them and write the outputs."""
-    arms = [_build_arm(cfg, mode) for mode in cfg.modes]
+    arms = [(_ARMS[mode], *_build_arm(cfg, mode)) for mode in cfg.modes]
     observables = [engine.projector_observable(n) for n in cfg.observables]
-    many = len(arms) > 1
+    paths = _output_paths(cfg)
     all_series = {}
     for arm, step, method, k, l in arms:
         traj = engine.run(step, cfg.initial, cfg.steps, observables)
-        csv_path = _arm_path(cfg.csv, cfg.label, arm, many, ".csv")
-        write_csv(csv_path, traj)
-        print(f"[{cfg.label}/{arm}] wrote {csv_path}")
-        if cfg.circuit_dump is not None:
-            dump_path = _arm_path(cfg.circuit_dump, cfg.label, arm, many, ".circuit")
-            _atomic_write(dump_path, circuit.dump_circuit(step))
-            print(f"[{cfg.label}/{arm}] wrote {dump_path}")
+        write_csv(paths["csv", arm], traj)
+        print(f"[{cfg.label}/{arm}] wrote {paths['csv', arm]}")
+        if ("circuit", arm) in paths:
+            _atomic_write(paths["circuit", arm], circuit.dump_circuit(step))
+            print(f"[{cfg.label}/{arm}] wrote {paths['circuit', arm]}")
         report = analysis.resource_count(step, cfg.steps, method, k, l)
         print(report.as_text(), end="")
         verdict = analysis.monotonicity_check(traj, cfg.observables[0])
@@ -486,10 +491,9 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         )
         for name in cfg.observables:
             all_series[f"{arm}:{name}"] = traj.series(name)
-    if cfg.svg is not None:
-        svg_path = cfg.svg if cfg.svg.endswith(".svg") else f"{cfg.svg}.svg"
-        write_svg(svg_path, all_series, cfg.steps, cfg.label)
-        print(f"[{cfg.label}] wrote {svg_path}")
+    if ("svg", None) in paths:
+        write_svg(paths["svg", None], all_series, cfg.steps, cfg.label)
+        print(f"[{cfg.label}] wrote {paths['svg', None]}")
     if cfg.resource_table:
         print(_resource_comparison_table())
     return EXIT_OK
@@ -526,28 +530,12 @@ def _parser() -> argparse.ArgumentParser:
         "--sweep",
         nargs="+",
         metavar="CONFIG",
-        help="run several config files concurrently",
+        help="run several config files one after another, in argument order",
     )
     return p
 
 
-_FLAG_KEYS = (
-    "preset",
-    "channel",
-    "mode",
-    "theta",
-    "thetas",
-    "k",
-    "steps",
-    "initial",
-    "observables",
-    "px",
-    "py",
-    "pz",
-    "channel_file",
-    "csv",
-    "svg",
-)
+_FLAG_KEYS = _EXPERIMENT_KEYS + ("csv", "svg")
 
 
 def _exit_code(run) -> int:
@@ -581,15 +569,33 @@ def _run_flags(args) -> int:
     return run_experiment(cfg)
 
 
-def _run_one_config(path) -> int:
-    return _exit_code(lambda: run_experiment(parse_config(path)))
+def _run_sweep(config_paths) -> int:
+    """Parse every config, refuse two that write one file, then run them in order.
+
+    A config that fails does not stop the others; the exit code is the worst.
+    """
+    parsed = []
+
+    def load(path):
+        parsed.append((path, parse_config(path)))
+        return EXIT_OK
+
+    codes = [_exit_code(lambda: load(path)) for path in config_paths]
+    writers = {}
+    for i, (path, cfg) in enumerate(parsed):
+        for out in _output_paths(cfg).values():
+            first, first_path = writers.setdefault(os.path.abspath(out), (i, path))
+            if first != i:
+                print(f"config error: {first_path} and {path} both write {out}",
+                      file=sys.stderr)
+                return EXIT_CONFIG
+    return max(codes + [_exit_code(lambda: run_experiment(cfg)) for _, cfg in parsed])
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     if args.sweep:
-        with ThreadPoolExecutor(max_workers=min(8, len(args.sweep))) as pool:
-            return max(pool.map(_run_one_config, args.sweep))
+        return _run_sweep(args.sweep)
     return _exit_code(lambda: _run_flags(args))
 
 

@@ -15,7 +15,6 @@ from .qmath import (
     layout_dim,
     partial_trace_matrix,
     tensor_product,
-    wire_index,
 )
 
 
@@ -92,31 +91,33 @@ def purity(rho: DensityMatrix) -> float:
     return float(np.real(np.trace(rho.matrix @ rho.matrix)))
 
 
-def _initial_full_matrix(step: StepCircuit, rho0: DensityMatrix) -> np.ndarray:
-    sys_labels = list(step.system)
-    if list(rho0.wire_labels) != sys_labels:
+def evolve(step: StepCircuit, rho0_system: DensityMatrix, steps: int):
+    """Yield the reduced system matrix after 0, 1, .., ``steps`` applications.
+
+    The register starts as |0><0| (x) rho0 (x) |0><0|: the system wires must
+    be contiguous, with the environment and control wires before and after
+    them in |0>.  The step is compiled once.
+    """
+    if rho0_system.wire_labels != step.system:
         raise DimensionMismatchError(
-            f"initial state wires {rho0.wire_labels} do not match system wires "
-            f"{tuple(sys_labels)}"
+            f"initial state wires {rho0_system.wire_labels} do not match system wires "
+            f"{step.system}"
         )
-    positions = [wire_index(step.layout, s) for s in sys_labels]
-    if positions != list(range(positions[0], positions[0] + len(positions))):
-        raise DimensionMismatchError("system wires must be contiguous in the layout")
-    before = layout_dim(step.layout[: positions[0]])
-    after = layout_dim(step.layout[positions[-1] + 1:])
+    start = step.wire_labels.index(step.system[0])
+    stop = start + len(step.system)
+    if step.layout[start:stop] != rho0_system.layout:
+        raise DimensionMismatchError(
+            "system wires must be contiguous in the layout, with the initial state's dims"
+        )
+    before, after = layout_dim(step.layout[:start]), layout_dim(step.layout[stop:])
     ground = [np.eye(n, 1) @ np.eye(1, n) for n in (before, after)]  # |0><0|
-    return tensor_product(tensor_product(ground[0], rho0.matrix), ground[1])
-
-
-def _reduced_system(matrix: np.ndarray, step: StepCircuit) -> np.ndarray:
-    dims = [w.dim for w in step.layout]
-    labels = list(step.wire_labels)
-    red = matrix
-    for i in range(len(labels) - 1, -1, -1):
-        if labels[i] not in step.system:
-            red = partial_trace_matrix(red, dims, i)
-            del dims[i], labels[i]
-    return red
+    matrix = tensor_product(tensor_product(ground[0], rho0_system.matrix), ground[1])
+    blocks = (before, rho0_system.dim, after)
+    dims, program = compile_step(step)
+    for n in range(steps + 1):
+        if n:
+            matrix = run_compiled(program, dims, matrix)
+        yield partial_trace_matrix(partial_trace_matrix(matrix, blocks, 2), blocks[:2], 0)
 
 
 def run(
@@ -141,14 +142,9 @@ def run(
                 f"observable {obs.name!r} dim {obs.projector.shape[0]} does not "
                 f"match system dim {sys_dim}"
             )
-    matrix = _initial_full_matrix(step, rho0_system)
-    dims, compiled = compile_step(step)
-    sys_layout = rho0_system.layout
-
-    def record(n: int, mat: np.ndarray) -> StepRecord:
-        red = _reduced_system(mat, step)
+    def record(n: int, red: np.ndarray) -> StepRecord:
         try:
-            state = DensityMatrix(red, sys_layout)
+            state = DensityMatrix(red, rho0_system.layout)
         except InvalidStateError as exc:
             raise NumericalViolationError(n, exc.invariant, str(exc)) from exc
         values = {
@@ -162,8 +158,7 @@ def run(
             purity=purity(state),
         )
 
-    records = [record(0, matrix)]
-    for n in range(1, steps + 1):
-        matrix = run_compiled(compiled, dims, matrix)
-        records.append(record(n, matrix))
-    return Trajectory(step_count=steps, records=tuple(records))
+    states = evolve(step, rho0_system, steps)
+    return Trajectory(
+        step_count=steps, records=tuple(record(n, red) for n, red in enumerate(states))
+    )

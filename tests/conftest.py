@@ -109,6 +109,38 @@ def dense_apply(maps, rho):
     return rho
 
 
+def dense_reduce(mat, dims, keep):
+    """Partial trace onto the factors at positions ``keep``, as one einsum."""
+    n = len(dims)
+    cols = [n + i if i in keep else i for i in range(n)]
+    out = list(keep) + [n + i for i in keep]
+    d = math.prod(dims[i] for i in keep)
+    t = np.asarray(mat, dtype=complex).reshape(list(dims) * 2)
+    return np.einsum(t, list(range(n)) + cols, out).reshape(d, d)
+
+
+def dense_trajectory(step, rho0, steps):
+    """Reduced system matrices after 0..``steps`` steps of the per-op dense oracle.
+
+    The register starts with ``rho0`` on the (contiguous) system wires and
+    |0><0| on every other wire.
+    """
+    dims = [w.dim for w in step.layout]
+    keep = [i for i, w in enumerate(step.layout) if w.label in step.system]
+    full = np.ones((1, 1), dtype=complex)
+    for i, d in enumerate(dims):
+        if i == keep[0]:
+            full = np.kron(full, rho0.matrix)
+        elif i not in keep:
+            full = np.kron(full, np.diag([1.0] + [0.0] * (d - 1)))
+    maps = dense_maps(step)
+    out = [dense_reduce(full, dims, keep)]
+    for _ in range(steps):
+        full = dense_apply(maps, full)
+        out.append(dense_reduce(full, dims, keep))
+    return out
+
+
 def brute_partial_trace(mat, dims, axis):
     """Partial trace by an explicit basis sum, no reshape tricks."""
     mat = np.asarray(mat, dtype=complex)

@@ -458,6 +458,18 @@ class TestSerialization:
         with pytest.raises(CircuitFormatError, match="line 1"):
             parse_circuit("GATE Ry\nWIRES q:2\nSYSTEM q")
 
+    def test_unknown_wire_carries_line(self):
+        with pytest.raises(CircuitFormatError, match="line 3: .*unknown wire 'z'"):
+            parse_circuit("WIRES q:2\nSYSTEM q\nGATE X z\n")
+
+    def test_reset_of_system_wire_carries_line(self):
+        with pytest.raises(CircuitFormatError, match="line 3: trace-reset on system wire"):
+            parse_circuit("WIRES q:2 e:2\nSYSTEM q\nRESET q\n")
+
+    def test_op_checked_against_a_later_header(self):
+        with pytest.raises(CircuitFormatError, match="line 2: .*unknown wire 'z'"):
+            parse_circuit("GATE H q\nSWAP q z\nWIRES q:2 e:2\nSYSTEM q\n")
+
     def test_missing_header_rejected(self):
         with pytest.raises(CircuitFormatError, match="WIRES"):
             parse_circuit("GATE X q")

@@ -274,6 +274,56 @@ class TestMainRuns:
         assert (tmp_path / "out1_nonmarkovian.csv").exists()
 
 
+class TestSweep:
+    def test_runs_in_argument_order_past_a_failing_config(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        (tmp_path / "a.cfg").write_text("preset = fig6\ncsv = a.csv\n")
+        (tmp_path / "b.cfg").write_text("channel = dephasing\nmode = warp\n")
+        (tmp_path / "c.cfg").write_text("preset = fig8\ncsv = c.csv\n")
+        alone = []
+        for cfg in ("a.cfg", "c.cfg"):
+            assert run_main_in(tmp_path, monkeypatch, ["--config", cfg]) == 0
+            alone.append(capsys.readouterr().out)
+        code = run_main_in(tmp_path, monkeypatch, ["--sweep", "a.cfg", "b.cfg", "c.cfg"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == alone[0] + alone[1]
+        assert captured.err.strip().splitlines() == [
+            "config error: b.cfg:2: unknown mode 'warp'; expected one of "
+            "('markovian', 'non-markovian', 'sequential')"
+        ]
+
+    def test_shared_output_path_exits_2_before_running(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        (tmp_path / "a.cfg").write_text("preset = fig6\ncsv = same.csv\n")
+        (tmp_path / "b.cfg").write_text("preset = fig8\ncsv = same.csv\n")
+        code = run_main_in(tmp_path, monkeypatch, ["--sweep", "a.cfg", "b.cfg"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [
+            "config error: a.cfg and b.cfg both write same_markovian.csv"
+        ]
+        assert sorted(os.listdir(tmp_path)) == ["a.cfg", "b.cfg"]
+
+    @pytest.mark.parametrize("key,value,path", [
+        ("svg", "plot", "plot.svg"),
+        ("circuit", "step", "step_markovian.circuit"),
+    ])
+    def test_shared_svg_or_circuit_path_exits_2(
+        self, tmp_path, monkeypatch, capsys, key, value, path
+    ):
+        (tmp_path / "a.cfg").write_text(f"preset = fig6\ncsv = a.csv\n{key} = {value}\n")
+        (tmp_path / "b.cfg").write_text(f"preset = fig7\ncsv = b.csv\n{key} = ./{value}\n")
+        code = run_main_in(tmp_path, monkeypatch, ["--sweep", "a.cfg", "b.cfg"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "a.cfg and b.cfg both write" in err and path in err
+        assert sorted(os.listdir(tmp_path)) == ["a.cfg", "b.cfg"]
+
+
 class TestExitCodes:
     def test_bad_config_exits_2(self, tmp_path, monkeypatch, capsys):
         (tmp_path / "bad.cfg").write_text("channel = dephasing\nmode = warp\n")

@@ -1,0 +1,133 @@
+"""``engine.evolve`` and its two consumers, ``run`` and ``blp_witness``,
+against the per-op dense oracle in conftest."""
+
+import math
+
+import numpy as np
+import pytest
+
+from oqsim.analysis import blp_witness
+from oqsim.channels import KrausChannel, pauli_channel
+from oqsim.circuit import (
+    GateOp,
+    MemorySpec,
+    StepCircuit,
+    build_dilation_step,
+    build_markovian_step,
+    build_nonmarkovian_step,
+    build_sequential_step,
+)
+from oqsim.engine import evolve, projector_observable, run
+from oqsim.qmath import DensityMatrix, DimensionMismatchError, Wire
+
+from conftest import (
+    brute_partial_trace,
+    dense_reduce,
+    dense_trajectory,
+    random_channel_ops,
+    random_density,
+)
+
+KINDS = ("amplitude-damping", "dephasing")
+THETAS = (math.pi / 10, 2 * math.pi / 3, 5 * math.pi / 6, math.pi / 4)
+STEPS = 30
+
+
+def _steps():
+    steps = {}
+    for kind in KINDS:
+        steps[f"markovian-{kind}"] = build_markovian_step(kind, math.pi / 7)
+        for k in range(2, 5):
+            steps[f"memory-{kind}-k{k}"] = build_nonmarkovian_step(
+                kind, MemorySpec(k, THETAS[:k])
+            )
+    pauli = pauli_channel(0.05, 0.1, 0.15)
+    # layout (c, q, e..): q sits between two traced blocks
+    steps["sequential"] = build_sequential_step(pauli)
+    steps["sequential-memory-k3"] = build_sequential_step(pauli, MemorySpec(3, THETAS[:3]))
+    ops = random_channel_ops(np.random.default_rng(5), n=2, l=4)
+    steps["dilation"] = build_dilation_step(KrausChannel(2, ops, label="rand2"))
+    return steps
+
+
+BUILDERS = _steps()
+
+
+def _system_state(step, rng):
+    layout = tuple(w for w in step.layout if w.label in step.system)
+    dim = math.prod(w.dim for w in layout)
+    return DensityMatrix(random_density(rng, dim), layout)
+
+
+def test_dense_reduce_matches_brute_partial_trace(rng):
+    dims = [2, 3, 2]
+    mat = random_density(rng, 12)
+    want = brute_partial_trace(brute_partial_trace(mat, dims, 2), dims[:2], 0)
+    assert np.max(np.abs(dense_reduce(mat, dims, [1]) - want)) <= 1e-14
+
+
+def test_sequential_system_has_two_traced_blocks():
+    labels = BUILDERS["sequential-memory-k3"].wire_labels
+    assert labels.index("q") == 1 and len(labels) == 5
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_evolve_matches_dense_oracle(name, rng):
+    step = BUILDERS[name]
+    rho0 = _system_state(step, rng)
+    got = list(evolve(step, rho0, STEPS))
+    want = dense_trajectory(step, rho0, STEPS)
+    assert len(got) == STEPS + 1
+    for n, (g, w) in enumerate(zip(got, want)):
+        assert np.max(np.abs(g - w)) <= 1e-12, f"step {n}"
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_run_records_the_oracle_states(name, rng):
+    step = BUILDERS[name]
+    rho0 = _system_state(step, rng)
+    obs = projector_observable("p1")
+    traj = run(step, rho0, 10, [obs])
+    for rec, want in zip(traj.records, dense_trajectory(step, rho0, 10)):
+        assert abs(rec.values["p1"] - np.trace(obs.projector @ want).real) <= 1e-12
+        assert abs(rec.purity - np.trace(want @ want).real) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["memory-amplitude-damping-k3", "sequential-memory-k3"])
+def test_blp_witness_is_the_oracle_revival_sum(name, rng):
+    step = BUILDERS[name]
+    rho_a, rho_b = _system_state(step, rng), _system_state(step, rng)
+    a = dense_trajectory(step, rho_a, STEPS)
+    b = dense_trajectory(step, rho_b, STEPS)
+    dist = [0.5 * np.abs(np.linalg.eigvalsh(x - y)).sum() for x, y in zip(a, b)]
+    want = sum(max(cur - prev, 0.0) for prev, cur in zip(dist, dist[1:]))
+    assert abs(blp_witness(step, rho_a, rho_b, STEPS) - want) <= 1e-12
+
+
+def test_blp_witness_of_zero_steps_is_zero(rng):
+    step = BUILDERS["memory-dephasing-k2"]
+    w = blp_witness(step, _system_state(step, rng), _system_state(step, rng), 0)
+    assert w == 0.0 and isinstance(w, float)
+
+
+class TestSystemLayout:
+    STEP = StepCircuit("split", (Wire("a"), Wire("b"), Wire("c")), ("a", "c"), [])
+    RHO = DensityMatrix(np.eye(4) / 4, (Wire("a"), Wire("c")))
+
+    def test_run_rejects_non_contiguous_system(self):
+        with pytest.raises(DimensionMismatchError, match="contiguous"):
+            run(self.STEP, self.RHO, 3, [])
+
+    def test_blp_witness_rejects_non_contiguous_system(self):
+        with pytest.raises(DimensionMismatchError, match="contiguous"):
+            blp_witness(self.STEP, self.RHO, self.RHO, 3)
+
+    def test_system_wire_dims_must_match(self):
+        step = StepCircuit("qutrit", (Wire("q", 3), Wire("e")), ("q",), [GateOp.reset("e")])
+        rho = DensityMatrix(np.eye(2) / 2, (Wire("q"),))
+        with pytest.raises(DimensionMismatchError):
+            run(step, rho, 2, [])
+
+    def test_evolve_checks_before_the_first_state(self):
+        with pytest.raises(DimensionMismatchError):
+            next(evolve(self.STEP, self.RHO, 3))
