@@ -477,6 +477,7 @@ def parse_circuit(text: str) -> StepCircuit:
     label = ""
     layout = None
     system = None
+    header_lines = {}
     ops = []
     op_lines = []
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -494,8 +495,10 @@ def parse_circuit(text: str) -> StepCircuit:
                     wl, _, wd = item.partition(":")
                     parsed.append(Wire(wl, int(wd) if wd else 2))
                 layout = tuple(parsed)
+                header_lines["WIRES"] = ln
             elif head == "SYSTEM":
                 system = tuple(rest)
+                header_lines["SYSTEM"] = ln
             elif head == "RESET":
                 (wire,) = rest
                 ops.append(GateOp.reset(wire))
@@ -517,9 +520,12 @@ def parse_circuit(text: str) -> StepCircuit:
             op_lines.append(ln)
     if layout is None or system is None:
         raise CircuitFormatError("missing WIRES or SYSTEM header line")
-    for ln, op in zip(op_lines, ops):  # checked against the header, wherever it stands
+    # the header first, then each op against it, wherever the lines stand
+    checks = [(header_lines["WIRES"], (), ()), (header_lines["SYSTEM"], system, ())]
+    checks += [(ln, system, (op,)) for ln, op in zip(op_lines, ops)]
+    for ln, sys_wires, some_ops in checks:
         try:
-            StepCircuit(label, layout, system, (op,))
+            StepCircuit(label, layout, sys_wires, some_ops)
         except BuilderError as exc:
             raise CircuitFormatError(f"line {ln}: {exc}") from exc
     return StepCircuit(label, layout, system, ops)

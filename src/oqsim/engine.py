@@ -11,6 +11,7 @@ from .qmath import (
     DensityMatrix,
     DimensionMismatchError,
     InvalidStateError,
+    check_states,
     is_hermitian,
     layout_dim,
     partial_trace_matrix,
@@ -86,9 +87,14 @@ class Trajectory:
         return tuple(self.records[0].values)
 
 
+def _purities(m: np.ndarray) -> np.ndarray:
+    """trace(m @ m) over the last two axes, for one matrix or a stack."""
+    return np.einsum("...ij,...ji->...", m, m).real
+
+
 def purity(rho: DensityMatrix) -> float:
     """trace(rho^2), in (0, 1]."""
-    return float(np.real(np.trace(rho.matrix @ rho.matrix)))
+    return float(_purities(rho.matrix))
 
 
 def evolve(step: StepCircuit, rho0_system: DensityMatrix, steps: int):
@@ -129,9 +135,11 @@ def run(
     """Apply ``step`` repeatedly, recording observables on the reduced system.
 
     Environment and control wires start in |0><0|.  Record 0 is the
-    initial state; every recorded state is checked against the density
-    matrix invariants, raising :class:`NumericalViolationError` on failure
-    so that long runs cannot silently drift.
+    initial state.  Once :func:`evolve` has produced the whole trajectory,
+    its reduced states are checked against the density-matrix invariants
+    and measured, each in one pass over the stack; the first state that
+    breaks an invariant raises :class:`NumericalViolationError` with its
+    step, so that long runs cannot silently drift.
     """
     if steps < 1:
         raise ValueError(f"step count {steps} must be >= 1")
@@ -142,23 +150,18 @@ def run(
                 f"observable {obs.name!r} dim {obs.projector.shape[0]} does not "
                 f"match system dim {sys_dim}"
             )
-    def record(n: int, red: np.ndarray) -> StepRecord:
-        try:
-            state = DensityMatrix(red, rho0_system.layout)
-        except InvalidStateError as exc:
-            raise NumericalViolationError(n, exc.invariant, str(exc)) from exc
-        values = {
-            obs.name: float(np.real(np.trace(obs.projector @ red)))
-            for obs in observables
-        }
-        return StepRecord(
-            step=n,
-            values=values,
-            trace=float(np.real(np.trace(red))),
-            purity=purity(state),
-        )
-
-    states = evolve(step, rho0_system, steps)
-    return Trajectory(
-        step_count=steps, records=tuple(record(n, red) for n, red in enumerate(states))
+    states = np.stack(list(evolve(step, rho0_system, steps)))
+    try:
+        check_states(states, rho0_system.layout)
+    except InvalidStateError as exc:
+        raise NumericalViolationError(exc.index, exc.invariant, str(exc)) from exc
+    projectors = np.array([obs.projector for obs in observables]).reshape(-1, sys_dim, sys_dim)
+    values = np.einsum("oij,nji->no", projectors, states).real.tolist()
+    traces = np.einsum("nii->n", states).real.tolist()
+    purities = _purities(states).tolist()
+    names = [obs.name for obs in observables]
+    records = tuple(
+        StepRecord(step=n, values=dict(zip(names, row)), trace=tr, purity=pu)
+        for n, (row, tr, pu) in enumerate(zip(values, traces, purities))
     )
+    return Trajectory(step_count=steps, records=records)

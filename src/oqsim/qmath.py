@@ -34,11 +34,15 @@ class PSDViolationError(ValueError):
 
 
 class InvalidStateError(ValueError):
-    """A matrix that violates the density-matrix invariants."""
+    """A matrix that violates the density-matrix invariants.
 
-    def __init__(self, invariant: str, message: str):
+    ``index`` is the position of the failing state in the checked stack.
+    """
+
+    def __init__(self, invariant: str, message: str, index: int = 0):
         super().__init__(message)
         self.invariant = invariant
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -85,13 +89,45 @@ def wire_index(layout, label: str) -> int:
     raise UnknownWireError(f"wire {label!r} not in layout {[w.label for w in layout]}")
 
 
+def check_states(stack: np.ndarray, layout) -> None:
+    """Check every matrix of an ``(n, d, d)`` stack against the density-matrix invariants.
+
+    Per state, in this order: the wire dimensions multiply to d, the trace
+    is 1 within 1e-10, the matrix is Hermitian within 1e-10 (a NaN fails
+    here) and its minimum eigenvalue is >= -1e-9.  Raises
+    :class:`InvalidStateError` for the first state that fails, with its
+    index; eigenvalues are computed only for the states before the first
+    trace or hermiticity failure.
+    """
+    n, d = len(stack), stack.shape[-1]
+    if layout_dim(layout) != d:
+        raise InvalidStateError(
+            "layout", f"layout dims {[w.dim for w in layout]} do not multiply to {d}"
+        )
+    traces = np.trace(stack, axis1=1, axis2=2)
+    bad_trace = np.abs(traces - 1.0) > VALIDITY_ATOL
+    skew = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    bad = np.flatnonzero(bad_trace | ~(skew <= VALIDITY_ATOL))
+    first = int(bad[0]) if bad.size else n
+    lows = np.linalg.eigvalsh(stack[:first]).min(axis=1)
+    negative = np.flatnonzero(lows < -RECON_ATOL)
+    if negative.size:
+        i = int(negative[0])
+        raise InvalidStateError("psd", f"minimum eigenvalue {lows[i]} below -1e-9", i)
+    if first == n:
+        return
+    if bad_trace[first]:
+        raise InvalidStateError(
+            "trace", f"trace {traces[first]} deviates from 1 beyond 1e-10", first
+        )
+    raise InvalidStateError("hermitian", "matrix is not Hermitian within 1e-10", first)
+
+
 class DensityMatrix:
     """Hermitian, unit-trace, PSD matrix over an ordered wire register.
 
     Instances are immutable: the stored matrix is a read-only copy.
-    Construction validates trace (1e-10), hermiticity (1e-10), the
-    eigenvalue floor (>= -1e-9) and that the wire dimensions multiply
-    to the matrix dimension.
+    Construction validates the matrix with :func:`check_states`.
     """
 
     __slots__ = ("matrix", "layout")
@@ -99,19 +135,7 @@ class DensityMatrix:
     def __init__(self, matrix, layout):
         m = as_complex_matrix(matrix)
         layout = tuple(layout)
-        if layout_dim(layout) != m.shape[0]:
-            raise InvalidStateError(
-                "layout",
-                f"layout dims {[w.dim for w in layout]} do not multiply to {m.shape[0]}",
-            )
-        tr = np.trace(m)
-        if abs(tr - 1.0) > VALIDITY_ATOL:
-            raise InvalidStateError("trace", f"trace {tr} deviates from 1 beyond 1e-10")
-        if not is_hermitian(m):
-            raise InvalidStateError("hermitian", "matrix is not Hermitian within 1e-10")
-        lo = np.linalg.eigvalsh(m).min()
-        if lo < -RECON_ATOL:
-            raise InvalidStateError("psd", f"minimum eigenvalue {lo} below -1e-9")
+        check_states(m[np.newaxis], layout)
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -189,14 +213,23 @@ def psd_sqrt(m, atol: float = RECON_ATOL) -> np.ndarray:
     return (root + root.conj().T) / 2.0
 
 
+def trace_distance_matrix(a, b):
+    """Half the trace norm of the Hermitian difference ``a - b``.
+
+    Works over the last two axes, so two ``(n, d, d)`` stacks give the
+    ``n`` pairwise distances in one call.
+    """
+    eigs = np.linalg.eigvalsh(np.asarray(a) - np.asarray(b))
+    return 0.5 * np.abs(eigs).sum(axis=-1)
+
+
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Half the trace norm of rho - sigma; in [0, 1] for states."""
     if rho.dim != sigma.dim or rho.layout != sigma.layout:
         raise DimensionMismatchError(
             f"states differ in dim/layout: {rho!r} vs {sigma!r}"
         )
-    eigs = np.linalg.eigvalsh(rho.matrix - sigma.matrix)
-    return float(0.5 * np.abs(eigs).sum())
+    return float(trace_distance_matrix(rho.matrix, sigma.matrix))
 
 
 def reset_factor(mat, dims, axis: int) -> np.ndarray:

@@ -466,6 +466,16 @@ class TestSerialization:
         with pytest.raises(CircuitFormatError, match="line 3: trace-reset on system wire"):
             parse_circuit("WIRES q:2 e:2\nSYSTEM q\nRESET q\n")
 
+    def test_duplicate_wire_labels_carry_the_wires_line(self):
+        with pytest.raises(CircuitFormatError, match=r"line 1: duplicate wire labels"):
+            parse_circuit("WIRES q:2 q:2\nSYSTEM q\n")
+
+    def test_unknown_system_wire_carries_the_system_line(self):
+        with pytest.raises(CircuitFormatError, match="line 2: system wire 'z' not in layout"):
+            parse_circuit("WIRES q:2\nSYSTEM z\n")
+        with pytest.raises(CircuitFormatError, match="line 3: system wire 'z'"):
+            parse_circuit("# system before wires\nGATE X q\nSYSTEM z\nWIRES q:2\n")
+
     def test_op_checked_against_a_later_header(self):
         with pytest.raises(CircuitFormatError, match="line 2: .*unknown wire 'z'"):
             parse_circuit("GATE H q\nSWAP q z\nWIRES q:2 e:2\nSYSTEM q\n")

@@ -6,7 +6,13 @@ import pytest
 
 import oqsim.cli as cli
 from oqsim.channels import KrausChannel, PAULI_X, save_channel
-from oqsim.circuit import build_markovian_step, parse_circuit, same_circuit
+from oqsim.circuit import (
+    MemorySpec,
+    build_markovian_step,
+    build_nonmarkovian_step,
+    parse_circuit,
+    same_circuit,
+)
 from oqsim.cli import (
     ConfigError,
     ExperimentConfig,
@@ -16,6 +22,9 @@ from oqsim.cli import (
     parse_initial,
     run_experiment,
 )
+from oqsim.engine import projector_observable
+
+from conftest import dense_trajectory
 
 
 class TestParseAngle:
@@ -272,6 +281,42 @@ class TestMainRuns:
         assert code == 0
         assert (tmp_path / "out0_markovian.csv").exists()
         assert (tmp_path / "out1_nonmarkovian.csv").exists()
+
+
+class TestPresetOutputs:
+    """The preset CSVs hold the dense per-op oracle's values, and every run
+    writes the same bytes."""
+
+    @pytest.mark.parametrize("preset", sorted(cli.PRESETS))
+    def test_rows_match_the_oracle_and_runs_repeat_bytes(self, preset, tmp_path, monkeypatch):
+        (tmp_path / "preset.cfg").write_text(f"preset = {preset}\n")
+        cfg = parse_config(tmp_path / "preset.cfg")
+        runs = []
+        for out in ("first", "second"):
+            (tmp_path / out).mkdir()
+            argv = ["--preset", preset, "--svg", f"{preset}.svg"]
+            assert run_main_in(tmp_path / out, monkeypatch, argv) == 0
+            runs.append({p.name: p.read_bytes() for p in (tmp_path / out).iterdir()})
+        assert runs[0] == runs[1]
+        steps = {
+            "markovian": build_markovian_step(cfg.channel, cfg.theta),
+            "nonmarkovian": build_nonmarkovian_step(cfg.channel, MemorySpec(cfg.k, cfg.thetas)),
+        }
+        assert sorted(runs[0]) == sorted([f"{preset}.svg"] + [f"{preset}_{a}.csv" for a in steps])
+        projectors = {n: projector_observable(n).projector for n in cfg.observables}
+        for arm, step in steps.items():
+            want = dense_trajectory(step, cfg.initial, cfg.steps)
+            header, *rows = runs[0][f"{preset}_{arm}.csv"].decode().splitlines()
+            assert header == "step,observable,value,trace,purity"
+            assert [row.split(",")[:2] for row in rows] == [
+                [str(n), name] for n in range(cfg.steps + 1) for name in cfg.observables
+            ]
+            for row in rows:
+                n, name, value, trace, pur = row.split(",")
+                red = want[int(n)]
+                assert abs(float(value) - np.trace(projectors[name] @ red).real) <= 1e-12
+                assert abs(float(trace) - np.trace(red).real) <= 1e-12
+                assert abs(float(pur) - np.trace(red @ red).real) <= 1e-12
 
 
 class TestSweep:

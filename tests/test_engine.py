@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import oqsim.engine as eng
+from oqsim.analysis import blp_witness
 from oqsim.channels import amplitude_damping, apply_channel, dephasing
 from oqsim.circuit import GateOp, StepCircuit, build_markovian_step
 from oqsim.engine import (
@@ -12,7 +14,7 @@ from oqsim.engine import (
     purity,
     run,
 )
-from oqsim.qmath import DensityMatrix, DimensionMismatchError, Wire
+from oqsim.qmath import DensityMatrix, DimensionMismatchError, InvalidStateError, Wire
 
 from conftest import KET0, KET1, KETP, proj, qstate, random_density
 
@@ -127,6 +129,51 @@ class TestRun:
             eng.run_compiled = original
         assert err.value.step == 1
         assert err.value.invariant == "trace"
+
+
+NOOP = StepCircuit("noop", (Wire("q"),), ("q",), [])
+
+# Each matrix breaks exactly one invariant; a NaN state fails as "hermitian".
+BROKEN = {
+    "trace": (1.01 * proj(KETP), "trace"),
+    "hermitian": (proj(KETP) + np.array([[0.0, 1e-6], [-1e-6, 0.0]]), "hermitian"),
+    "psd": (np.diag([1.0 + 1e-6, -1e-6]), "psd"),
+    "nan": (np.full((2, 2), np.nan), "hermitian"),
+}
+
+
+class TestViolationContract:
+    """The first bad state is reported by step, invariant and the message
+    that :class:`DensityMatrix` gives for the same matrix."""
+
+    @pytest.mark.parametrize("case", sorted(BROKEN))
+    def test_first_bad_step_is_named(self, monkeypatch, case):
+        bad, invariant = BROKEN[case]
+        with pytest.raises(InvalidStateError) as direct:
+            DensityMatrix(bad, (Wire("q"),))
+        calls = []
+
+        def breaking(program, dims, matrix):  # the kernel's output turns bad at step 3
+            calls.append(None)
+            return np.array(bad, dtype=complex) if len(calls) >= 3 else matrix
+
+        monkeypatch.setattr(eng, "run_compiled", breaking)
+        with pytest.raises(NumericalViolationError) as err:
+            run(NOOP, qstate(proj(KETP)), 6, [P1])
+        assert err.value.step == 3
+        assert err.value.invariant == invariant == direct.value.invariant
+        assert str(err.value.__cause__) == str(direct.value)
+        assert str(err.value) == f"step 3: {invariant} violated ({direct.value})"
+
+    def test_blp_witness_raises_for_the_first_bad_state(self, monkeypatch):
+        monkeypatch.setattr(eng, "run_compiled", lambda program, dims, matrix: matrix * 1.01)
+        rho_a, rho_b = qstate(proj(KET0)), qstate(proj(KET1))
+        with pytest.raises(InvalidStateError) as direct:
+            DensityMatrix(rho_a.matrix * 1.01, rho_a.layout)
+        with pytest.raises(InvalidStateError) as err:
+            blp_witness(NOOP, rho_a, rho_b, 5)
+        assert err.value.invariant == "trace"
+        assert str(err.value) == str(direct.value)
 
 
 class TestPurity:
