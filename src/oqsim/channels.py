@@ -147,11 +147,6 @@ class Superoperator:
         object.__setattr__(self, "matrix", m)
 
 
-def vec(matrix) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return as_complex_matrix(matrix).T.reshape(-1)
-
-
 def validate(ch: KrausChannel) -> ValidationReport:
     """Report the Frobenius deviation of sum K^dag K from the identity."""
     acc = np.zeros((ch.dim, ch.dim), dtype=complex)
@@ -404,19 +399,30 @@ def load_channel(path) -> KrausChannel:
     """Read a channel spec file written by :func:`save_channel`."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise InvalidChannelError("channel file must hold a JSON object")
     for key in ("dim", "operators"):
         if key not in payload:
             raise InvalidChannelError(f"channel file missing key {key!r}")
     unknown = set(payload) - {"dim", "label", "operators"}
     if unknown:
         raise InvalidChannelError(f"channel file has unknown keys {sorted(unknown)}")
-    dim = int(payload["dim"])
+    dim, operators = payload["dim"], payload["operators"]
+    if type(dim) is not int or dim < 1:
+        raise InvalidChannelError(f"channel dim must be a positive integer, got {dim!r}")
+    if not isinstance(operators, list):
+        raise InvalidChannelError("channel operators must be a list")
     ops = []
-    for flat in payload["operators"]:
-        if len(flat) != dim * dim:
+    for flat in operators:
+        try:
+            vals = [complex(re, im) for re, im in flat]
+        except (TypeError, ValueError):
             raise InvalidChannelError(
-                f"operator has {len(flat)} entries, expected {dim * dim}"
+                f"operator entries must be [re, im] number pairs, got {flat!r}"
+            ) from None
+        if len(vals) != dim * dim:
+            raise InvalidChannelError(
+                f"operator has {len(vals)} entries, expected {dim * dim}"
             )
-        vals = [complex(re, im) for re, im in flat]
         ops.append(np.array(vals, dtype=complex).reshape(dim, dim))
     return KrausChannel(dim, ops, label=str(payload.get("label", "")))

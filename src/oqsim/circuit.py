@@ -179,10 +179,15 @@ class StepCircuit:
         labels = [w.label for w in layout]
         if len(set(labels)) != len(labels):
             raise BuilderError(f"duplicate wire labels in layout {labels}")
+        for w in layout:
+            if w.dim < 1:
+                raise BuilderError(f"wire {w.label!r} has dim {w.dim} < 1")
         for s in system:
             if s not in labels:
                 raise BuilderError(f"system wire {s!r} not in layout")
         for op in ops:
+            if len(set(op.wires)) != len(op.wires):
+                raise BuilderError(f"op {op!r} names a wire twice")
             for w in op.wires:
                 if w not in labels:
                     raise BuilderError(f"op {op!r} references unknown wire {w!r}")
@@ -215,7 +220,32 @@ class StepCircuit:
         return f"StepCircuit({self.label!r}, wires={list(self.wire_labels)}, ops={len(self.ops)})"
 
 
-_KINDS = ("amplitude-damping", "dephasing")
+# kind -> (controls of the storage rotation on e_i, that rotation, coupling from e_1 onto q)
+_COIN_GATES = {"amplitude-damping": (("q",), "CRy", "CNOT"), "dephasing": ((), "Ry", "CZ")}
+
+
+def _env_wires(k: int) -> list[str]:
+    """Environment labels: ``e`` for a memoryless step, ``e1..ek`` with memory."""
+    return [f"e{i}" for i in range(1, k + 1)] if k > 1 else ["e"]
+
+
+def _swap_chain(env) -> list[GateOp]:
+    """SWAPs shifting the register so e_{i+1}'s content moves onto e_i."""
+    return [GateOp.swap(a, b) for a, b in zip(env, env[1:])]
+
+
+def _check_kind(kind: str) -> None:
+    if kind not in _COIN_GATES:
+        raise BuilderError(f"unknown kind {kind!r}; expected one of {tuple(_COIN_GATES)}")
+
+
+def _coin_step(kind: str, thetas, label: str) -> StepCircuit:
+    """Coin step on q and e_1..e_k, k = len(thetas); k=1 is the memoryless step."""
+    controls, storage, coupling = _COIN_GATES[kind]
+    env = _env_wires(len(thetas))
+    ops = [GateOp.gate(storage, controls + (e,), t) for e, t in zip(env, thetas)]
+    ops += [GateOp.gate(coupling, (env[0], "q")), GateOp.reset(env[0]), *_swap_chain(env)]
+    return StepCircuit(label, tuple(Wire(w) for w in ("q", *env)), ("q",), ops)
 
 
 def build_markovian_step(kind: str, theta: float) -> StepCircuit:
@@ -225,24 +255,10 @@ def build_markovian_step(kind: str, theta: float) -> StepCircuit:
     a CNOT back from e; dephasing rotates e unconditionally and couples
     with a CZ.  The environment is traced out and reset each step.
     """
-    if kind not in _KINDS:
-        raise BuilderError(f"unknown kind {kind!r}; expected one of {_KINDS}")
+    _check_kind(kind)
     if not 0.0 <= theta < 2.0 * math.pi:
         raise BuilderError(f"theta {theta} outside [0, 2*pi)")
-    layout = (Wire("q"), Wire("e"))
-    if kind == "amplitude-damping":
-        ops = [
-            GateOp.gate("CRy", ("q", "e"), theta),
-            GateOp.gate("CNOT", ("e", "q")),
-            GateOp.reset("e"),
-        ]
-    else:
-        ops = [
-            GateOp.gate("Ry", ("e",), theta),
-            GateOp.gate("CZ", ("e", "q")),
-            GateOp.reset("e"),
-        ]
-    return StepCircuit(f"markovian-{kind}", layout, ("q",), ops)
+    return _coin_step(kind, (theta,), f"markovian-{kind}")
 
 
 def build_nonmarkovian_step(kind: str, mem: MemorySpec) -> StepCircuit:
@@ -253,24 +269,10 @@ def build_nonmarkovian_step(kind: str, mem: MemorySpec) -> StepCircuit:
     traced out, reset, and the SWAP chain shifts the register so that e_1
     carries the previous step's second-order content at the next step.
     """
-    if kind not in _KINDS:
-        raise BuilderError(f"unknown kind {kind!r}; expected one of {_KINDS}")
+    _check_kind(kind)
     if mem.k < 2:
         raise BuilderError("memory order k must be >= 2 (k=1 is the memoryless step)")
-    env = [f"e{i}" for i in range(1, mem.k + 1)]
-    layout = (Wire("q"),) + tuple(Wire(e) for e in env)
-    ops = []
-    for i, theta in enumerate(mem.thetas):
-        if kind == "amplitude-damping":
-            ops.append(GateOp.gate("CRy", ("q", env[i]), theta))
-        else:
-            ops.append(GateOp.gate("Ry", (env[i],), theta))
-    coupling = "CNOT" if kind == "amplitude-damping" else "CZ"
-    ops.append(GateOp.gate(coupling, (env[0], "q")))
-    ops.append(GateOp.reset(env[0]))
-    for i in range(mem.k - 1):
-        ops.append(GateOp.swap(env[i], env[i + 1]))
-    return StepCircuit(f"nonmarkovian-{kind}-k{mem.k}", layout, ("q",), ops)
+    return _coin_step(kind, mem.thetas, f"nonmarkovian-{kind}-k{mem.k}")
 
 
 _PAULI_NAMES = (("X", ch_mod.PAULI_X), ("Y", ch_mod.PAULI_Y), ("Z", ch_mod.PAULI_Z))
@@ -331,14 +333,11 @@ def build_sequential_step(
                 "use stinespring_dilate for general channels"
             )
         parts.append(split)
-    k = mem.k if mem is not None else 1
-    env = [f"e{i}" for i in range(1, k + 1)] if k > 1 else ["e"]
-    layout = (Wire("c"), Wire("q")) + tuple(Wire(e) for e in env)
+    env = _env_wires(mem.k if mem is not None else 1)
     coupling_wire = env[0]
     ops = [GateOp.gate("X", ("c",))]
-    if mem is not None:
-        for i in range(1, k):
-            ops.append(GateOp.gate("Ry", (env[i],), mem.thetas[i]))
+    for i in range(1, len(env)):
+        ops.append(GateOp.gate("Ry", (env[i],), mem.thetas[i]))
     for w, unitary in parts:
         coupling = _coupling_op(unitary, (coupling_wire, "q"))
         if coupling is None:
@@ -348,10 +347,9 @@ def build_sequential_step(
         ops.append(coupling)
         ops.append(GateOp.gate("CNOT", (coupling_wire, "c")))
         ops.append(GateOp.reset(coupling_wire))
-    if mem is not None:
-        for i in range(k - 1):
-            ops.append(GateOp.swap(env[i], env[i + 1]))
+    ops += _swap_chain(env)
     ops.append(GateOp.reset("c"))
+    layout = tuple(Wire(w) for w in ("c", "q", *env))
     return StepCircuit(f"sequential-{ch.label}", layout, ("q",), ops)
 
 

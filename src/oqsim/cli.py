@@ -159,7 +159,6 @@ class ExperimentConfig:
     csv: str | None = None
     svg: str | None = None
     circuit_dump: str | None = None
-    resource_table: bool = False
 
 
 def _read_keyvalues(path) -> dict:
@@ -167,7 +166,7 @@ def _read_keyvalues(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}", path=path) from None
     out = {}
     for ln, raw in enumerate(lines, start=1):
@@ -194,29 +193,64 @@ def _read_keyvalues(path) -> dict:
     return out
 
 
-def _build_config(raw: dict, path=None, resource_table: bool = False) -> ExperimentConfig:
+# steps, initial state and observables of a run that does not name them
+_CHANNEL_DEFAULTS = {"dephasing": {"steps": "100", "initial": "|+>", "observables": "p+"}}
+_DEFAULTS = {"steps": "50", "initial": "|1>", "observables": "p1"}
+
+
+def _scalar(cast, noun):
+    def parse(key, text):
+        try:
+            return cast(text)
+        except ValueError:
+            raise ConfigError(f"{key} must be {noun}, got {text!r}") from None
+
+    return parse
+
+
+def _observable_names(key, text):
+    names = tuple(n.strip() for n in text.split(",") if n.strip())
+    if not names:
+        raise ConfigError("observables must name at least one of p0, p1, p+, p-")
+    for n in names:
+        engine.projector_observable(n)
+    return names
+
+
+# typed key -> parse(key, text); a ConfigError or ValueError it raises names the key's line
+_PARSERS = {
+    "theta": lambda key, text: parse_angle(text),
+    "thetas": lambda key, text: tuple(parse_angle(t) for t in text.split(",") if t.strip()),
+    "k": _scalar(int, "an integer"),
+    "steps": _scalar(int, "an integer"),
+    **dict.fromkeys(("px", "py", "pz"), _scalar(float, "a number")),
+    "initial": lambda key, text: parse_initial(text),
+    "observables": _observable_names,
+}
+
+
+def _build_config(raw: dict, path=None) -> ExperimentConfig:
     """Validate a raw key -> (value, line) mapping into a full config."""
 
-    def where(key):
-        return raw[key][1] if key in raw and raw[key][1] is not None else None
-
     def fail(key, message):
-        raise ConfigError(message, path=path, line=where(key))
+        raise ConfigError(message, path=path, line=raw.get(key, (None, None))[1])
 
-    preset = None
-    if "preset" in raw:
-        name = raw["preset"][0]
-        if name not in PRESETS:
-            fail("preset", f"unknown preset {name!r}; expected one of {sorted(PRESETS)}")
-        preset = name
-        for key, value in PRESETS[name].items():
+    def merge(defaults):
+        for key, value in defaults.items():
             raw.setdefault(key, (value, None))
+
+    preset = raw["preset"][0] if "preset" in raw else None
+    if preset is not None:
+        if preset not in PRESETS:
+            fail("preset", f"unknown preset {preset!r}; expected one of {sorted(PRESETS)}")
+        merge(PRESETS[preset])
 
     if "channel" not in raw:
         fail("channel", "missing required key 'channel'")
     channel = raw["channel"][0]
     if channel not in _CHANNELS:
         fail("channel", f"unknown channel {channel!r}; expected one of {_CHANNELS}")
+    merge(_CHANNEL_DEFAULTS.get(channel, _DEFAULTS))
 
     if preset is not None and "mode" not in raw:
         modes = ("markovian", "non-markovian")
@@ -228,92 +262,41 @@ def _build_config(raw: dict, path=None, resource_table: bool = False) -> Experim
             fail("mode", f"unknown mode {mode!r}; expected one of {_MODES}")
         modes = (mode,)
 
-    theta = parse_angle(raw["theta"][0]) if "theta" in raw else None
-    thetas = None
-    if "thetas" in raw:
-        thetas = tuple(parse_angle(t) for t in raw["thetas"][0].split(",") if t.strip())
-    k = None
-    if "k" in raw:
-        try:
-            k = int(raw["k"][0])
-        except ValueError:
-            fail("k", f"k must be an integer, got {raw['k'][0]!r}")
+    values = {}
+    for key, parse in _PARSERS.items():
+        if key in raw:
+            try:
+                values[key] = parse(key, raw[key][0])
+            except (ConfigError, ValueError) as exc:
+                fail(key, str(exc))
 
-    if "markovian" in modes and theta is None:
+    if "markovian" in modes and "theta" not in values:
         fail("theta", "mode markovian requires 'theta'")
     if "non-markovian" in modes:
-        if thetas is None:
+        if "thetas" not in values:
             fail("thetas", "mode non-markovian requires 'thetas'")
-        if k is None:
-            k = len(thetas)
+        thetas = values["thetas"]
+        k = values.setdefault("k", len(thetas))
         if k < 2:
             fail("k", f"mode non-markovian requires k >= 2, got {k}")
         if len(thetas) != k:
             fail("thetas", f"'thetas' has {len(thetas)} angles but k = {k}")
-    if "sequential" in modes:
-        if channel not in ("pauli", "custom-file"):
-            fail("mode", "mode sequential requires channel pauli or custom-file")
-    if channel in ("amplitude-damping", "dephasing") and "sequential" in modes:
-        fail("channel", f"channel {channel} does not support mode sequential")
+    if "sequential" in modes and channel not in ("pauli", "custom-file"):
+        fail("mode", "mode sequential requires channel pauli or custom-file")
     if channel in ("pauli", "custom-file") and modes != ("sequential",):
         fail("channel", f"channel {channel} requires mode sequential")
     if channel == "custom-file" and "channel_file" not in raw:
         fail("channel_file", "channel custom-file requires 'channel_file'")
+    if values["steps"] < 1:
+        fail("steps", f"steps must be >= 1, got {values['steps']}")
 
-    probs = {}
-    for key in ("px", "py", "pz"):
-        try:
-            probs[key] = float(raw[key][0]) if key in raw else 0.0
-        except ValueError:
-            fail(key, f"{key} must be a number, got {raw[key][0]!r}")
-
-    if "steps" in raw:
-        try:
-            steps = int(raw["steps"][0])
-        except ValueError:
-            fail("steps", f"steps must be an integer, got {raw['steps'][0]!r}")
-    else:
-        steps = 100 if channel == "dephasing" else 50
-    if steps < 1:
-        fail("steps", f"steps must be >= 1, got {steps}")
-
-    if "initial" in raw:
-        try:
-            initial = parse_initial(raw["initial"][0])
-        except ConfigError as exc:
-            fail("initial", str(exc))
-    else:
-        initial = parse_initial("|+>" if channel == "dephasing" else "|1>")
-
-    if "observables" in raw:
-        names = tuple(n.strip() for n in raw["observables"][0].split(",") if n.strip())
-    else:
-        names = ("p+",) if channel == "dephasing" else ("p1",)
-    for n in names:
-        try:
-            engine.projector_observable(n)
-        except ValueError as exc:
-            fail("observables", str(exc))
-
-    label = preset if preset is not None else f"{channel}-{modes[0]}"
     return ExperimentConfig(
         channel=channel,
         modes=modes,
-        label=label,
-        steps=steps,
-        initial=initial,
-        observables=names,
-        theta=theta,
-        thetas=thetas,
-        k=k,
-        px=probs["px"],
-        py=probs["py"],
-        pz=probs["pz"],
-        channel_file=raw["channel_file"][0] if "channel_file" in raw else None,
-        csv=raw["csv"][0] if "csv" in raw else None,
-        svg=raw["svg"][0] if "svg" in raw else None,
+        label=preset if preset is not None else f"{channel}-{modes[0]}",
         circuit_dump=raw["circuit"][0] if "circuit" in raw else None,
-        resource_table=resource_table,
+        **values,
+        **{key: raw[key][0] for key in ("channel_file", "csv", "svg") if key in raw},
     )
 
 
@@ -494,8 +477,6 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     if ("svg", None) in paths:
         write_svg(paths["svg", None], all_series, cfg.steps, cfg.label)
         print(f"[{cfg.label}] wrote {paths['svg', None]}")
-    if cfg.resource_table:
-        print(_resource_comparison_table())
     return EXIT_OK
 
 
@@ -520,7 +501,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--channel-file", help="custom channel spec (JSON)")
     p.add_argument("--csv", help="trajectory CSV output path")
     p.add_argument("--svg", help="SVG line-plot output path")
-    p.add_argument("--dump-circuit", help="step circuit dump output path")
+    p.add_argument("--dump-circuit", dest="circuit", metavar="DUMP_CIRCUIT",
+                   help="step circuit dump output path")
     p.add_argument(
         "--resource-table",
         action="store_true",
@@ -533,9 +515,6 @@ def _parser() -> argparse.ArgumentParser:
         help="run several config files one after another, in argument order",
     )
     return p
-
-
-_FLAG_KEYS = _EXPERIMENT_KEYS + ("csv", "svg")
 
 
 def _exit_code(run) -> int:
@@ -555,18 +534,17 @@ def _exit_code(run) -> int:
 
 def _run_flags(args) -> int:
     raw = _read_keyvalues(args.config) if args.config else {}
-    for key in _FLAG_KEYS:
-        value = getattr(args, key)
-        if value is not None:
-            raw[key] = (value, None)
-    if args.dump_circuit is not None:
-        raw["circuit"] = (args.dump_circuit, None)
+    for key in _EXPERIMENT_KEYS + _OUTPUT_KEYS:
+        if getattr(args, key) is not None:
+            raw[key] = (getattr(args, key), None)
     if not raw:
         print("nothing to do: pass --config, --preset or experiment flags",
               file=sys.stderr)
         return EXIT_CONFIG
-    cfg = _build_config(raw, path=args.config, resource_table=args.resource_table)
-    return run_experiment(cfg)
+    code = run_experiment(_build_config(raw, path=args.config))
+    if args.resource_table:
+        print(_resource_comparison_table())
+    return code
 
 
 def _run_sweep(config_paths) -> int:

@@ -133,6 +133,16 @@ class TestStepCircuitInvariants:
         with pytest.raises(BuilderError, match="unitary"):
             GateOp("unitary-apply", ("q",), matrix=np.diag([1.0, 0.5]))
 
+    @pytest.mark.parametrize("op", [GateOp.gate("CNOT", ("q", "q")), GateOp.swap("e", "e")])
+    def test_op_naming_a_wire_twice_rejected(self, op):
+        with pytest.raises(BuilderError, match="names a wire twice"):
+            StepCircuit("bad", (Wire("q"), Wire("e")), ("q",), [op])
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_wire_dim_below_one_rejected(self, dim):
+        with pytest.raises(BuilderError, match=f"wire 'e' has dim {dim} < 1"):
+            StepCircuit("bad", (Wire("q"), Wire("e", dim)), ("q",), [])
+
 
 class TestMarkovianStep:
     def test_theta_zero_identity(self, rng):
@@ -479,6 +489,15 @@ class TestSerialization:
     def test_op_checked_against_a_later_header(self):
         with pytest.raises(CircuitFormatError, match="line 2: .*unknown wire 'z'"):
             parse_circuit("GATE H q\nSWAP q z\nWIRES q:2 e:2\nSYSTEM q\n")
+
+    @pytest.mark.parametrize("line", ["GATE CNOT q q", "SWAP e e"])
+    def test_op_naming_a_wire_twice_carries_line(self, line):
+        with pytest.raises(CircuitFormatError, match="line 3: .*names a wire twice"):
+            parse_circuit(f"WIRES q:2 e:2\nSYSTEM q\n{line}\n")
+
+    def test_wire_dim_below_one_carries_the_wires_line(self):
+        with pytest.raises(CircuitFormatError, match="line 2: wire 'q' has dim 0 < 1"):
+            parse_circuit("LABEL x\nWIRES q:0 e\nSYSTEM q\n")
 
     def test_missing_header_rejected(self):
         with pytest.raises(CircuitFormatError, match="WIRES"):

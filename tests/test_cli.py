@@ -118,6 +118,28 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="cannot read"):
             parse_config(tmp_path / "absent.cfg")
 
+    def test_not_utf8_cannot_be_read(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_bytes("channel = d\xe9phasing\n".encode("latin-1"))
+        with pytest.raises(ConfigError, match="cannot read config"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("line", ["theta = abc", "thetas = pi/4, zz"])
+    def test_angle_errors_carry_path_and_line(self, tmp_path, line):
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"channel = dephasing\nmode = markovian\n{line}\n")
+        with pytest.raises(ConfigError, match="cannot parse angle") as err:
+            parse_config(path)
+        assert str(err.value).startswith(f"{path}:3: ")
+
+    @pytest.mark.parametrize("value", ["", ","])
+    def test_empty_observable_list_rejected_at_its_line(self, tmp_path, value):
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"preset = fig6\nobservables = {value}\n")
+        with pytest.raises(ConfigError, match="at least one") as err:
+            parse_config(path)
+        assert str(err.value).startswith(f"{path}:2: ")
+
     def test_sequential_requires_pauli_or_custom(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("channel = dephasing\nmode = sequential\ntheta = pi/5\n")
@@ -397,6 +419,30 @@ class TestExitCodes:
         )
         assert code == 2
         assert "completeness" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        '{"dim": 2, "operators": 5}',
+        "5",
+        '{"dim": 2, "operators": [[1, 2, 3, 4]]}',
+        '{"dim": 2.5, "operators": [[[1, 0], [0, 0], [0, 0], [1, 0]]]}',
+    ])
+    def test_malformed_channel_file_exits_2(self, tmp_path, monkeypatch, capsys, text):
+        (tmp_path / "ch.json").write_text(text)
+        argv = ["--channel", "custom-file", "--mode", "sequential", "--channel-file", "ch.json"]
+        assert run_main_in(tmp_path, monkeypatch, argv) == 2
+        assert "config error: cannot load channel file 'ch.json'" in capsys.readouterr().err
+
+    def test_not_utf8_config_exits_2_alone_and_in_a_sweep(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "bad.cfg").write_bytes("channel = d\xe9phasing\n".encode("latin-1"))
+        assert run_main_in(tmp_path, monkeypatch, ["--config", "bad.cfg"]) == 2
+        assert run_main_in(tmp_path, monkeypatch, ["--sweep", "bad.cfg"]) == 2
+        assert capsys.readouterr().err.count("cannot read config") == 2
+
+    def test_empty_observables_flag_exits_2(self, tmp_path, monkeypatch, capsys):
+        argv = ["--preset", "fig7", "--observables", ""]
+        assert run_main_in(tmp_path, monkeypatch, argv) == 2
+        assert "at least one" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_numerical_violation_exits_3(self, tmp_path, monkeypatch, capsys):
         from oqsim.engine import NumericalViolationError

@@ -1,0 +1,83 @@
+"""Arbitrary config text ends in exit 0 or 2, never in a traceback.
+
+Each example starts from a runnable experiment over the real config keys,
+then overwrites or drops up to two keys with odd values and may add a
+garbage line. Step counts and memory orders stay small, so an example runs
+in milliseconds in its own temporary directory.
+"""
+
+import contextlib
+import tempfile
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oqsim.channels import pauli_channel, save_channel
+from oqsim.cli import _EXPERIMENT_KEYS, _OUTPUT_KEYS, main
+
+ANGLES = st.sampled_from(["pi/10", "2pi/3", "5pi/6", "0.3", "0", "pi"])
+KINDS = st.sampled_from(["amplitude-damping", "dephasing"])
+PROBABILITY = st.sampled_from(["0", "0.05", "0.3"])
+NAMES = st.lists(st.sampled_from(["p0", "p1", "p+", "p-"]), max_size=3).map(", ".join)
+
+EXPERIMENTS = st.one_of(
+    st.fixed_dictionaries(
+        {"preset": st.sampled_from(["fig6", "fig7", "fig8"])},
+        optional={"mode": st.sampled_from(["markovian", "non-markovian"])},
+    ),
+    st.fixed_dictionaries({"channel": KINDS, "mode": st.just("markovian"), "theta": ANGLES}),
+    st.fixed_dictionaries(
+        {"channel": KINDS, "mode": st.just("non-markovian"),
+         "thetas": st.lists(ANGLES, min_size=2, max_size=4).map(", ".join)},
+    ),
+    st.fixed_dictionaries(
+        {"channel": st.just("pauli"), "mode": st.just("sequential")},
+        optional={"px": PROBABILITY, "py": PROBABILITY, "pz": PROBABILITY},
+    ),
+    st.fixed_dictionaries(
+        {"channel": st.just("custom-file"), "mode": st.just("sequential"),
+         "channel_file": st.sampled_from(["pauli.json", "malformed.json", "absent.json"])},
+    ),
+)
+COMMON = {
+    "steps": st.sampled_from(["1", "2", "3"]),
+    "initial": st.sampled_from(["|0>", "|1>", "|+>", "|->", "0.5,0.5;0.5,0.5"]),
+    "observables": NAMES,
+    "csv": st.sampled_from(["out.csv", "out"]),
+    "svg": st.sampled_from(["plot.svg", "plot"]),
+    "circuit": st.sampled_from(["step.circuit", "step"]),
+}
+KEYS = st.sampled_from(_EXPERIMENT_KEYS + _OUTPUT_KEYS)
+ODD = st.sampled_from(
+    [None, "", ",", "0", "-1", "2", "7", "2.5", "1e400", "nan", "inf", "abc", "pi/4, zz",
+     "|2>", "1;0", "1,0;0,1", "nan,0;0,1", "fig9", "warp", "dephasing", "sequential"]
+)
+GARBAGE = st.sampled_from(
+    ["[experiment]", "[outputs]", "[bogus]", "no equals sign", "thetaa = 1", "= 1", "# note", "k ="]
+) | st.text(max_size=12)
+
+
+@st.composite
+def config_text(draw):
+    chosen = draw(EXPERIMENTS) | draw(st.fixed_dictionaries({}, optional=COMMON))
+    for key, value in draw(st.lists(st.tuples(KEYS, ODD), max_size=2)):
+        if value is None:
+            chosen.pop(key, None)
+        else:
+            chosen[key] = value
+    lines = [f"{key} = {value}" for key, value in chosen.items()]
+    if draw(st.integers(0, 3)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(GARBAGE))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(config_text())
+def test_config_text_exits_0_or_2(text):
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        save_channel(pauli_channel(0.1, 0.0, 0.2), "pauli.json")
+        with open("malformed.json", "w", encoding="utf-8") as fh:
+            fh.write('{"dim": 2, "operators": 5}')
+        with open("exp.cfg", "w", encoding="utf-8") as fh:
+            fh.write(text)
+        assert main(["--config", "exp.cfg"]) in (0, 2)
