@@ -447,8 +447,10 @@ def dump_circuit(step: StepCircuit) -> str:
     """Line-oriented text form of a step circuit.
 
     Header lines carry the label, wire layout and system wires; then one
-    op per line: ``GATE name wires.. [theta]``, ``RESET wire`` or
-    ``SWAP w1 w2``.  Gates without a library name cannot be dumped.
+    op per line: ``GATE name wires.. [theta]``, ``RESET wire``,
+    ``SWAP w1 w2`` or, for a gate without a library name,
+    ``UNITARY wires.. entries..``: the matrix row by row, each entry as the
+    ``repr`` of its real and imaginary parts, so it parses back exactly.
     """
     lines = [f"LABEL {step.label}"]
     lines.append("WIRES " + " ".join(f"{w.label}:{w.dim}" for w in step.layout))
@@ -458,11 +460,10 @@ def dump_circuit(step: StepCircuit) -> str:
             lines.append(f"RESET {op.wires[0]}")
         elif op.kind == "swap":
             lines.append(f"SWAP {op.wires[0]} {op.wires[1]}")
+        elif op.name is None:
+            entries = op.matrix.view(float).ravel().tolist()
+            lines.append(" ".join(["UNITARY", *op.wires, *map(repr, entries)]))
         else:
-            if op.name is None:
-                raise CircuitFormatError(
-                    f"op {op!r} has no gate name and cannot be serialized"
-                )
             parts = ["GATE", op.name, *op.wires]
             if op.theta is not None:
                 parts.append(repr(op.theta))
@@ -503,6 +504,13 @@ def parse_circuit(text: str) -> StepCircuit:
             elif head == "SWAP":
                 a, b = rest
                 ops.append(GateOp.swap(a, b))
+            elif head == "UNITARY":
+                # an n x n matrix takes the last 2 n^2 fields, for the largest n
+                # that leaves a wire: the only split when every wire has dim >= 2
+                n = math.isqrt(max(len(rest) - 1, 0) // 2)
+                split = len(rest) - 2 * n * n
+                matrix = np.array([float(x) for x in rest[split:]]).view(complex).reshape(n, n)
+                ops.append(GateOp("unitary-apply", rest[:split], matrix=matrix))
             elif head == "GATE":
                 name, *wires = rest
                 rotation = _canonical_name(name) in _ROTATION_GATES

@@ -27,18 +27,10 @@ EXIT_OUTPUT = 4
 
 
 class ConfigError(Exception):
-    def __init__(self, message: str, path=None, line: int | None = None):
-        self.path = path
-        self.line = line
-        prefix = ""
-        if path is not None:
-            prefix = f"{path}:"
-            if line is not None:
-                prefix += f"{line}:"
-            prefix += " "
-        elif line is not None:
-            prefix = f"line {line}: "
-        super().__init__(prefix + message)
+    """A config that cannot run; ``where`` (``path:line`` or ``path``) prefixes the message."""
+
+    def __init__(self, message: str, where=None):
+        super().__init__(message if where is None else f"{where}: {message}")
 
 
 _PI_FORM = re.compile(r"^(\d+(?:\.\d+)?)?pi(?:/(\d+(?:\.\d+)?))?$")
@@ -162,34 +154,35 @@ class ExperimentConfig:
 
 
 def _read_keyvalues(path) -> dict:
-    """Raw key -> (value, line) mapping with strict key checking."""
+    """Raw key -> (value, "path:line") mapping with strict key checking."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config: {exc}", path=path) from None
+        raise ConfigError(f"cannot read config: {exc}", path) from None
     out = {}
     for ln, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
+        where = f"{path}:{ln}"
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip().lower()
             if section not in _SECTIONS:
-                raise ConfigError(f"unknown section [{section}]", path=path, line=ln)
+                raise ConfigError(f"unknown section [{section}]", where)
             continue
         if "=" not in line:
-            raise ConfigError(f"expected key = value, got {line!r}", path=path, line=ln)
+            raise ConfigError(f"expected key = value, got {line!r}", where)
         key, _, value = line.partition("=")
         key = key.strip().lower().replace("-", "_")
         value = value.strip()
         if key == "dump_circuit":
             key = "circuit"
         if key not in _EXPERIMENT_KEYS and key not in _OUTPUT_KEYS:
-            raise ConfigError(f"unknown key {key!r}", path=path, line=ln)
+            raise ConfigError(f"unknown key {key!r}", where)
         if key in out:
-            raise ConfigError(f"duplicate key {key!r}", path=path, line=ln)
-        out[key] = (value, ln)
+            raise ConfigError(f"duplicate key {key!r}", where)
+        out[key] = (value, where)
     return out
 
 
@@ -217,7 +210,7 @@ def _observable_names(key, text):
     return names
 
 
-# typed key -> parse(key, text); a ConfigError or ValueError it raises names the key's line
+# typed key -> parse(key, text); a ConfigError or ValueError it raises names the key's origin
 _PARSERS = {
     "theta": lambda key, text: parse_angle(text),
     "thetas": lambda key, text: tuple(parse_angle(t) for t in text.split(",") if t.strip()),
@@ -230,27 +223,27 @@ _PARSERS = {
 
 
 def _build_config(raw: dict, path=None) -> ExperimentConfig:
-    """Validate a raw key -> (value, line) mapping into a full config."""
+    """Validate a raw key -> (value, origin) mapping; a flag's origin is None."""
 
     def fail(key, message):
-        raise ConfigError(message, path=path, line=raw.get(key, (None, None))[1])
+        raise ConfigError(message, raw[key][1] if key in raw else path)
 
-    def merge(defaults):
+    def merge(defaults, by):  # defaults take the origin of the key that brought them in
         for key, value in defaults.items():
-            raw.setdefault(key, (value, None))
+            raw.setdefault(key, (value, raw[by][1]))
 
     preset = raw["preset"][0] if "preset" in raw else None
     if preset is not None:
         if preset not in PRESETS:
             fail("preset", f"unknown preset {preset!r}; expected one of {sorted(PRESETS)}")
-        merge(PRESETS[preset])
+        merge(PRESETS[preset], "preset")
 
     if "channel" not in raw:
         fail("channel", "missing required key 'channel'")
     channel = raw["channel"][0]
     if channel not in _CHANNELS:
         fail("channel", f"unknown channel {channel!r}; expected one of {_CHANNELS}")
-    merge(_CHANNEL_DEFAULTS.get(channel, _DEFAULTS))
+    merge(_CHANNEL_DEFAULTS.get(channel, _DEFAULTS), "channel")
 
     if preset is not None and "mode" not in raw:
         modes = ("markovian", "non-markovian")
@@ -302,7 +295,7 @@ def _build_config(raw: dict, path=None) -> ExperimentConfig:
 
 def parse_config(path) -> ExperimentConfig:
     """Load and validate a config file."""
-    return _build_config(_read_keyvalues(path), path=path)
+    return _build_config(_read_keyvalues(path), path)
 
 
 class OutputError(Exception):
@@ -485,7 +478,14 @@ def _parser() -> argparse.ArgumentParser:
         prog="simulate",
         description="Open-system circuit trajectories: CSVs, plots, resource tables.",
     )
-    p.add_argument("--config", help="config file path")
+    configs = p.add_mutually_exclusive_group()
+    configs.add_argument("--config", help="config file path")
+    configs.add_argument(
+        "--sweep",
+        nargs="+",
+        metavar="CONFIG",
+        help="run several config files one after another, in argument order",
+    )
     p.add_argument("--preset", choices=sorted(PRESETS), help="builtin parameter set")
     p.add_argument("--channel", help="amplitude-damping | dephasing | pauli | custom-file")
     p.add_argument("--mode", help="markovian | non-markovian | sequential")
@@ -508,19 +508,13 @@ def _parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the sequential vs dilation comparison table",
     )
-    p.add_argument(
-        "--sweep",
-        nargs="+",
-        metavar="CONFIG",
-        help="run several config files one after another, in argument order",
-    )
     return p
 
 
 def _exit_code(run) -> int:
-    """Call ``run()``; map each documented failure to its exit code and one stderr line."""
+    """Call ``run()`` (None is success); map each failure to its exit code and one stderr line."""
     try:
-        return run()
+        return run() or EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -532,49 +526,39 @@ def _exit_code(run) -> int:
         return EXIT_OUTPUT
 
 
-def _run_flags(args) -> int:
-    raw = _read_keyvalues(args.config) if args.config else {}
-    for key in _EXPERIMENT_KEYS + _OUTPUT_KEYS:
-        if getattr(args, key) is not None:
-            raw[key] = (getattr(args, key), None)
-    if not raw:
-        print("nothing to do: pass --config, --preset or experiment flags",
-              file=sys.stderr)
-        return EXIT_CONFIG
-    code = run_experiment(_build_config(raw, path=args.config))
-    if args.resource_table:
-        print(_resource_comparison_table())
-    return code
-
-
-def _run_sweep(config_paths) -> int:
-    """Parse every config, refuse two that write one file, then run them in order.
-
-    A config that fails does not stop the others; the exit code is the worst.
-    """
-    parsed = []
-
-    def load(path):
-        parsed.append((path, parse_config(path)))
-        return EXIT_OK
-
-    codes = [_exit_code(lambda: load(path)) for path in config_paths]
+def _check_outputs(loaded) -> None:
+    """Refuse a file that two configs, or two outputs of one config, would write."""
     writers = {}
-    for i, (path, cfg) in enumerate(parsed):
-        for out in _output_paths(cfg).values():
-            first, first_path = writers.setdefault(os.path.abspath(out), (i, path))
-            if first != i:
-                print(f"config error: {first_path} and {path} both write {out}",
-                      file=sys.stderr)
-                return EXIT_CONFIG
-    return max(codes + [_exit_code(lambda: run_experiment(cfg)) for _, cfg in parsed])
+    for i, (path, cfg) in enumerate(loaded):
+        for (key, _), out in _output_paths(cfg).items():
+            j, first_path, first_key = writers.setdefault(os.path.abspath(out), (i, path, key))
+            if j != i:
+                raise ConfigError(f"{first_path} and {path} both write {out}")
+            if first_key != key:
+                raise ConfigError(f"{first_key} and {key} both write {out}", path)
 
 
 def main(argv=None) -> int:
+    """Lay the flags over each config (``--config``, each ``--sweep`` file or none),
+    load all, refuse shared outputs, then run them in order; the exit code is the worst."""
     args = _parser().parse_args(argv)
-    if args.sweep:
-        return _run_sweep(args.sweep)
-    return _exit_code(lambda: _run_flags(args))
+    flags = {key: (getattr(args, key), None) for key in _EXPERIMENT_KEYS + _OUTPUT_KEYS
+             if getattr(args, key) is not None}
+    loaded = []
+
+    def load(path):
+        if path is None and not flags:
+            raise ConfigError("nothing to do: pass --config, --preset or experiment flags")
+        raw = _read_keyvalues(path) if path is not None else {}
+        loaded.append((path, _build_config({**raw, **flags}, path)))
+
+    codes = [_exit_code(lambda: load(path)) for path in args.sweep or [args.config]]
+    if _exit_code(lambda: _check_outputs(loaded)) != EXIT_OK:
+        return EXIT_CONFIG
+    codes += [_exit_code(lambda: run_experiment(cfg)) for _, cfg in loaded]
+    if args.resource_table and max(codes) == EXIT_OK:
+        print(_resource_comparison_table())
+    return max(codes)
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from oqsim.channels import (
     KrausChannel,
@@ -38,6 +39,7 @@ from oqsim.qmath import (
 )
 
 from conftest import KET0, KET1, KETP, kraus_apply, proj, qstate, random_density
+from test_compile import circuits
 
 
 def env_zero(k):
@@ -439,10 +441,21 @@ class TestSerialization:
         assert lines[4] == "GATE CZ e q"
         assert lines[5] == "RESET e"
 
-    def test_unnamed_gate_not_serializable(self):
+    def test_unnamed_gate_round_trips_as_unitary(self):
         step = build_dilation_step(pauli_channel(0.1, 0.1, 0.1))
-        with pytest.raises(CircuitFormatError):
-            dump_circuit(step)
+        text = dump_circuit(step)
+        assert text.splitlines()[3].startswith("UNITARY q e1 e2 0.8366600265340756 0.0 ")
+        assert same_circuit(parse_circuit(text), step)
+
+    @pytest.mark.parametrize("line", ["UNITARY", "UNITARY q", "UNITARY q 1 0 0", "UNITARY q 1 0 0 x"])
+    def test_malformed_unitary_carries_line(self, line):
+        with pytest.raises(CircuitFormatError, match="line 3: "):
+            parse_circuit(f"WIRES q:2\nSYSTEM q\n{line}\n")
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(step=circuits())
+    def test_random_circuits_round_trip(self, step):
+        assert same_circuit(parse_circuit(dump_circuit(step)), step)
 
     def test_parse_error_carries_line(self):
         with pytest.raises(CircuitFormatError, match="line 2"):

@@ -10,6 +10,7 @@ from oqsim.circuit import (
     MemorySpec,
     build_markovian_step,
     build_nonmarkovian_step,
+    build_sequential_step,
     parse_circuit,
     same_circuit,
 )
@@ -224,6 +225,18 @@ class TestMainRuns:
         back = parse_circuit(text)
         assert same_circuit(back, build_markovian_step("amplitude-damping", math.pi / 10))
 
+    def test_unnamed_sequential_gate_dumps_and_round_trips(self, tmp_path, monkeypatch, capsys):
+        h = np.array([[1, 1], [1, -1]]) / math.sqrt(2.0)
+        ch = KrausChannel(2, [math.sqrt(0.9) * np.eye(2), math.sqrt(0.1) * h], label="had")
+        save_channel(ch, tmp_path / "had.json")
+        argv = ["--mode", "sequential", "--channel", "custom-file", "--channel-file",
+                "had.json", "--steps", "3", "--dump-circuit", "x"]
+        assert run_main_in(tmp_path, monkeypatch, argv) == 0
+        assert capsys.readouterr().err == ""
+        text = (tmp_path / "x").read_text()
+        assert "\nUNITARY e q " in text
+        assert same_circuit(parse_circuit(text), build_sequential_step(ch))
+
     def test_svg_written(self, tmp_path, monkeypatch):
         code = run_main_in(
             tmp_path, monkeypatch, ["--preset", "fig7", "--svg", "plot.svg"]
@@ -375,6 +388,49 @@ class TestSweep:
         ]
         assert sorted(os.listdir(tmp_path)) == ["a.cfg", "b.cfg"]
 
+    def test_flags_apply_to_every_config(self, tmp_path, monkeypatch):
+        (tmp_path / "a.cfg").write_text("preset = fig6\ncsv = a.csv\n")
+        (tmp_path / "b.cfg").write_text("channel = dephasing\nmode = markovian\ntheta = pi/5\n")
+        argv = ["--sweep", "a.cfg", "b.cfg", "--steps", "3", "--observables", "p0"]
+        assert run_main_in(tmp_path, monkeypatch, argv) == 0
+        for name in ("a_markovian.csv", "a_nonmarkovian.csv", "dephasing-markovian.csv"):
+            rows = (tmp_path / name).read_text().splitlines()[1:]
+            assert [row.split(",")[:2] for row in rows] == [[str(n), "p0"] for n in range(4)]
+
+    def test_resource_table_printed_once_after_every_run(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "a.cfg").write_text("preset = fig6\ncsv = a.csv\n")
+        (tmp_path / "b.cfg").write_text("preset = fig7\ncsv = b.csv\n")
+        argv = ["--sweep", "a.cfg", "b.cfg", "--resource-table"]
+        assert run_main_in(tmp_path, monkeypatch, argv) == 0
+        out = capsys.readouterr().out
+        assert out.count("dilation_qubits") == 1
+        assert out.index("dilation_qubits") > out.index("[fig7/nonmarkovian] p+ monotone")
+
+    def test_resource_table_not_printed_after_a_failing_config(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        (tmp_path / "a.cfg").write_text("preset = fig6\ncsv = a.csv\n")
+        (tmp_path / "b.cfg").write_text("channel = dephasing\nmode = warp\n")
+        argv = ["--sweep", "a.cfg", "b.cfg", "--resource-table"]
+        assert run_main_in(tmp_path, monkeypatch, argv) == 2
+        assert "dilation_qubits" not in capsys.readouterr().out
+
+    def test_output_flag_shared_by_two_configs_exits_2(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "a.cfg").write_text("preset = fig6\n")
+        (tmp_path / "b.cfg").write_text("preset = fig8\n")
+        argv = ["--sweep", "a.cfg", "b.cfg", "--csv", "x.csv"]
+        assert run_main_in(tmp_path, monkeypatch, argv) == 2
+        assert capsys.readouterr().err == "config error: a.cfg and b.cfg both write x_markovian.csv\n"
+        assert sorted(os.listdir(tmp_path)) == ["a.cfg", "b.cfg"]
+
+    def test_config_and_sweep_are_exclusive(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "a.cfg").write_text("preset = fig6\n")
+        with pytest.raises(SystemExit) as exit_:
+            run_main_in(tmp_path, monkeypatch, ["--config", "a.cfg", "--sweep", "a.cfg"])
+        assert exit_.value.code == 2
+        assert "not allowed with argument --config" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["a.cfg"]
+
     @pytest.mark.parametrize("key,value,path", [
         ("svg", "plot", "plot.svg"),
         ("circuit", "step", "step_markovian.circuit"),
@@ -391,6 +447,46 @@ class TestSweep:
         assert sorted(os.listdir(tmp_path)) == ["a.cfg", "b.cfg"]
 
 
+class TestOutputCollisions:
+    @pytest.mark.parametrize("argv,err", [
+        (["--csv", "p.svg", "--svg", "p.svg"], "config error: csv and svg both write p.svg\n"),
+        (["--csv", "x", "--dump-circuit", "./x"], "config error: csv and circuit both write ./x\n"),
+    ], ids=["csv-svg", "csv-circuit"])
+    def test_two_outputs_of_one_config_exit_2(self, tmp_path, monkeypatch, capsys, argv, err):
+        base = ["--channel", "dephasing", "--mode", "markovian", "--theta", "pi/5"]
+        assert run_main_in(tmp_path, monkeypatch, base + argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", err)
+        assert os.listdir(tmp_path) == []
+
+    def test_two_outputs_of_one_config_file_name_the_file(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "a.cfg").write_text("preset = fig6\nmode = markovian\ncsv = p.svg\n")
+        assert run_main_in(tmp_path, monkeypatch, ["--config", "a.cfg", "--svg", "p"]) == 2
+        assert capsys.readouterr().err == "config error: a.cfg: csv and svg both write p.svg\n"
+        assert os.listdir(tmp_path) == ["a.cfg"]
+
+
+class TestErrorOrigins:
+    def test_flag_error_carries_no_file_prefix(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "ok.cfg").write_text("channel = dephasing\nmode = markovian\ntheta = pi/5\n")
+        assert run_main_in(tmp_path, monkeypatch, ["--config", "ok.cfg", "--steps", "-3"]) == 2
+        assert capsys.readouterr().err == "config error: steps must be >= 1, got -3\n"
+
+    def test_preset_value_takes_the_preset_line(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("# fig6 with a shorter memory\npreset = fig6\nk = 2\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        assert str(err.value) == f"{path}:2: 'thetas' has 3 angles but k = 2"
+
+    def test_missing_key_names_the_file(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("mode = markovian\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        assert str(err.value) == f"{path}: missing required key 'channel'"
+
+
 class TestExitCodes:
     def test_bad_config_exits_2(self, tmp_path, monkeypatch, capsys):
         (tmp_path / "bad.cfg").write_text("channel = dephasing\nmode = warp\n")
@@ -402,8 +498,9 @@ class TestExitCodes:
         code = run_main_in(tmp_path, monkeypatch, ["--config", "absent.cfg"])
         assert code == 2
 
-    def test_no_arguments_exits_2(self, tmp_path, monkeypatch):
+    def test_no_arguments_exits_2(self, tmp_path, monkeypatch, capsys):
         assert run_main_in(tmp_path, monkeypatch, []) == 2
+        assert capsys.readouterr().err.startswith("config error: nothing to do")
 
     def test_invalid_custom_channel_exits_2(self, tmp_path, monkeypatch, capsys):
         ch = KrausChannel(2, [0.5 * np.eye(2)])

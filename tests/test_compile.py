@@ -129,8 +129,17 @@ def circuits(draw):
     layout = tuple(Wire(lab, d) for lab, d in zip(labels, dims))
     ops = []
     for _ in range(draw(st.integers(0, 8))):
-        kind = draw(st.sampled_from(["gate", "gate", "swap", "reset"]))
-        if kind == "reset":
+        kind = draw(st.sampled_from(["gate", "gate", "named", "swap", "reset"]))
+        if kind == "named":
+            name = draw(st.sampled_from(["X", "H", "CNOT", "CZ", "Ry", "CRy"]))
+            arity = 2 if name.startswith("C") else 1
+            qubits = [w for w in range(n) if dims[w] == 2]
+            if len(qubits) >= arity:
+                wires = draw(st.lists(st.sampled_from(qubits), min_size=arity,
+                                      max_size=arity, unique=True))
+                theta = draw(st.floats(-7.0, 7.0)) if name.endswith("Ry") else None
+                ops.append(GateOp.gate(name, [labels[w] for w in wires], theta))
+        elif kind == "reset":
             ops.append(GateOp.reset(labels[draw(st.integers(1, n - 1))]))
         elif kind == "swap":
             a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))

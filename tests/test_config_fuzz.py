@@ -3,10 +3,13 @@
 Each example starts from a runnable experiment over the real config keys,
 then overwrites or drops up to two keys with odd values and may add a
 garbage line. Step counts and memory orders stay small, so an example runs
-in milliseconds in its own temporary directory.
+in milliseconds in its own temporary directory. ``--sweep`` over the one
+file must give the same exit code, output and files as ``--config``.
 """
 
 import contextlib
+import io
+import os
 import tempfile
 
 from hypothesis import given, settings
@@ -71,13 +74,27 @@ def config_text(draw):
     return "\n".join(lines) + "\n"
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(config_text())
-def test_config_text_exits_0_or_2(text):
+def _run(argv, text):
+    """Exit code, stdout, stderr and output bytes of ``main(argv)`` in a fresh directory."""
+    out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
         save_channel(pauli_channel(0.1, 0.0, 0.2), "pauli.json")
         with open("malformed.json", "w", encoding="utf-8") as fh:
             fh.write('{"dim": 2, "operators": 5}')
         with open("exp.cfg", "w", encoding="utf-8") as fh:
             fh.write(text)
-        assert main(["--config", "exp.cfg"]) in (0, 2)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        files = {}
+        for name in sorted(os.listdir(".")):
+            with open(name, "rb") as fh:
+                files[name] = fh.read()
+    return code, out.getvalue(), err.getvalue(), files
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(config_text())
+def test_config_text_exits_0_or_2(text):
+    alone = _run(["--config", "exp.cfg"], text)
+    assert alone[0] in (0, 2)
+    assert _run(["--sweep", "exp.cfg"], text) == alone
