@@ -246,42 +246,21 @@ def stinespring_dilate(ch: KrausChannel) -> np.ndarray:
     The environment has the smallest power-of-two dimension that can
     index the operators; the prescribed isometry block sends
     ``|s>|0>_E`` to ``sum_i (K_i |s>) (x) |i>_E`` and the remaining
-    columns are completed by Gram-Schmidt over canonical basis vectors,
-    in ascending index order, so the result is deterministic.
+    columns, in order, are the left singular vectors of that block beyond
+    its rank: an orthonormal basis of its null space from one SVD, so the
+    result is deterministic.  These completion columns differ from those
+    of a Gram-Schmidt completion over canonical basis vectors.
     """
     _require_valid(ch)
     n = ch.dim
     ed = environment_dim(len(ch.operators))
-    big = n * ed
-    u = np.zeros((big, big), dtype=complex)
-    prescribed = []
-    for s in range(n):
-        col = np.zeros(big, dtype=complex)
-        for i, op in enumerate(ch.operators):
-            # system index r, environment index i -> flat r*ed + i
-            col[i::ed] += op[:, s]
-        u[:, s * ed] = col
-        prescribed.append(col)
-    if ed == 1:
-        return u
-    basis = list(prescribed)
-    free_cols = [s * ed + j for s in range(n) for j in range(1, ed)]
-    canon = 0
-    for target in free_cols:
-        while True:
-            if canon >= big:
-                raise InvalidChannelError("failed to complete dilation unitary")
-            cand = np.zeros(big, dtype=complex)
-            cand[canon] = 1.0
-            canon += 1
-            for b in basis:
-                cand = cand - b * (b.conj() @ cand)
-            norm = np.linalg.norm(cand)
-            if norm > 1e-7:
-                cand = cand / norm
-                break
-        u[:, target] = cand
-        basis.append(cand)
+    u = np.zeros((n * ed, n * ed), dtype=complex)
+    for i, op in enumerate(ch.operators):
+        # system index r, environment index i -> flat r*ed + i; column s*ed is |s>|0>_E
+        u[i::ed, ::ed] += op
+    free = np.ones(n * ed, dtype=bool)
+    free[::ed] = False
+    u[:, free] = np.linalg.svd(u[:, ::ed])[0][:, n:]
     return u
 
 

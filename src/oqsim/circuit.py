@@ -92,7 +92,11 @@ def standard_gate(name: str, theta: float | None = None) -> np.ndarray:
 
 
 class GateOp:
-    """One directive of a step: a unitary application, trace-reset or swap."""
+    """One directive of a step: a unitary application, trace-reset or swap.
+
+    A named op takes its matrix from :func:`standard_gate`, so its name alone
+    says what it does; a matrix given with a name must equal that one.
+    """
 
     __slots__ = ("kind", "wires", "name", "matrix", "theta")
 
@@ -104,6 +108,13 @@ class GateOp:
             raise BuilderError("trace-reset targets exactly one wire")
         if kind == "swap" and len(wires) != 2:
             raise BuilderError("swap targets exactly two wires")
+        if name is not None:
+            canon, library = _canonical_name(name), standard_gate(name, theta)
+            if canon != name:
+                raise BuilderError(f"gate name {name!r} is not canonical; use {canon!r}")
+            if matrix is not None and not np.array_equal(as_complex_matrix(matrix), library):
+                raise BuilderError(f"gate {name} given a matrix other than its library matrix")
+            matrix = library
         if kind == "unitary-apply":
             if matrix is None:
                 raise BuilderError("unitary-apply needs a matrix")
@@ -123,14 +134,7 @@ class GateOp:
 
     @classmethod
     def gate(cls, name: str, wires, theta: float | None = None) -> "GateOp":
-        canon = _canonical_name(name)
-        return cls(
-            "unitary-apply",
-            wires,
-            name=canon,
-            matrix=standard_gate(canon, theta),
-            theta=theta,
-        )
+        return cls("unitary-apply", wires, name=_canonical_name(name), theta=theta)
 
     @classmethod
     def reset(cls, wire: str) -> "GateOp":
@@ -138,7 +142,7 @@ class GateOp:
 
     @classmethod
     def swap(cls, a: str, b: str) -> "GateOp":
-        return cls("swap", (a, b), name="SWAP", matrix=standard_gate("SWAP"))
+        return cls("swap", (a, b), name="SWAP")
 
     def __repr__(self):
         if self.kind == "trace-reset":

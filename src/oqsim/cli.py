@@ -13,12 +13,12 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import analysis, channels, circuit, engine
-from .qmath import DensityMatrix, Wire
+from .qmath import DensityMatrix, Wire, layout_dim
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -43,6 +43,8 @@ def parse_angle(text: str) -> float:
     if m:
         coef = float(m.group(1)) if m.group(1) else 1.0
         den = float(m.group(2)) if m.group(2) else 1.0
+        if den == 0.0:
+            raise ConfigError(f"angle {text!r} divides by zero")
         return coef * math.pi / den
     try:
         return float(s)
@@ -50,14 +52,8 @@ def parse_angle(text: str) -> float:
         raise ConfigError(f"cannot parse angle {text!r}") from None
 
 
-_NAMED_STATES = {
-    "|0>": [1.0, 0.0],
-    "|1>": [0.0, 1.0],
-    "|+>": [1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)],
-    "|->": [1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)],
-}
-for _alias, _key in (("0", "|0>"), ("1", "|1>"), ("+", "|+>"), ("-", "|->")):
-    _NAMED_STATES[_alias] = _NAMED_STATES[_key]
+# named initial state -> the engine observable that projects onto it
+_NAMED_STATES = {name: f"p{s}" for s in "01+-" for name in (s, f"|{s}>")}
 
 
 def parse_initial(text: str) -> DensityMatrix:
@@ -65,7 +61,7 @@ def parse_initial(text: str) -> DensityMatrix:
     s = str(text).strip()
     layout = (Wire("q"),)
     if s in _NAMED_STATES:
-        return DensityMatrix.from_pure(_NAMED_STATES[s], layout)
+        return DensityMatrix(engine.projector_observable(_NAMED_STATES[s]).projector, layout)
     if ";" in s:
         try:
             rows = [
@@ -114,22 +110,52 @@ PRESETS = {
     },
 }
 
-_EXPERIMENT_KEYS = (
-    "preset",
-    "channel",
-    "mode",
-    "theta",
-    "thetas",
-    "k",
-    "steps",
-    "initial",
-    "observables",
-    "px",
-    "py",
-    "pz",
-    "channel_file",
-)
-_OUTPUT_KEYS = ("csv", "svg", "circuit")
+
+def _scalar(cast, noun):
+    def parse(key, text):
+        try:
+            return cast(text)
+        except ValueError:
+            raise ConfigError(f"{key} must be {noun}, got {text!r}") from None
+
+    return parse
+
+
+def _observable_names(key, text):
+    names = tuple(n.strip() for n in text.split(",") if n.strip())
+    if not names:
+        raise ConfigError("observables must name at least one of p0, p1, p+, p-")
+    for n in names:
+        engine.projector_observable(n)
+    return names
+
+
+# config key -> (help of its flag, parse(key, text) for a typed key), in --help order.
+# The flag is --key with "-" for "_", but circuit's is --dump-circuit.  A ConfigError
+# or ValueError that parse raises names the key's origin.
+_KEYS = {
+    "preset": ("builtin parameter set", None),
+    "channel": (" | ".join(_CHANNELS), None),
+    "mode": (" | ".join(_MODES), None),
+    "theta": ("one-step angle, e.g. pi/10", lambda key, text: parse_angle(text)),
+    "thetas": (
+        "comma-separated memory angles",
+        lambda key, text: tuple(parse_angle(t) for t in map(str.strip, text.split(",")) if t),
+    ),
+    "k": ("memory order", _scalar(int, "an integer")),
+    "steps": ("number of steps", _scalar(int, "an integer")),
+    "initial": (
+        "|0>, |1>, |+>, |-> or matrix rows a,b;c,d", lambda key, text: parse_initial(text)
+    ),
+    "observables": ("comma-separated from p0,p1,p+,p-", _observable_names),
+    "px": ("pauli X probability", _scalar(float, "a number")),
+    "py": ("pauli Y probability", _scalar(float, "a number")),
+    "pz": ("pauli Z probability", _scalar(float, "a number")),
+    "channel_file": ("custom channel spec (JSON)", None),
+    "csv": ("trajectory CSV output path", None),
+    "svg": ("SVG line-plot output path", None),
+    "circuit": ("step circuit dump output path", None),
+}
 _SECTIONS = ("experiment", "outputs")
 
 
@@ -150,7 +176,13 @@ class ExperimentConfig:
     channel_file: str | None = None
     csv: str | None = None
     svg: str | None = None
-    circuit_dump: str | None = None
+    circuit: str | None = None
+
+
+def _config_key(name: str) -> str:
+    """Config key of a file key or flag dest: lower case, "_" for "-", dump_circuit as circuit."""
+    key = name.strip().lower().replace("-", "_")
+    return "circuit" if key == "dump_circuit" else key
 
 
 def _read_keyvalues(path) -> dict:
@@ -174,11 +206,9 @@ def _read_keyvalues(path) -> dict:
         if "=" not in line:
             raise ConfigError(f"expected key = value, got {line!r}", where)
         key, _, value = line.partition("=")
-        key = key.strip().lower().replace("-", "_")
+        key = _config_key(key)
         value = value.strip()
-        if key == "dump_circuit":
-            key = "circuit"
-        if key not in _EXPERIMENT_KEYS and key not in _OUTPUT_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"unknown key {key!r}", where)
         if key in out:
             raise ConfigError(f"duplicate key {key!r}", where)
@@ -189,37 +219,6 @@ def _read_keyvalues(path) -> dict:
 # steps, initial state and observables of a run that does not name them
 _CHANNEL_DEFAULTS = {"dephasing": {"steps": "100", "initial": "|+>", "observables": "p+"}}
 _DEFAULTS = {"steps": "50", "initial": "|1>", "observables": "p1"}
-
-
-def _scalar(cast, noun):
-    def parse(key, text):
-        try:
-            return cast(text)
-        except ValueError:
-            raise ConfigError(f"{key} must be {noun}, got {text!r}") from None
-
-    return parse
-
-
-def _observable_names(key, text):
-    names = tuple(n.strip() for n in text.split(",") if n.strip())
-    if not names:
-        raise ConfigError("observables must name at least one of p0, p1, p+, p-")
-    for n in names:
-        engine.projector_observable(n)
-    return names
-
-
-# typed key -> parse(key, text); a ConfigError or ValueError it raises names the key's origin
-_PARSERS = {
-    "theta": lambda key, text: parse_angle(text),
-    "thetas": lambda key, text: tuple(parse_angle(t) for t in text.split(",") if t.strip()),
-    "k": _scalar(int, "an integer"),
-    "steps": _scalar(int, "an integer"),
-    **dict.fromkeys(("px", "py", "pz"), _scalar(float, "a number")),
-    "initial": lambda key, text: parse_initial(text),
-    "observables": _observable_names,
-}
 
 
 def _build_config(raw: dict, path=None) -> ExperimentConfig:
@@ -256,8 +255,8 @@ def _build_config(raw: dict, path=None) -> ExperimentConfig:
         modes = (mode,)
 
     values = {}
-    for key, parse in _PARSERS.items():
-        if key in raw:
+    for key, (_, parse) in _KEYS.items():
+        if parse is not None and key in raw:
             try:
                 values[key] = parse(key, raw[key][0])
             except (ConfigError, ValueError) as exc:
@@ -287,9 +286,8 @@ def _build_config(raw: dict, path=None) -> ExperimentConfig:
         channel=channel,
         modes=modes,
         label=preset if preset is not None else f"{channel}-{modes[0]}",
-        circuit_dump=raw["circuit"][0] if "circuit" in raw else None,
         **values,
-        **{key: raw[key][0] for key in ("channel_file", "csv", "svg") if key in raw},
+        **{key: raw[key][0] for key in ("channel_file", "csv", "svg", "circuit") if key in raw},
     )
 
 
@@ -400,10 +398,7 @@ def _build_arm(cfg: ExperimentConfig, mode: str):
 
 
 def _arm_path(base: str | None, default_stem: str, arm: str, many: bool, ext: str):
-    if base is None:
-        stem = default_stem
-    else:
-        stem = base[: -len(ext)] if base.endswith(ext) else base
+    stem = default_stem if base is None else base.removesuffix(ext)
     return f"{stem}_{arm}{ext}" if many else (base or f"{stem}{ext}")
 
 
@@ -413,8 +408,8 @@ def _output_paths(cfg: ExperimentConfig) -> dict:
     paths = {}
     for arm in (_ARMS[mode] for mode in cfg.modes):
         paths["csv", arm] = _arm_path(cfg.csv, cfg.label, arm, many, ".csv")
-        if cfg.circuit_dump is not None:
-            paths["circuit", arm] = _arm_path(cfg.circuit_dump, cfg.label, arm, many, ".circuit")
+        if cfg.circuit is not None:
+            paths["circuit", arm] = _arm_path(cfg.circuit, cfg.label, arm, many, ".circuit")
     if cfg.svg is not None:
         paths["svg", None] = cfg.svg if cfg.svg.endswith(".svg") else f"{cfg.svg}.svg"
     return paths
@@ -447,7 +442,12 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     paths = _output_paths(cfg)
     all_series = {}
     for arm, step, method, k, l in arms:
-        traj = engine.run(step, cfg.initial, cfg.steps, observables)
+        try:
+            traj = engine.run(step, cfg.initial, cfg.steps, observables)
+        except MemoryError:
+            raise ConfigError(
+                f"the {arm} register (dimension {layout_dim(step.layout)}) does not fit in memory"
+            ) from None
         write_csv(paths["csv", arm], traj)
         print(f"[{cfg.label}/{arm}] wrote {paths['csv', arm]}")
         if ("circuit", arm) in paths:
@@ -486,23 +486,9 @@ def _parser() -> argparse.ArgumentParser:
         metavar="CONFIG",
         help="run several config files one after another, in argument order",
     )
-    p.add_argument("--preset", choices=sorted(PRESETS), help="builtin parameter set")
-    p.add_argument("--channel", help="amplitude-damping | dephasing | pauli | custom-file")
-    p.add_argument("--mode", help="markovian | non-markovian | sequential")
-    p.add_argument("--theta", help="one-step angle, e.g. pi/10")
-    p.add_argument("--thetas", help="comma-separated memory angles")
-    p.add_argument("--k", help="memory order")
-    p.add_argument("--steps", help="number of steps")
-    p.add_argument("--initial", help="|0>, |1>, |+>, |-> or matrix rows a,b;c,d")
-    p.add_argument("--observables", help="comma-separated from p0,p1,p+,p-")
-    p.add_argument("--px", help="pauli X probability")
-    p.add_argument("--py", help="pauli Y probability")
-    p.add_argument("--pz", help="pauli Z probability")
-    p.add_argument("--channel-file", help="custom channel spec (JSON)")
-    p.add_argument("--csv", help="trajectory CSV output path")
-    p.add_argument("--svg", help="SVG line-plot output path")
-    p.add_argument("--dump-circuit", dest="circuit", metavar="DUMP_CIRCUIT",
-                   help="step circuit dump output path")
+    for key, (text, _) in _KEYS.items():
+        flag = "--dump-circuit" if key == "circuit" else "--" + key.replace("_", "-")
+        p.add_argument(flag, choices=sorted(PRESETS) if key == "preset" else None, help=text)
     p.add_argument(
         "--resource-table",
         action="store_true",
@@ -542,8 +528,8 @@ def main(argv=None) -> int:
     """Lay the flags over each config (``--config``, each ``--sweep`` file or none),
     load all, refuse shared outputs, then run them in order; the exit code is the worst."""
     args = _parser().parse_args(argv)
-    flags = {key: (getattr(args, key), None) for key in _EXPERIMENT_KEYS + _OUTPUT_KEYS
-             if getattr(args, key) is not None}
+    flags = {_config_key(dest): (value, None) for dest, value in vars(args).items()
+             if _config_key(dest) in _KEYS and value is not None}
     loaded = []
 
     def load(path):

@@ -135,6 +135,19 @@ class TestStepCircuitInvariants:
         with pytest.raises(BuilderError, match="unitary"):
             GateOp("unitary-apply", ("q",), matrix=np.diag([1.0, 0.5]))
 
+    @pytest.mark.parametrize("name,match", [
+        ("mine", "unknown gate name 'mine'"),
+        ("X", "gate X given a matrix other than its library matrix"),
+        ("x", "gate name 'x' is not canonical; use 'X'"),
+    ])
+    def test_named_op_must_be_its_library_gate(self, name, match):
+        with pytest.raises(BuilderError, match=match):
+            GateOp("unitary-apply", ("q",), name=name, matrix=np.eye(2))
+
+    def test_named_op_takes_the_library_matrix(self):
+        op = GateOp("unitary-apply", ("e",), name="Ry", theta=0.3)
+        assert np.array_equal(op.matrix, standard_gate("Ry", 0.3))
+
     @pytest.mark.parametrize("op", [GateOp.gate("CNOT", ("q", "q")), GateOp.swap("e", "e")])
     def test_op_naming_a_wire_twice_rejected(self, op):
         with pytest.raises(BuilderError, match="names a wire twice"):

@@ -46,6 +46,11 @@ class TestParseAngle:
         with pytest.raises(ConfigError):
             parse_angle("two pies")
 
+    @pytest.mark.parametrize("text", ["pi/0", "2pi/0.0"])
+    def test_zero_denominator_rejected(self, text):
+        with pytest.raises(ConfigError, match="divides by zero"):
+            parse_angle(text)
+
 
 class TestParseInitial:
     def test_named(self):
@@ -540,6 +545,32 @@ class TestExitCodes:
         assert run_main_in(tmp_path, monkeypatch, argv) == 2
         assert "at least one" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
+
+    def test_zero_denominator_flag_exits_2(self, tmp_path, monkeypatch, capsys):
+        argv = ["--channel", "amplitude-damping", "--mode", "markovian", "--theta", "pi/0"]
+        assert run_main_in(tmp_path, monkeypatch, argv) == 2
+        assert capsys.readouterr().err == "config error: angle 'pi/0' divides by zero\n"
+        assert os.listdir(tmp_path) == []
+
+    def test_zero_denominator_in_a_file_names_its_line(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "exp.cfg").write_text(
+            "channel = dephasing\nmode = non-markovian\nthetas = pi/5, 3pi/0\n"
+        )
+        assert run_main_in(tmp_path, monkeypatch, ["--config", "exp.cfg"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: exp.cfg:3: angle '3pi/0' divides by zero\n"
+        )
+
+    def test_register_out_of_memory_exits_2(self, tmp_path, monkeypatch, capsys):
+        def too_large(step, rho0, steps, observables):
+            raise MemoryError
+
+        monkeypatch.setattr(cli.engine, "run", too_large)
+        code = run_main_in(tmp_path, monkeypatch, ["--preset", "fig6", "--mode", "non-markovian"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: the nonmarkovian register (dimension 16) does not fit in memory\n"
+        )
 
     def test_numerical_violation_exits_3(self, tmp_path, monkeypatch, capsys):
         from oqsim.engine import NumericalViolationError

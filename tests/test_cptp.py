@@ -1,0 +1,78 @@
+"""Every builder's step is a CPTP map on its whole register.
+
+A step's map is taken as the d^2 x d^2 column-stacking matrix S whose
+column i + j d is the compiled program's image of |i><j|, for registers of
+d <= 16. Its Choi matrix must be positive semidefinite and each image must
+keep the trace of |i><j|, which is delta_ij.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oqsim.channels import KrausChannel, Superoperator, cp_witness
+from oqsim.circuit import (
+    MemorySpec,
+    build_dilation_step,
+    build_markovian_step,
+    build_nonmarkovian_step,
+    build_sequential_step,
+    compile_step,
+    run_compiled,
+)
+
+from conftest import random_channel_ops
+
+KINDS = st.sampled_from(["amplitude-damping", "dephasing"])
+ANGLES = st.floats(0.0, 2.0 * math.pi, exclude_max=True)
+SEEDS = st.integers(0, 2**16)
+
+
+def _mixed_unitary(seed, l):
+    """sqrt(p_i) U_i for random weights p and Haar-ish unitaries U_i."""
+    rng = np.random.default_rng(seed)
+    ops = []
+    for p in rng.dirichlet(np.ones(l)):
+        q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        ops.append(math.sqrt(p) * q)
+    return KrausChannel(2, ops, label=f"mixed-unitary-l{l}")
+
+
+STEPS = st.one_of(
+    st.builds(build_markovian_step, KINDS, ANGLES),
+    st.builds(
+        lambda kind, thetas: build_nonmarkovian_step(kind, MemorySpec(len(thetas), thetas)),
+        KINDS, st.lists(ANGLES, min_size=2, max_size=3),
+    ),
+    st.builds(
+        lambda seed, l, memory: build_sequential_step(
+            _mixed_unitary(seed, l), None if memory is None else MemorySpec(2, memory)
+        ),
+        SEEDS, st.integers(1, 4), st.none() | st.tuples(ANGLES, ANGLES),
+    ),
+    st.builds(
+        lambda seed, l: build_dilation_step(
+            KrausChannel(2, random_channel_ops(np.random.default_rng(seed), 2, l))
+        ),
+        SEEDS, st.integers(1, 8),
+    ),
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(step=STEPS)
+def test_every_builders_step_is_cptp(step):
+    dims, program = compile_step(step)
+    d = math.prod(dims)
+    assert d <= 16
+    s = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            unit = np.zeros((d, d), dtype=complex)
+            unit[i, j] = 1.0
+            image = run_compiled(program, dims, unit)
+            assert abs(np.trace(image) - (i == j)) <= 1e-12
+            s[:, i + j * d] = image.ravel(order="F")
+    assert cp_witness(Superoperator(s, d)) >= -1e-9
