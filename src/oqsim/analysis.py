@@ -11,8 +11,6 @@ from .circuit import StepCircuit
 from .engine import Trajectory, evolve
 from .qmath import (
     DensityMatrix,
-    DimensionMismatchError,
-    check_states,
     trace_distance,  # noqa: F401  kept as oqsim.analysis.trace_distance, a perfbench hook name
     trace_distance_matrix,
 )
@@ -58,14 +56,11 @@ def blp_witness(
 
     Zero (within tolerance) for memoryless steps, since each application is
     a contraction of the pair; positive revivals flag information backflow.
+    The pair is one :func:`evolve` call: one compile, and the checks and
+    errors of that call.
     """
-    if rho_a.layout != rho_b.layout:
-        raise DimensionMismatchError("the two initial states must share a layout")
-    a, b = (np.stack(list(evolve(step, rho, steps))) for rho in (rho_a, rho_b))
-    # interleaved a0, b0, a1, b1, ..: the first bad state is the one a
-    # step-by-step check of the pair would meet first
-    check_states(np.stack((a, b), axis=1).reshape(-1, *a.shape[1:]), rho_a.layout)
-    revivals = np.diff(trace_distance_matrix(a, b))
+    states = evolve(step, (rho_a, rho_b), steps)
+    revivals = np.diff(trace_distance_matrix(states[:, 0], states[:, 1]))
     return float(revivals[revivals > 0].sum())
 
 

@@ -513,10 +513,12 @@ def _exit_code(run) -> int:
 
 
 def _check_outputs(loaded) -> None:
-    """Refuse a file that two configs, or two outputs of one config, would write."""
+    """Before anything runs, refuse an output two writers share or whose directory is missing."""
     writers = {}
     for i, (path, cfg) in enumerate(loaded):
         for (key, _), out in _output_paths(cfg).items():
+            if not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+                raise OutputError(f"cannot write {out}: No such file or directory")
             j, first_path, first_key = writers.setdefault(os.path.abspath(out), (i, path, key))
             if j != i:
                 raise ConfigError(f"{first_path} and {path} both write {out}")
@@ -526,7 +528,7 @@ def _check_outputs(loaded) -> None:
 
 def main(argv=None) -> int:
     """Lay the flags over each config (``--config``, each ``--sweep`` file or none),
-    load all, refuse shared outputs, then run them in order; the exit code is the worst."""
+    load all, check every output path, then run them in order; the exit code is the worst."""
     args = _parser().parse_args(argv)
     flags = {_config_key(dest): (value, None) for dest, value in vars(args).items()
              if _config_key(dest) in _KEYS and value is not None}
@@ -539,8 +541,8 @@ def main(argv=None) -> int:
         loaded.append((path, _build_config({**raw, **flags}, path)))
 
     codes = [_exit_code(lambda: load(path)) for path in args.sweep or [args.config]]
-    if _exit_code(lambda: _check_outputs(loaded)) != EXIT_OK:
-        return EXIT_CONFIG
+    if (checked := _exit_code(lambda: _check_outputs(loaded))) != EXIT_OK:
+        return checked
     codes += [_exit_code(lambda: run_experiment(cfg)) for _, cfg in loaded]
     if args.resource_table and max(codes) == EXIT_OK:
         print(_resource_comparison_table())

@@ -97,33 +97,36 @@ def purity(rho: DensityMatrix) -> float:
     return float(_purities(rho.matrix))
 
 
-def evolve(step: StepCircuit, rho0_system: DensityMatrix, steps: int):
-    """Yield the reduced system matrix after 0, 1, .., ``steps`` applications.
+def evolve(step: StepCircuit, states, steps: int) -> np.ndarray:
+    """Reduced system matrices of each initial state after 0, 1, .., ``steps`` applications.
 
-    The register starts as |0><0| (x) rho0 (x) |0><0|: the system wires must
-    be contiguous, with the environment and control wires before and after
-    them in |0>.  The step is compiled once.
+    Each register starts as |0><0| (x) rho0 (x) |0><0|: the system wires must
+    be contiguous, with the other wires before and after them in |0>.  One
+    compile, then per step one kernel call and one partial trace per state.
+    Returns the ``(steps + 1, len(states), s, s)`` stack after one
+    :func:`check_states` in step order: an :class:`InvalidStateError` index
+    is ``step * len(states) + state``.
     """
-    if rho0_system.wire_labels != step.system:
-        raise DimensionMismatchError(
-            f"initial state wires {rho0_system.wire_labels} do not match system wires "
-            f"{step.system}"
-        )
     start = step.wire_labels.index(step.system[0])
     stop = start + len(step.system)
-    if step.layout[start:stop] != rho0_system.layout:
-        raise DimensionMismatchError(
-            "system wires must be contiguous in the layout, with the initial state's dims"
-        )
-    before, after = layout_dim(step.layout[:start]), layout_dim(step.layout[stop:])
-    ground = [np.eye(n, 1) @ np.eye(1, n) for n in (before, after)]  # |0><0|
-    matrix = tensor_product(tensor_product(ground[0], rho0_system.matrix), ground[1])
-    blocks = (before, rho0_system.dim, after)
+    system = step.layout[start:stop]
+    if step.wire_labels[start:stop] != step.system:
+        raise DimensionMismatchError(f"system wires {step.system} are not contiguous in the layout")
+    for rho in states:
+        if rho.layout != system:
+            raise DimensionMismatchError(f"initial state layout {rho.layout} is not {system}")
+    blocks = (layout_dim(step.layout[:start]), layout_dim(system), layout_dim(step.layout[stop:]))
+    ground = [np.eye(n, 1) @ np.eye(1, n) for n in blocks[::2]]  # |0><0|
+    matrices = [tensor_product(tensor_product(ground[0], rho.matrix), ground[1]) for rho in states]
     dims, program = compile_step(step)
+    out = np.empty((steps + 1, len(matrices), blocks[1], blocks[1]), dtype=complex)
     for n in range(steps + 1):
-        if n:
-            matrix = run_compiled(program, dims, matrix)
-        yield partial_trace_matrix(partial_trace_matrix(matrix, blocks, 2), blocks[:2], 0)
+        for i, matrix in enumerate(matrices):
+            if n:
+                matrix = matrices[i] = run_compiled(program, dims, matrix)
+            out[n, i] = partial_trace_matrix(matrix, blocks, 0, 2)
+    check_states(out.reshape(-1, blocks[1], blocks[1]), system)
+    return out
 
 
 def run(
@@ -135,11 +138,10 @@ def run(
     """Apply ``step`` repeatedly, recording observables on the reduced system.
 
     Environment and control wires start in |0><0|.  Record 0 is the
-    initial state.  Once :func:`evolve` has produced the whole trajectory,
-    its reduced states are checked against the density-matrix invariants
-    and measured, each in one pass over the stack; the first state that
-    breaks an invariant raises :class:`NumericalViolationError` with its
-    step, so that long runs cannot silently drift.
+    initial state.  The trajectory is the checked stack :func:`evolve`
+    returns for the one initial state, measured in one pass; the first
+    state that breaks an invariant raises :class:`NumericalViolationError`
+    with its step, so that long runs cannot silently drift.
     """
     if steps < 1:
         raise ValueError(f"step count {steps} must be >= 1")
@@ -150,9 +152,8 @@ def run(
                 f"observable {obs.name!r} dim {obs.projector.shape[0]} does not "
                 f"match system dim {sys_dim}"
             )
-    states = np.stack(list(evolve(step, rho0_system, steps)))
     try:
-        check_states(states, rho0_system.layout)
+        states = evolve(step, [rho0_system], steps)[:, 0]
     except InvalidStateError as exc:
         raise NumericalViolationError(exc.index, exc.invariant, str(exc)) from exc
     projectors = np.array([obs.projector for obs in observables]).reshape(-1, sys_dim, sys_dim)

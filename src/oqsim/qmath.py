@@ -168,20 +168,23 @@ def tensor_product(a, b) -> np.ndarray:
     return np.kron(as_complex_matrix(a), as_complex_matrix(b))
 
 
-def partial_trace_matrix(mat, dims, axis: int) -> np.ndarray:
-    """Trace out one tensor factor of a matrix over ``dims``.
+def partial_trace_matrix(mat, dims, *axes: int) -> np.ndarray:
+    """Trace out the tensor factors ``axes`` of a matrix over ``dims``, in one ``einsum``.
 
     ``dims`` lists the factor dimensions in layout order; the remaining
-    factors keep their relative order.
+    factors keep their relative order (no axes: the matrix; all: its 1x1 trace).
     """
     mat = as_complex_matrix(mat)
     dims = list(dims)
     m = len(dims)
     if mat.shape[0] != math.prod(dims):
         raise DimensionMismatchError(f"dims {dims} do not match matrix dim {mat.shape[0]}")
-    t = mat.reshape(dims + dims)
-    t = np.trace(t, axis1=axis, axis2=axis + m)
-    rest = math.prod(d for i, d in enumerate(dims) if i != axis)
+    if not set(axes) <= set(range(m)):
+        raise DimensionMismatchError(f"axes {axes} are not factors of dims {dims}")
+    keep = [i for i in range(m) if i not in axes]
+    cols = [i if i in axes else m + i for i in range(m)]
+    t = np.einsum(mat.reshape(dims + dims), [*range(m), *cols], [*keep, *(m + i for i in keep)])
+    rest = math.prod(dims[i] for i in keep)
     return t.reshape(rest, rest)
 
 
@@ -191,10 +194,8 @@ def partial_trace(rho: DensityMatrix, wire: str) -> DensityMatrix:
     dims = [w.dim for w in rho.layout]
     red = partial_trace_matrix(rho.matrix, dims, idx)
     rest = tuple(w for i, w in enumerate(rho.layout) if i != idx)
-    if not rest:
-        # tracing the only wire: 1x1 matrix [trace]
-        return DensityMatrix(red.reshape(1, 1), (Wire("scalar", 1),))
-    return DensityMatrix(red, rest)
+    # tracing the only wire leaves the 1x1 matrix [trace] on a scalar wire
+    return DensityMatrix(red, rest or (Wire("scalar", 1),))
 
 
 def psd_sqrt(m, atol: float = RECON_ATOL) -> np.ndarray:

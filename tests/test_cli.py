@@ -592,6 +592,20 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("output error: cannot write")
         assert "x_markovian.csv" in err[0]
 
+    @pytest.mark.parametrize("sweep", [False, True])
+    def test_output_in_a_missing_directory_exits_4_before_running(
+        self, tmp_path, monkeypatch, capsys, sweep
+    ):
+        (tmp_path / "a.cfg").write_text("preset = fig6\nsvg = missing/p.svg\n")
+        argv = ["--sweep", "a.cfg"] if sweep else ["--preset", "fig6", "--svg", "missing/p.svg"]
+        assert run_main_in(tmp_path, monkeypatch, argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [
+            "output error: cannot write missing/p.svg: No such file or directory"
+        ]
+        assert os.listdir(tmp_path) == ["a.cfg"]
+
 
 class TestAtomicWrite:
     def test_leaves_no_temp_file_and_keeps_default_mode(self, tmp_path):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import oqsim.engine as engine
 from oqsim.analysis import blp_witness
 from oqsim.channels import KrausChannel, pauli_channel
 from oqsim.circuit import (
@@ -18,7 +19,7 @@ from oqsim.circuit import (
     build_sequential_step,
 )
 from oqsim.engine import evolve, projector_observable, run
-from oqsim.qmath import DensityMatrix, DimensionMismatchError, Wire
+from oqsim.qmath import DensityMatrix, DimensionMismatchError, InvalidStateError, Wire
 
 from conftest import (
     brute_partial_trace,
@@ -75,11 +76,55 @@ def test_sequential_system_has_two_traced_blocks():
 def test_evolve_matches_dense_oracle(name, rng):
     step = BUILDERS[name]
     rho0 = _system_state(step, rng)
-    got = list(evolve(step, rho0, STEPS))
+    got = evolve(step, [rho0], STEPS)[:, 0]
     want = dense_trajectory(step, rho0, STEPS)
     assert len(got) == STEPS + 1
     for n, (g, w) in enumerate(zip(got, want)):
         assert np.max(np.abs(g - w)) <= 1e-12, f"step {n}"
+
+
+@pytest.mark.parametrize("name", ["memory-amplitude-damping-k3", "sequential-memory-k3"])
+def test_evolve_of_several_states_stacks_the_single_state_results(name, rng):
+    step = BUILDERS[name]
+    a, b = _system_state(step, rng), _system_state(step, rng)
+    got = evolve(step, [a, b], 12)
+    assert got.shape == (13, 2, 2, 2)
+    want = np.stack([evolve(step, [a], 12)[:, 0], evolve(step, [b], 12)[:, 0]], axis=1)
+    assert np.array_equal(got, want)
+
+
+def _counting(monkeypatch, name, replace=None):
+    """Wrap ``engine.<name>`` to record its calls; ``replace(index, result)`` may alter a result."""
+    calls, original = [], getattr(engine, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        result = original(*args)
+        return result if replace is None else replace(len(calls) - 1, result)
+
+    monkeypatch.setattr(engine, name, wrapper)
+    return calls
+
+
+def test_evolve_compiles_once_and_runs_each_state_once_per_step(monkeypatch, rng):
+    step = BUILDERS["sequential-memory-k3"]
+    compiles = _counting(monkeypatch, "compile_step")
+    kernels = _counting(monkeypatch, "run_compiled")
+    evolve(step, [_system_state(step, rng) for _ in range(3)], 5)
+    assert len(compiles) == 1 and len(kernels) == 3 * 5
+
+
+def test_evolve_error_index_is_step_times_states_plus_state(monkeypatch, rng):
+    step = BUILDERS["memory-dephasing-k2"]
+
+    def break_state_1_from_step_3(call, result):
+        state, n = call % 2, call // 2 + 1
+        return 2 * result if state == 1 and n >= 3 else result
+
+    _counting(monkeypatch, "run_compiled", break_state_1_from_step_3)
+    with pytest.raises(InvalidStateError) as info:
+        evolve(step, [_system_state(step, rng), _system_state(step, rng)], 5)
+    assert info.value.invariant == "trace" and info.value.index == 7
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
@@ -130,4 +175,4 @@ class TestSystemLayout:
 
     def test_evolve_checks_before_the_first_state(self):
         with pytest.raises(DimensionMismatchError):
-            next(evolve(self.STEP, self.RHO, 3))
+            evolve(self.STEP, [self.RHO], 3)

@@ -38,3 +38,43 @@ def test_no_module_imports_a_private_name_from_a_sibling():
         for path in MODULES
     }
     assert {name: hits for name, hits in bad.items() if hits} == {}
+
+
+def unused_imports(source: str):
+    """(line, name) for each imported name the module never uses.
+
+    ``__future__`` imports and an alias whose line carries ``# noqa: F401``
+    (a name kept for importers) are exempt.
+    """
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                found.append((alias.lineno, name))
+    return found
+
+
+def test_guard_catches_an_unused_import():
+    text = (
+        "from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+        "from .qmath import (\n    a,\n    b,  # noqa: F401  kept for importers\n    c,\n)\n"
+        "np.eye(a)\n"
+    )
+    assert unused_imports(text) == [(2, "os"), (7, "c")]
+
+
+def test_every_module_uses_what_it_imports():
+    bad = {
+        path.name: unused_imports(path.read_text(encoding="utf-8"))
+        for path in MODULES
+        if path.name != "__init__.py"
+    }
+    assert {name: hits for name, hits in bad.items() if hits} == {}

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,24 @@ class TestPartialTrace:
         for axis in range(3):
             got = partial_trace_matrix(m, dims, axis)
             assert np.allclose(got, brute_partial_trace(m, dims, axis), atol=1e-12)
+
+    @pytest.mark.parametrize("dims", [[2, 3, 2], [1, 2, 2, 3]])
+    def test_any_set_of_axes_matches_brute_force_one_axis_at_a_time(self, rng, dims):
+        total = int(np.prod(dims))
+        m = rng.normal(size=(total, total)) + 1j * rng.normal(size=(total, total))
+        for r in range(len(dims) + 1):
+            for axes in combinations(range(len(dims)), r):
+                want, rest = m, list(dims)
+                for axis in sorted(axes, reverse=True):
+                    want = brute_partial_trace(want, rest, axis)
+                    del rest[axis]
+                got = partial_trace_matrix(m, dims, *axes)
+                assert got.shape == want.shape, axes
+                assert np.allclose(got, want, atol=1e-12), axes
+        assert np.array_equal(partial_trace_matrix(m, dims), m)
+        assert np.isclose(partial_trace_matrix(m, dims, *range(len(dims)))[0, 0], np.trace(m))
+        with pytest.raises(DimensionMismatchError, match="axes"):
+            partial_trace_matrix(m, dims, len(dims))
 
     def test_preserves_trace(self, rng):
         rho = DensityMatrix(

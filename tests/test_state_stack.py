@@ -111,7 +111,7 @@ def test_run_records_what_each_state_gives(name, seed, names):
     observables = [projector_observable(n) for n in names]
     rho0 = DensityMatrix(random_density(np.random.default_rng(seed)), (Wire("q"),))
     traj = run(step, rho0, 12, observables)
-    states = list(evolve(step, rho0, 12))
+    states = evolve(step, [rho0], 12)[:, 0]
     assert len(traj.records) == len(states) == 13
     for n, (rec, red) in enumerate(zip(traj.records, states)):
         assert rec.step == n
