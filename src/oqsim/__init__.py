@@ -18,7 +18,6 @@ from .qmath import (
     trace_distance,
 )
 from .channels import (
-    ChannelParams,
     KrausChannel,
     Superoperator,
     amplitude_damping,

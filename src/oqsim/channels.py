@@ -46,48 +46,6 @@ class DecompositionError(ValueError):
     """Sequential factorization impossible for the given operators."""
 
 
-class ChannelParams:
-    """Damping strength and the rotation angle realizing it.
-
-    The two settings are locked together by ``gamma = sin(theta/2)``;
-    constructing from either fills in the other.
-    """
-
-    __slots__ = ("gamma", "theta")
-
-    def __init__(self, gamma: float | None = None, theta: float | None = None):
-        if gamma is None and theta is None:
-            raise ParameterError("one of gamma or theta is required")
-        if theta is not None and not 0.0 <= theta < 2.0 * math.pi:
-            raise ParameterError(f"theta {theta} outside [0, 2*pi)")
-        if gamma is None:
-            gamma = math.sin(theta / 2.0)
-        if not 0.0 <= gamma <= 1.0:
-            raise ParameterError(f"gamma {gamma} outside [0, 1]")
-        if theta is None:
-            theta = 2.0 * math.asin(gamma)
-        if abs(gamma - math.sin(theta / 2.0)) > 1e-12:
-            raise ParameterError(
-                f"gamma {gamma} and theta {theta} violate gamma = sin(theta/2)"
-            )
-        object.__setattr__(self, "gamma", float(gamma))
-        object.__setattr__(self, "theta", float(theta))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ChannelParams is immutable")
-
-    @classmethod
-    def from_gamma(cls, gamma: float) -> "ChannelParams":
-        return cls(gamma=gamma)
-
-    @classmethod
-    def from_theta(cls, theta: float) -> "ChannelParams":
-        return cls(theta=theta)
-
-    def __repr__(self):
-        return f"ChannelParams(gamma={self.gamma!r}, theta={self.theta!r})"
-
-
 class KrausChannel:
     """Ordered set of Kraus operators on a fixed dimension."""
 
@@ -126,7 +84,6 @@ class ValidationReport:
 
     deviation: float
     passed: bool
-    tolerance: float = COMPLETENESS_ATOL
 
 
 @dataclass(frozen=True)
@@ -170,19 +127,21 @@ def _drop_zero_operators(ops):
     return kept if kept else list(ops)
 
 
-def _as_params(p) -> ChannelParams:
-    if isinstance(p, ChannelParams):
-        return p
-    return ChannelParams.from_gamma(float(p))
+def _checked_gamma(gamma) -> float:
+    gamma = float(gamma)
+    if not 0.0 <= gamma <= 1.0:
+        raise ParameterError(f"gamma {gamma} outside [0, 1]")
+    return gamma
 
 
-def amplitude_damping(p: ChannelParams | float) -> KrausChannel:
-    """Energy-loss channel |1> -> |0> of strength gamma.
+def amplitude_damping(gamma: float) -> KrausChannel:
+    """Energy-loss channel |1> -> |0> of strength gamma = sin(theta/2).
 
     Operators: ``K0 = |0><0| + sqrt(1-gamma^2)|1><1|`` and
-    ``K1 = gamma |0><1|``.  Zero operators (gamma = 0) are dropped.
+    ``K1 = gamma |0><1|``.  Zero operators (gamma = 0) are dropped; a gamma
+    outside [0, 1] raises :class:`ParameterError`.
     """
-    gamma = _as_params(p).gamma
+    gamma = _checked_gamma(gamma)
     k0 = np.diag([1.0, math.sqrt(1.0 - gamma * gamma)]).astype(complex)
     k1 = np.zeros((2, 2), dtype=complex)
     k1[0, 1] = gamma
@@ -190,12 +149,13 @@ def amplitude_damping(p: ChannelParams | float) -> KrausChannel:
     return KrausChannel(2, ops, label=f"amplitude-damping(gamma={gamma:.6g})")
 
 
-def dephasing(p: ChannelParams | float) -> KrausChannel:
+def dephasing(gamma: float) -> KrausChannel:
     """Phase-flip channel: ``K0 = sqrt(1-gamma^2) I``, ``K1 = gamma Z``.
 
-    One application multiplies the off-diagonal element by ``1 - 2 gamma^2``.
+    One application multiplies the off-diagonal element by ``1 - 2 gamma^2``;
+    a gamma outside [0, 1] raises :class:`ParameterError`.
     """
-    gamma = _as_params(p).gamma
+    gamma = _checked_gamma(gamma)
     k0 = math.sqrt(1.0 - gamma * gamma) * PAULI_I
     k1 = gamma * PAULI_Z
     ops = _drop_zero_operators([k0, k1])

@@ -203,6 +203,8 @@ class StepCircuit:
                     raise BuilderError(
                         f"op {op!r} matrix dim {op.matrix.shape[0]} != wires dim {want}"
                     )
+                if op.name is not None and 2 ** len(op.wires) != op.matrix.shape[0]:
+                    raise BuilderError(f"gate {op.name} given {len(op.wires)} wires")
             if op.kind == "swap":
                 d0 = layout[labels.index(op.wires[0])].dim
                 d1 = layout[labels.index(op.wires[1])].dim

@@ -371,10 +371,7 @@ def write_svg(path, series: dict, steps: int, title: str):
 
 def _sequential_channel(cfg: ExperimentConfig) -> channels.KrausChannel:
     if cfg.channel == "pauli":
-        try:
-            return channels.pauli_channel(cfg.px, cfg.py, cfg.pz)
-        except channels.ParameterError as exc:
-            raise ConfigError(str(exc)) from exc
+        return channels.pauli_channel(cfg.px, cfg.py, cfg.pz)
     try:
         return channels.load_channel(cfg.channel_file)
     except (OSError, ValueError) as exc:
@@ -383,18 +380,15 @@ def _sequential_channel(cfg: ExperimentConfig) -> channels.KrausChannel:
 
 def _build_arm(cfg: ExperimentConfig, mode: str):
     """Returns (step circuit, resource method, k, l)."""
-    try:
-        if mode == "markovian":
-            step = circuit.build_markovian_step(cfg.channel, cfg.theta)
-            return step, "direct-dilation", 1, 2
-        if mode == "non-markovian":
-            mem = circuit.MemorySpec(cfg.k, cfg.thetas)
-            step = circuit.build_nonmarkovian_step(cfg.channel, mem)
-            return step, "direct-dilation", cfg.k, 2
-        ch = _sequential_channel(cfg)
-        return circuit.build_sequential_step(ch), "sequential", 1, len(ch)
-    except circuit.BuilderError as exc:
-        raise ConfigError(str(exc)) from exc
+    if mode == "markovian":
+        step = circuit.build_markovian_step(cfg.channel, cfg.theta)
+        return step, "direct-dilation", 1, 2
+    if mode == "non-markovian":
+        mem = circuit.MemorySpec(cfg.k, cfg.thetas)
+        step = circuit.build_nonmarkovian_step(cfg.channel, mem)
+        return step, "direct-dilation", cfg.k, 2
+    ch = _sequential_channel(cfg)
+    return circuit.build_sequential_step(ch), "sequential", 1, len(ch)
 
 
 def _arm_path(base: str | None, default_stem: str, arm: str, many: bool, ext: str):
@@ -501,7 +495,7 @@ def _exit_code(run) -> int:
     """Call ``run()`` (None is success); map each failure to its exit code and one stderr line."""
     try:
         return run() or EXIT_OK
-    except ConfigError as exc:
+    except (ConfigError, circuit.BuilderError, channels.ParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except engine.NumericalViolationError as exc:
@@ -513,12 +507,14 @@ def _exit_code(run) -> int:
 
 
 def _check_outputs(loaded) -> None:
-    """Before anything runs, refuse an output two writers share or whose directory is missing."""
+    """Before anything runs, refuse an output two writers share or that cannot be a file."""
     writers = {}
     for i, (path, cfg) in enumerate(loaded):
         for (key, _), out in _output_paths(cfg).items():
             if not os.path.isdir(os.path.dirname(os.path.abspath(out))):
                 raise OutputError(f"cannot write {out}: No such file or directory")
+            if os.path.isdir(out):
+                raise OutputError(f"cannot write {out}: Is a directory")
             j, first_path, first_key = writers.setdefault(os.path.abspath(out), (i, path, key))
             if j != i:
                 raise ConfigError(f"{first_path} and {path} both write {out}")

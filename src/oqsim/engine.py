@@ -74,7 +74,6 @@ class StepRecord:
 class Trajectory:
     """Per-step observable records, including step 0 (the initial state)."""
 
-    step_count: int
     records: tuple
 
     def series(self, name: str) -> list[float]:
@@ -105,8 +104,14 @@ def evolve(step: StepCircuit, states, steps: int) -> np.ndarray:
     compile, then per step one kernel call and one partial trace per state.
     Returns the ``(steps + 1, len(states), s, s)`` stack after one
     :func:`check_states` in step order: an :class:`InvalidStateError` index
-    is ``step * len(states) + state``.
+    is ``step * len(states) + state``.  A negative ``steps`` raises
+    :class:`ValueError`; a step without system wires raises
+    :class:`DimensionMismatchError`.
     """
+    if steps < 0:
+        raise ValueError(f"step count {steps} must be >= 0")
+    if not step.system:
+        raise DimensionMismatchError(f"step {step.label!r} has no system wires")
     start = step.wire_labels.index(step.system[0])
     stop = start + len(step.system)
     system = step.layout[start:stop]
@@ -165,4 +170,4 @@ def run(
         StepRecord(step=n, values=dict(zip(names, row)), trace=tr, purity=pu)
         for n, (row, tr, pu) in enumerate(zip(values, traces, purities))
     )
-    return Trajectory(step_count=steps, records=records)
+    return Trajectory(records=records)

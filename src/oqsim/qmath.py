@@ -71,13 +71,6 @@ def is_unitary(m, atol: float = VALIDITY_ATOL) -> bool:
     return bool(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))) <= atol)
 
 
-def is_psd(m, atol: float = VALIDITY_ATOL) -> bool:
-    a = as_complex_matrix(m)
-    if not is_hermitian(a, atol):
-        return False
-    return bool(np.linalg.eigvalsh(a).min() >= -atol)
-
-
 def layout_dim(layout) -> int:
     return math.prod(w.dim for w in layout)
 

@@ -32,7 +32,7 @@ def fake_traj(values, name="p1"):
         StepRecord(step=i, values={name: v}, trace=1.0, purity=1.0)
         for i, v in enumerate(values)
     )
-    return Trajectory(step_count=len(values) - 1, records=records)
+    return Trajectory(records=records)
 
 
 class TestMonotonicityCheck:

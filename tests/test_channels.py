@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from oqsim.channels import (
-    ChannelParams,
     DecompositionError,
     InvalidChannelError,
     KrausChannel,
@@ -49,24 +48,6 @@ COS2_PI20 = 0.9755282581475768      # 1 - sin(pi/20)^2
 PPLUS_ONE_STEP = 0.9045084971874737  # (1 + (1 - 2 sin(pi/10)^2)) / 2
 
 
-class TestChannelParams:
-    def test_gamma_theta_lock(self):
-        p = ChannelParams.from_theta(math.pi / 10)
-        assert abs(p.gamma - math.sin(math.pi / 20)) < 1e-15
-        q = ChannelParams.from_gamma(p.gamma)
-        assert abs(q.theta - math.pi / 10) < 1e-12
-
-    def test_inconsistent_pair_rejected(self):
-        with pytest.raises(ParameterError):
-            ChannelParams(gamma=0.5, theta=0.1)
-
-    def test_range_checks(self):
-        with pytest.raises(ParameterError):
-            ChannelParams.from_gamma(1.5)
-        with pytest.raises(ParameterError):
-            ChannelParams.from_theta(7.0)
-
-
 class TestValidate:
     def test_identity_passes(self):
         report = validate(KrausChannel(2, [PAULI_I], label="id"))
@@ -98,7 +79,7 @@ class TestBuilders:
 
     def test_damping_population(self):
         gamma = math.sin(math.pi / 20)
-        ch = amplitude_damping(ChannelParams.from_theta(math.pi / 10))
+        ch = amplitude_damping(math.sin(math.pi / 20))
         out = apply_channel(ch, qstate(proj(KET1)))
         # oracle: direct operator sum
         want = kraus_apply(ch.operators, proj(KET1))

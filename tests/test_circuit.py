@@ -148,6 +148,15 @@ class TestStepCircuitInvariants:
         op = GateOp("unitary-apply", ("e",), name="Ry", theta=0.3)
         assert np.array_equal(op.matrix, standard_gate("Ry", 0.3))
 
+    @pytest.mark.parametrize("layout,op,message", [
+        ((Wire("a", 4),), GateOp.gate("CNOT", ("a",)), "gate CNOT given 1 wires"),
+        ((Wire("a", 1), Wire("b")), GateOp.gate("X", ("a", "b")), "gate X given 2 wires"),
+    ])
+    def test_named_gate_on_the_wrong_wire_count_rejected(self, layout, op, message):
+        # the wire dims match the matrix, but the dump's GATE line would not parse back
+        with pytest.raises(BuilderError, match=f"^{message}$"):
+            StepCircuit("bad", layout, ("a",), [op])
+
     @pytest.mark.parametrize("op", [GateOp.gate("CNOT", ("q", "q")), GateOp.swap("e", "e")])
     def test_op_naming_a_wire_twice_rejected(self, op):
         with pytest.raises(BuilderError, match="names a wire twice"):

@@ -606,6 +606,55 @@ class TestExitCodes:
         ]
         assert os.listdir(tmp_path) == ["a.cfg"]
 
+    @pytest.mark.parametrize("sweep", [False, True])
+    def test_output_naming_a_directory_exits_4_before_running(
+        self, tmp_path, monkeypatch, capsys, sweep
+    ):
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "a.cfg").write_text(
+            "channel = dephasing\nmode = markovian\ntheta = pi/5\ncsv = out.csv\ncircuit = adir\n"
+        )
+        argv = ["--sweep", "a.cfg"] if sweep else [
+            "--channel", "dephasing", "--mode", "markovian", "--theta", "pi/5",
+            "--csv", "out.csv", "--dump-circuit", "adir",
+        ]
+        assert run_main_in(tmp_path, monkeypatch, argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "output error: cannot write adir: Is a directory\n"
+        assert sorted(os.listdir(tmp_path)) == ["a.cfg", "adir"]
+
+    def test_failed_rename_exits_4_and_leaves_no_temp_file(self, tmp_path, monkeypatch, capsys):
+        def refuse(src, dst):
+            raise OSError(13, "Permission denied")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        argv = ["--channel", "dephasing", "--mode", "markovian", "--theta", "pi/5", "--steps", "2"]
+        assert run_main_in(tmp_path, monkeypatch, argv) == 4
+        assert capsys.readouterr().err == (
+            "output error: cannot write dephasing-markovian.csv: Permission denied\n"
+        )
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("argv,err", [
+        (["--config", "dup.cfg"], "dup.cfg:4: duplicate key 'theta'"),
+        (["--channel", "dephasing"], "missing required key 'mode'"),
+        (["--channel", "dephasing", "--mode", "markovian"], "mode markovian requires 'theta'"),
+        (["--channel", "pauli", "--mode", "markovian", "--theta", "pi/5"],
+         "channel pauli requires mode sequential"),
+        (["--channel", "custom-file", "--mode", "sequential"],
+         "channel custom-file requires 'channel_file'"),
+        (["--preset", "fig6", "--initial", "1,x;0,0"],
+         "cannot parse initial state '1,x;0,0': complex() arg is a malformed string"),
+    ])
+    def test_config_rule_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys, argv, err):
+        (tmp_path / "dup.cfg").write_text(
+            "channel = dephasing\nmode = markovian\ntheta = pi/5\ntheta = pi/4\n"
+        )
+        assert run_main_in(tmp_path, monkeypatch, argv) == 2
+        assert capsys.readouterr().err == f"config error: {err}\n"
+        assert os.listdir(tmp_path) == ["dup.cfg"]
+
 
 class TestAtomicWrite:
     def test_leaves_no_temp_file_and_keeps_default_mode(self, tmp_path):

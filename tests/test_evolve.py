@@ -17,6 +17,7 @@ from oqsim.circuit import (
     build_markovian_step,
     build_nonmarkovian_step,
     build_sequential_step,
+    parse_circuit,
 )
 from oqsim.engine import evolve, projector_observable, run
 from oqsim.qmath import DensityMatrix, DimensionMismatchError, InvalidStateError, Wire
@@ -149,6 +150,15 @@ def test_blp_witness_is_the_oracle_revival_sum(name, rng):
     assert abs(blp_witness(step, rho_a, rho_b, STEPS) - want) <= 1e-12
 
 
+def test_negative_step_count_rejected(rng):
+    step = BUILDERS["memory-dephasing-k2"]
+    rho = _system_state(step, rng)
+    with pytest.raises(ValueError, match=r"^step count -1 must be >= 0$"):
+        evolve(step, [rho], -1)
+    with pytest.raises(ValueError, match=r"^step count -2 must be >= 0$"):
+        blp_witness(step, rho, rho, -2)
+
+
 def test_blp_witness_of_zero_steps_is_zero(rng):
     step = BUILDERS["memory-dephasing-k2"]
     w = blp_witness(step, _system_state(step, rng), _system_state(step, rng), 0)
@@ -176,3 +186,8 @@ class TestSystemLayout:
     def test_evolve_checks_before_the_first_state(self):
         with pytest.raises(DimensionMismatchError):
             evolve(self.STEP, [self.RHO], 3)
+
+    def test_step_without_system_wires_rejected(self):
+        step = parse_circuit("LABEL bare\nWIRES a b\nSYSTEM\n")
+        with pytest.raises(DimensionMismatchError, match=r"^step 'bare' has no system wires$"):
+            evolve(step, [self.RHO], 2)

@@ -78,3 +78,43 @@ def test_every_module_uses_what_it_imports():
         if path.name != "__init__.py"
     }
     assert {name: hits for name, hits in bad.items() if hits} == {}
+
+
+def unused_privates(source: str):
+    """(line, name) for each top-level ``_name`` a module defines but never reads."""
+    tree = ast.parse(source)
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        found += [
+            (node.lineno, name)
+            for name in names
+            if name.startswith("_") and not name.startswith("__") and name not in read
+        ]
+    return found
+
+
+def test_guard_catches_an_unused_private_name():
+    text = (
+        "_USED = 1\n_SPARE: int = 2\n__all__ = []\n\n"
+        "def _helper():\n    return _USED\n\n"
+        "class _Dead:\n    pass\n\n"
+        "def public():\n    return _helper()\n"
+    )
+    assert unused_privates(text) == [(2, "_SPARE"), (8, "_Dead")]
+
+
+def test_every_private_name_is_used_in_its_module():
+    bad = {path.name: unused_privates(path.read_text(encoding="utf-8")) for path in MODULES}
+    assert {name: hits for name, hits in bad.items() if hits} == {}

@@ -11,7 +11,6 @@ from oqsim.qmath import (
     UnknownWireError,
     Wire,
     is_hermitian,
-    is_psd,
     is_unitary,
     partial_trace,
     partial_trace_matrix,
@@ -50,11 +49,6 @@ class TestPredicates:
         assert is_unitary(X)
         assert is_unitary(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
         assert not is_unitary(0.5 * X)
-
-    def test_psd(self):
-        assert is_psd(np.diag([0.0, 2.0]))
-        assert not is_psd(np.diag([-1.0, 2.0]))
-        assert not is_psd([[0, 1], [0, 0]])
 
 
 class TestTensorProduct:
