@@ -5,11 +5,13 @@ evolution: an ordered list of gate applications, trace-resets and SWAPs
 over a fixed wire layout.  Builders cover the coin-shift decomposition of
 amplitude damping and dephasing, their k-order memory variants with a
 SWAP-updated environment register, the sequential factor implementation
-with a control qubit, and a plain dilation baseline.
+with a control qubit, and a plain dilation baseline.  A step dumps to
+JSON text that parses back to the same circuit, whatever its labels.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from itertools import groupby
@@ -94,8 +96,8 @@ def standard_gate(name: str, theta: float | None = None) -> np.ndarray:
 class GateOp:
     """One directive of a step: a unitary application, trace-reset or swap.
 
-    A named op takes its matrix from :func:`standard_gate`, so its name alone
-    says what it does; a matrix given with a name must equal that one.
+    A named gate takes its matrix from :func:`standard_gate`; an op keeps only
+    the fields its kind uses (a swap is named ``SWAP``), so it dumps exactly.
     """
 
     __slots__ = ("kind", "wires", "name", "matrix", "theta")
@@ -115,19 +117,20 @@ class GateOp:
             if matrix is not None and not np.array_equal(as_complex_matrix(matrix), library):
                 raise BuilderError(f"gate {name} given a matrix other than its library matrix")
             matrix = library
-        if kind == "unitary-apply":
-            if matrix is None:
-                raise BuilderError("unitary-apply needs a matrix")
-            matrix = as_complex_matrix(matrix)
+        if kind != "unitary-apply":
+            name, matrix, theta = ("SWAP" if kind == "swap" else None), None, None
+        elif matrix is None:
+            raise BuilderError("unitary-apply needs a matrix")
+        else:
+            matrix = as_complex_matrix(matrix).copy()
             if not is_unitary(matrix):
                 raise BuilderError(f"gate {name or '<anonymous>'} is not unitary")
-            matrix = matrix.copy()
             matrix.flags.writeable = False
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "wires", wires)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "theta", None if theta is None else float(theta))
+        object.__setattr__(self, "theta", None if theta is None or name is None else float(theta))
 
     def __setattr__(self, name, value):
         raise AttributeError("GateOp is immutable")
@@ -142,7 +145,7 @@ class GateOp:
 
     @classmethod
     def swap(cls, a: str, b: str) -> "GateOp":
-        return cls("swap", (a, b), name="SWAP")
+        return cls("swap", (a, b))
 
     def __repr__(self):
         if self.kind == "trace-reset":
@@ -449,111 +452,79 @@ def apply_step(step: StepCircuit, rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(run_compiled(compiled, dims, rho.matrix), step.layout)
 
 
-def dump_circuit(step: StepCircuit) -> str:
-    """Line-oriented text form of a step circuit.
+def _op_entry(op: GateOp) -> list:
+    if op.kind != "unitary-apply":
+        return ["RESET" if op.kind == "trace-reset" else "SWAP", *op.wires]
+    if op.name is None:
+        return ["UNITARY", list(op.wires), op.matrix.view(float).reshape(-1, 2).tolist()]
+    return ["GATE", op.name, list(op.wires), *([] if op.theta is None else [op.theta])]
 
-    Header lines carry the label, wire layout and system wires; then one
-    op per line: ``GATE name wires.. [theta]``, ``RESET wire``,
-    ``SWAP w1 w2`` or, for a gate without a library name,
-    ``UNITARY wires.. entries..``: the matrix row by row, each entry as the
-    ``repr`` of its real and imaginary parts, so it parses back exactly.
-    """
-    lines = [f"LABEL {step.label}"]
-    lines.append("WIRES " + " ".join(f"{w.label}:{w.dim}" for w in step.layout))
-    lines.append("SYSTEM " + " ".join(step.system))
-    for op in step.ops:
-        if op.kind == "trace-reset":
-            lines.append(f"RESET {op.wires[0]}")
-        elif op.kind == "swap":
-            lines.append(f"SWAP {op.wires[0]} {op.wires[1]}")
-        elif op.name is None:
-            entries = op.matrix.view(float).ravel().tolist()
-            lines.append(" ".join(["UNITARY", *op.wires, *map(repr, entries)]))
-        else:
-            parts = ["GATE", op.name, *op.wires]
-            if op.theta is not None:
-                parts.append(repr(op.theta))
-            lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
+
+def dump_circuit(step: StepCircuit) -> str:
+    """JSON text of a step, one op entry per line: ``["GATE", name, [wires], theta?]``,
+    ``["RESET", wire]``, ``["SWAP", a, b]`` or ``["UNITARY", [wires], [[re, im], ..]]``."""
+    wires = [[w.label, w.dim] for w in step.layout]
+    head = json.dumps({"label": step.label, "wires": wires, "system": list(step.system)})
+    ops = ",".join("\n" + json.dumps(_op_entry(op)) for op in step.ops)
+    return f'{head[:-1]}, "ops": [{ops}\n]}}\n'
+
+
+def _labels(value) -> bool:
+    return isinstance(value, list) and all(type(v) is str for v in value)
+
+
+def _op(entry) -> GateOp:
+    match entry:
+        case ["RESET", str(wire)]:
+            return GateOp.reset(wire)
+        case ["SWAP", str(a), str(b)]:
+            return GateOp.swap(a, b)
+        case ["GATE", str(name), wires] if _labels(wires):
+            return GateOp("unitary-apply", wires, name=name)
+        case ["GATE", str(name), wires, int() | float() as theta] if _labels(wires):
+            return GateOp("unitary-apply", wires, name=name, theta=theta)
+        case ["UNITARY", wires, list(entries)] if _labels(wires):
+            try:
+                flat = np.array([complex(re, im) for re, im in entries])
+            except (TypeError, ValueError):
+                raise CircuitFormatError("unitary entries must be [re, im] number pairs") from None
+            return GateOp("unitary-apply", wires, matrix=flat.reshape(math.isqrt(flat.size), -1))
+    raise CircuitFormatError(f"expected a GATE, RESET, SWAP or UNITARY entry, got {entry!r:.80}")
 
 
 def parse_circuit(text: str) -> StepCircuit:
-    """Inverse of :func:`dump_circuit`."""
-    label = ""
-    layout = None
-    system = None
-    header_lines = {}
+    """Inverse of :func:`dump_circuit`; malformed text raises :class:`CircuitFormatError`."""
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise CircuitFormatError(str(exc)) from None
+    if not (
+        isinstance(obj, dict) and set(obj) == {"label", "wires", "system", "ops"}
+        and isinstance(obj["label"], str) and isinstance(obj["ops"], list)
+        and _labels(obj["system"]) and isinstance(obj["wires"], list)
+        and all(isinstance(w, list) and [type(x) for x in w] == [str, int] for w in obj["wires"])
+    ):
+        raise CircuitFormatError(
+            'expected {"label": str, "wires": [[str, int], ..], "system": [str, ..], "ops": [..]}'
+        )
     ops = []
-    op_lines = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        head, rest = fields[0].upper(), fields[1:]
+    for i, entry in enumerate(obj["ops"]):
         try:
-            if head == "LABEL":
-                label = " ".join(rest)
-            elif head == "WIRES":
-                parsed = []
-                for item in rest:
-                    wl, _, wd = item.partition(":")
-                    parsed.append(Wire(wl, int(wd) if wd else 2))
-                layout = tuple(parsed)
-                header_lines["WIRES"] = ln
-            elif head == "SYSTEM":
-                system = tuple(rest)
-                header_lines["SYSTEM"] = ln
-            elif head == "RESET":
-                (wire,) = rest
-                ops.append(GateOp.reset(wire))
-            elif head == "SWAP":
-                a, b = rest
-                ops.append(GateOp.swap(a, b))
-            elif head == "UNITARY":
-                # an n x n matrix takes the last 2 n^2 fields, for the largest n
-                # that leaves a wire: the only split when every wire has dim >= 2
-                n = math.isqrt(max(len(rest) - 1, 0) // 2)
-                split = len(rest) - 2 * n * n
-                matrix = np.array([float(x) for x in rest[split:]]).view(complex).reshape(n, n)
-                ops.append(GateOp("unitary-apply", rest[:split], matrix=matrix))
-            elif head == "GATE":
-                name, *wires = rest
-                rotation = _canonical_name(name) in _ROTATION_GATES
-                theta = float(wires.pop()) if rotation else None
-                ops.append(GateOp.gate(name, tuple(wires), theta))
-                if 2 ** len(wires) != ops[-1].matrix.shape[0]:
-                    raise CircuitFormatError(f"gate {name} given {len(wires)} wires")
-            else:
-                raise CircuitFormatError(f"unknown directive {head!r}")
-        except (ValueError, IndexError, BuilderError) as exc:
-            raise CircuitFormatError(f"line {ln}: {exc}") from exc
-        if len(ops) > len(op_lines):
-            op_lines.append(ln)
-    if layout is None or system is None:
-        raise CircuitFormatError("missing WIRES or SYSTEM header line")
-    # the header first, then each op against it, wherever the lines stand
-    checks = [(header_lines["WIRES"], (), ()), (header_lines["SYSTEM"], system, ())]
-    checks += [(ln, system, (op,)) for ln, op in zip(op_lines, ops)]
-    for ln, sys_wires, some_ops in checks:
-        try:
-            StepCircuit(label, layout, sys_wires, some_ops)
-        except BuilderError as exc:
-            raise CircuitFormatError(f"line {ln}: {exc}") from exc
-    return StepCircuit(label, layout, system, ops)
+            ops.append(_op(entry))
+        except (ValueError, OverflowError) as exc:
+            raise CircuitFormatError(f"op {i}: {exc}") from exc
+    try:
+        return StepCircuit(obj["label"], [Wire(*w) for w in obj["wires"]], obj["system"], ops)
+    except BuilderError as exc:
+        raise CircuitFormatError(str(exc)) from exc
 
 
 def same_circuit(a: StepCircuit, b: StepCircuit) -> bool:
     """Structural equality, with exact matrix comparison."""
-    if a.label != b.label or a.layout != b.layout or a.system != b.system:
+    if (a.label, a.layout, a.system, len(a.ops)) != (b.label, b.layout, b.system, len(b.ops)):
         return False
-    if len(a.ops) != len(b.ops):
-        return False
-    for x, y in zip(a.ops, b.ops):
-        if (x.kind, x.wires, x.name, x.theta) != (y.kind, y.wires, y.name, y.theta):
-            return False
-        if (x.matrix is None) != (y.matrix is None):
-            return False
-        if x.matrix is not None and not np.array_equal(x.matrix, y.matrix):
-            return False
-    return True
+    return all(
+        (x.kind, x.wires, x.name, x.theta) == (y.kind, y.wires, y.name, y.theta)
+        and np.array_equal(x.matrix, y.matrix)
+        for x, y in zip(a.ops, b.ops)
+    )

@@ -121,6 +121,12 @@ def _scalar(cast, noun):
     return parse
 
 
+def _output_path(key, text):
+    if not text:
+        raise ConfigError(f"{key} must name a file")
+    return text
+
+
 def _observable_names(key, text):
     names = tuple(n.strip() for n in text.split(",") if n.strip())
     if not names:
@@ -152,9 +158,9 @@ _KEYS = {
     "py": ("pauli Y probability", _scalar(float, "a number")),
     "pz": ("pauli Z probability", _scalar(float, "a number")),
     "channel_file": ("custom channel spec (JSON)", None),
-    "csv": ("trajectory CSV output path", None),
-    "svg": ("SVG line-plot output path", None),
-    "circuit": ("step circuit dump output path", None),
+    "csv": ("trajectory CSV output path", _output_path),
+    "svg": ("SVG line-plot output path", _output_path),
+    "circuit": ("step circuit dump output path", _output_path),
 }
 _SECTIONS = ("experiment", "outputs")
 
@@ -287,7 +293,7 @@ def _build_config(raw: dict, path=None) -> ExperimentConfig:
         modes=modes,
         label=preset if preset is not None else f"{channel}-{modes[0]}",
         **values,
-        **{key: raw[key][0] for key in ("channel_file", "csv", "svg", "circuit") if key in raw},
+        channel_file=raw["channel_file"][0] if "channel_file" in raw else None,
     )
 
 
@@ -440,7 +446,8 @@ def run_experiment(cfg: ExperimentConfig) -> int:
             traj = engine.run(step, cfg.initial, cfg.steps, observables)
         except MemoryError:
             raise ConfigError(
-                f"the {arm} register (dimension {layout_dim(step.layout)}) does not fit in memory"
+                f"the {arm} run (register dimension {layout_dim(step.layout)}, "
+                f"{cfg.steps} steps) does not fit in memory"
             ) from None
         write_csv(paths["csv", arm], traj)
         print(f"[{cfg.label}/{arm}] wrote {paths['csv', arm]}")
@@ -536,13 +543,16 @@ def main(argv=None) -> int:
         raw = _read_keyvalues(path) if path is not None else {}
         loaded.append((path, _build_config({**raw, **flags}, path)))
 
-    codes = [_exit_code(lambda: load(path)) for path in args.sweep or [args.config]]
+    sources = args.sweep or [args.config]
+    if sources == [None] and not flags and args.resource_table:
+        sources = []  # the table alone needs no run
+    codes = [_exit_code(lambda: load(path)) for path in sources]
     if (checked := _exit_code(lambda: _check_outputs(loaded))) != EXIT_OK:
         return checked
     codes += [_exit_code(lambda: run_experiment(cfg)) for _, cfg in loaded]
-    if args.resource_table and max(codes) == EXIT_OK:
+    if args.resource_table and max(codes, default=EXIT_OK) == EXIT_OK:
         print(_resource_comparison_table())
-    return max(codes)
+    return max(codes, default=EXIT_OK)
 
 
 if __name__ == "__main__":

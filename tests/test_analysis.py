@@ -162,6 +162,11 @@ class TestResourceCount:
         with pytest.raises(ValueError):
             resource_count(step, 1, "magic", 1, 2)
 
+    def test_wire_dim_must_be_a_power_of_two(self):
+        step = StepCircuit("qutrit", (Wire("q", 3),), ("q",), [])
+        with pytest.raises(ValueError, match=r"^wire 'q' dim 3 is not a power of two$"):
+            resource_count(step, 1, "direct-dilation", 1, 2)
+
     def test_report_text_block(self):
         step = build_markovian_step("dephasing", 0.1)
         text = resource_count(step, 5, "direct-dilation", 1, 2).as_text()

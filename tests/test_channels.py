@@ -425,3 +425,21 @@ class TestChannelFiles:
         path.write_text('{"dim": 2, "operators": [[[1, 0]]]}')
         with pytest.raises(InvalidChannelError, match="entries"):
             load_channel(path)
+
+    def test_rejects_missing_key(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"operators": []}')
+        with pytest.raises(InvalidChannelError, match=r"^channel file missing key 'dim'$"):
+            load_channel(path)
+
+
+class TestKrausChannel:
+    def test_operator_dim_must_match(self):
+        with pytest.raises(
+            DimensionMismatchError, match=r"^operator dim 3 does not match channel dim 2$"
+        ):
+            KrausChannel(2, [np.eye(3)])
+
+    def test_needs_an_operator(self):
+        with pytest.raises(InvalidChannelError, match=r"^a channel needs at least one operator$"):
+            KrausChannel(2, [])

@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oqsim.channels import (
     KrausChannel,
@@ -25,6 +27,7 @@ from oqsim.circuit import (
     build_markovian_step,
     build_nonmarkovian_step,
     build_sequential_step,
+    compile_step,
     dump_circuit,
     parse_circuit,
     same_circuit,
@@ -153,7 +156,7 @@ class TestStepCircuitInvariants:
         ((Wire("a", 1), Wire("b")), GateOp.gate("X", ("a", "b")), "gate X given 2 wires"),
     ])
     def test_named_gate_on_the_wrong_wire_count_rejected(self, layout, op, message):
-        # the wire dims match the matrix, but the dump's GATE line would not parse back
+        # the wire dims match the matrix, but a named gate takes one qubit per wire
         with pytest.raises(BuilderError, match=f"^{message}$"):
             StepCircuit("bad", layout, ("a",), [op])
 
@@ -166,6 +169,40 @@ class TestStepCircuitInvariants:
     def test_wire_dim_below_one_rejected(self, dim):
         with pytest.raises(BuilderError, match=f"wire 'e' has dim {dim} < 1"):
             StepCircuit("bad", (Wire("q"), Wire("e", dim)), ("q",), [])
+
+    def test_swap_between_unequal_dims_rejected(self):
+        with pytest.raises(BuilderError, match=r"^swap between unequal dims 2 and 3$"):
+            StepCircuit("bad", (Wire("q"), Wire("a", 3)), ("q",), [GateOp.swap("q", "a")])
+
+    @pytest.mark.parametrize("kind,wires,message", [
+        ("measure", ("q",), "unknown op kind 'measure'"),
+        ("trace-reset", ("q", "e"), "trace-reset targets exactly one wire"),
+        ("swap", ("q",), "swap targets exactly two wires"),
+        ("unitary-apply", ("q",), "unitary-apply needs a matrix"),
+    ])
+    def test_malformed_op_rejected(self, kind, wires, message):
+        with pytest.raises(BuilderError, match=f"^{message}$"):
+            GateOp(kind, wires)
+
+    def test_an_op_keeps_only_the_fields_its_kind_uses(self):
+        reset = GateOp("trace-reset", ("e",), matrix=np.eye(3), theta=0.3)
+        swap = GateOp("swap", ("q", "e"), matrix=np.eye(4), theta=0.3)
+        unnamed = GateOp("unitary-apply", ("q",), matrix=standard_gate("X"), theta=0.3)
+        assert (reset.name, reset.matrix, reset.theta) == (None, None, None)
+        assert (swap.name, swap.matrix, swap.theta) == ("SWAP", None, None)
+        assert (unnamed.name, unnamed.theta) == (None, None)
+        step = StepCircuit("given", (Wire("q"), Wire("e")), ("q",), [swap, unnamed, reset])
+        assert same_circuit(parse_circuit(dump_circuit(step)), step)
+
+    def test_swap_op_carries_no_matrix(self):
+        op = GateOp.swap("q", "a")
+        assert (op.kind, op.wires, op.name, op.matrix) == ("swap", ("q", "a"), "SWAP", None)
+        assert repr(op) == "GateOp(SWAP on ('q', 'a'))"
+        step = StepCircuit("qutrits", (Wire("q", 3), Wire("a", 3)), ("q",), [op])
+        assert '\n["SWAP", "q", "a"]\n' in dump_circuit(step)
+        dims, program = compile_step(step)
+        assert dims == [3, 3] and [kind for kind, _ in program] == ["permute"]
+        assert program[0][1].tolist() == [0, 3, 6, 1, 4, 7, 2, 5, 8]
 
 
 class TestMarkovianStep:
@@ -207,6 +244,11 @@ class TestMarkovianStep:
             want = apply_channel(ch, qstate(rho))
             assert np.max(np.abs(red.matrix - want.matrix)) < 1e-10
 
+    @pytest.mark.parametrize("theta", [-0.1, 2 * math.pi])
+    def test_theta_out_of_range(self, theta):
+        with pytest.raises(BuilderError, match=rf"^theta {theta} outside \[0, 2\*pi\)$"):
+            build_markovian_step("dephasing", theta)
+
     def test_unknown_kind(self):
         with pytest.raises(BuilderError):
             build_markovian_step("depolarizing", 0.3)
@@ -222,6 +264,12 @@ class TestMarkovianStep:
 
 
 class TestNonMarkovianStep:
+    def test_memory_spec_rejects_k_below_one_and_angles_out_of_range(self):
+        with pytest.raises(BuilderError, match=r"^memory order k=0 must be >= 1$"):
+            MemorySpec(0, ())
+        with pytest.raises(BuilderError, match=r"^angle 7.0 outside \[0, 2\*pi\)$"):
+            MemorySpec(2, (0.1, 7.0))
+
     @pytest.mark.parametrize("kind,theta", [
         ("amplitude-damping", math.pi / 10),
         ("dephasing", math.pi / 5),
@@ -438,6 +486,65 @@ class TestApplyStep:
                 assert abs(np.trace(state.matrix) - 1) < 1e-10
 
 
+def _dump_text(wires, system, ops, label=""):
+    return json.dumps({"label": label, "wires": wires, "system": system, "ops": ops})
+
+
+LABELS = st.text(st.sampled_from(" \n\t:#\"\\aé量") | st.characters(), max_size=6)
+
+
+@st.composite
+def _relabelled(draw, steps):
+    """A step of ``steps`` with its label and wire labels drawn from arbitrary text."""
+    step = draw(steps)
+    new = draw(st.lists(LABELS, min_size=len(step.layout), max_size=len(step.layout), unique=True))
+    names = dict(zip(step.wire_labels, new))
+    ops = [
+        GateOp(op.kind, [names[w] for w in op.wires], name=op.name,
+               matrix=op.matrix if op.name is None else None, theta=op.theta)
+        for op in step.ops
+    ]
+    layout = [Wire(names[w.label], w.dim) for w in step.layout]
+    return StepCircuit(draw(LABELS), layout, [names[w] for w in step.system], ops)
+
+
+# arbitrary JSON, and objects near the dump form whose parts may be arbitrary JSON
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+    | st.sampled_from(["GATE", "RESET", "SWAP", "UNITARY", "q", "e", "X", "CNOT", "Ry"]),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=12,
+)
+WIRE_LISTS = st.lists(st.sampled_from(["q", "e", "z"]), max_size=3)
+OP_ENTRIES = st.one_of(
+    st.tuples(st.sampled_from(["GATE", "UNITARY"]), st.sampled_from(["X", "CNOT", "Ry", "H"]) | WIRE_LISTS,
+              WIRE_LISTS | JSON, JSON).map(list).map(lambda e: e[: 3 + (e[-1] is not None)]),
+    st.tuples(st.just("RESET"), st.sampled_from(["q", "e", "z"])).map(list),
+    st.tuples(st.just("SWAP"), st.sampled_from(["q", "e"]), st.sampled_from(["q", "e", "z"])).map(list),
+    st.tuples(st.just("UNITARY"), WIRE_LISTS,
+              st.lists(st.lists(st.integers(-1, 1) | st.floats(), min_size=2, max_size=2))).map(list),
+    JSON,
+)
+
+
+@st.composite
+def _near_dumps(draw):
+    """A dump-form object over wires q, e, z, with up to two parts replaced by arbitrary JSON."""
+    labels = draw(st.lists(st.sampled_from(["q", "e", "z"]), unique=True, max_size=3))
+    obj = {
+        "label": draw(st.text(max_size=3)),
+        "wires": [[w, draw(st.sampled_from([2, 2, 2, 3, 1, 0]))] for w in labels],
+        "system": draw(WIRE_LISTS),
+        "ops": draw(st.lists(OP_ENTRIES, max_size=4)),
+    }
+    for key in draw(st.lists(st.sampled_from([*obj, "extra"]), max_size=2)):
+        obj[key] = draw(JSON)
+    return obj
+
+
+JSON_INPUTS = JSON | _near_dumps()
+
+
 class TestSerialization:
     @pytest.mark.parametrize("maker", [
         lambda: build_markovian_step("amplitude-damping", math.pi / 10),
@@ -456,23 +563,32 @@ class TestSerialization:
     def test_dump_format_lines(self):
         step = build_markovian_step("dephasing", math.pi / 5)
         lines = dump_circuit(step).splitlines()
-        assert lines[0] == "LABEL markovian-dephasing"
-        assert lines[1] == "WIRES q:2 e:2"
-        assert lines[2] == "SYSTEM q"
-        assert lines[3].startswith("GATE Ry e ")
-        assert lines[4] == "GATE CZ e q"
-        assert lines[5] == "RESET e"
+        assert lines[0] == (
+            '{"label": "markovian-dephasing", "wires": [["q", 2], ["e", 2]], '
+            '"system": ["q"], "ops": ['
+        )
+        assert lines[1].startswith('["GATE", "Ry", ["e"], ')
+        assert lines[2] == '["GATE", "CZ", ["e", "q"]],'
+        assert lines[3] == '["RESET", "e"]'
+        assert lines[4] == "]}"
 
     def test_unnamed_gate_round_trips_as_unitary(self):
         step = build_dilation_step(pauli_channel(0.1, 0.1, 0.1))
         text = dump_circuit(step)
-        assert text.splitlines()[3].startswith("UNITARY q e1 e2 0.8366600265340756 0.0 ")
+        assert text.splitlines()[1].startswith(
+            '["UNITARY", ["q", "e1", "e2"], [[0.8366600265340756, 0.0], '
+        )
         assert same_circuit(parse_circuit(text), step)
 
-    @pytest.mark.parametrize("line", ["UNITARY", "UNITARY q", "UNITARY q 1 0 0", "UNITARY q 1 0 0 x"])
-    def test_malformed_unitary_carries_line(self, line):
-        with pytest.raises(CircuitFormatError, match="line 3: "):
-            parse_circuit(f"WIRES q:2\nSYSTEM q\n{line}\n")
+    @pytest.mark.parametrize("entry", [
+        ["UNITARY"],
+        ["UNITARY", ["q"]],
+        ["UNITARY", ["q"], [[1, 0], [0]]],
+        ["UNITARY", ["q"], [[1, 0], [0, 0], [0, 0], [1, "x"]]],
+    ], ids=["UNITARY", "UNITARY q", "UNITARY q 1 0 0", "UNITARY q 1 0 0 x"])
+    def test_malformed_unitary_carries_line(self, entry):
+        with pytest.raises(CircuitFormatError, match="^op 1: "):
+            parse_circuit(_dump_text([["q", 2]], ["q"], [["GATE", "X", ["q"]], entry]))
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(step=circuits())
@@ -480,8 +596,9 @@ class TestSerialization:
         assert same_circuit(parse_circuit(dump_circuit(step)), step)
 
     def test_parse_error_carries_line(self):
-        with pytest.raises(CircuitFormatError, match="line 2"):
-            parse_circuit("WIRES q:2\nGATE WAT q\nSYSTEM q")
+        ops = [["GATE", "X", ["q"]], ["GATE", "WAT", ["q"]]]
+        with pytest.raises(CircuitFormatError, match="^op 1: unknown gate name 'WAT'$"):
+            parse_circuit(_dump_text([["q", 2]], ["q"], ops))
 
     def test_round_trip_numeric_wire_labels(self):
         layout = (Wire("0"), Wire("1"), Wire("2"))
@@ -494,46 +611,172 @@ class TestSerialization:
         ]
         step = StepCircuit("numeric", layout, ("0",), ops)
         text = dump_circuit(step)
-        assert "GATE CNOT 0 1\n" in text
+        assert '\n["GATE", "CNOT", ["0", "1"]],\n' in text
         assert same_circuit(parse_circuit(text), step)
 
     def test_gate_arity_checked_with_line(self):
-        with pytest.raises(CircuitFormatError, match="line 3: gate CNOT given 3 wires"):
-            parse_circuit("WIRES 0:2 1:2\nSYSTEM 0\nGATE CNOT 0 1 1\n")
-        with pytest.raises(CircuitFormatError, match="line 1"):
-            parse_circuit("GATE Ry\nWIRES q:2\nSYSTEM q")
+        # a dim-1 wire makes the wires' dim match CNOT's matrix, so the arity check decides
+        wires = [["0", 2], ["1", 2], ["2", 1]]
+        with pytest.raises(CircuitFormatError, match="^gate CNOT given 3 wires$"):
+            parse_circuit(_dump_text(wires, ["0"], [["GATE", "CNOT", ["0", "1", "2"]]]))
+        with pytest.raises(CircuitFormatError, match="^op 0: gate Ry requires theta$"):
+            parse_circuit(_dump_text([["q", 2]], ["q"], [["GATE", "Ry", ["q"]]]))
 
     def test_unknown_wire_carries_line(self):
-        with pytest.raises(CircuitFormatError, match="line 3: .*unknown wire 'z'"):
-            parse_circuit("WIRES q:2\nSYSTEM q\nGATE X z\n")
+        with pytest.raises(CircuitFormatError, match=r"GateOp\(X on \('z',\)\) .*unknown wire 'z'"):
+            parse_circuit(_dump_text([["q", 2]], ["q"], [["GATE", "X", ["z"]]]))
 
     def test_reset_of_system_wire_carries_line(self):
-        with pytest.raises(CircuitFormatError, match="line 3: trace-reset on system wire"):
-            parse_circuit("WIRES q:2 e:2\nSYSTEM q\nRESET q\n")
+        with pytest.raises(CircuitFormatError, match="^trace-reset on system wire 'q'$"):
+            parse_circuit(_dump_text([["q", 2], ["e", 2]], ["q"], [["RESET", "q"]]))
 
     def test_duplicate_wire_labels_carry_the_wires_line(self):
-        with pytest.raises(CircuitFormatError, match=r"line 1: duplicate wire labels"):
-            parse_circuit("WIRES q:2 q:2\nSYSTEM q\n")
+        with pytest.raises(CircuitFormatError, match=r"^duplicate wire labels in layout \['q', 'q'\]$"):
+            parse_circuit(_dump_text([["q", 2], ["q", 2]], ["q"], []))
 
     def test_unknown_system_wire_carries_the_system_line(self):
-        with pytest.raises(CircuitFormatError, match="line 2: system wire 'z' not in layout"):
-            parse_circuit("WIRES q:2\nSYSTEM z\n")
-        with pytest.raises(CircuitFormatError, match="line 3: system wire 'z'"):
-            parse_circuit("# system before wires\nGATE X q\nSYSTEM z\nWIRES q:2\n")
+        with pytest.raises(CircuitFormatError, match="^system wire 'z' not in layout$"):
+            parse_circuit(_dump_text([["q", 2]], ["z"], []))
+        # key order does not matter: ops and system before wires
+        text = '{"ops": [["GATE", "X", ["q"]]], "system": ["z"], "wires": [["q", 2]], "label": ""}'
+        with pytest.raises(CircuitFormatError, match="^system wire 'z' not in layout$"):
+            parse_circuit(text)
 
     def test_op_checked_against_a_later_header(self):
-        with pytest.raises(CircuitFormatError, match="line 2: .*unknown wire 'z'"):
-            parse_circuit("GATE H q\nSWAP q z\nWIRES q:2 e:2\nSYSTEM q\n")
+        text = ('{"ops": [["GATE", "H", ["q"]], ["SWAP", "q", "z"]], '
+                '"wires": [["q", 2], ["e", 2]], "system": ["q"], "label": ""}')
+        with pytest.raises(CircuitFormatError, match=r"SWAP on \('q', 'z'\)\) .*unknown wire 'z'"):
+            parse_circuit(text)
 
-    @pytest.mark.parametrize("line", ["GATE CNOT q q", "SWAP e e"])
-    def test_op_naming_a_wire_twice_carries_line(self, line):
-        with pytest.raises(CircuitFormatError, match="line 3: .*names a wire twice"):
-            parse_circuit(f"WIRES q:2 e:2\nSYSTEM q\n{line}\n")
+    @pytest.mark.parametrize("entry", [["GATE", "CNOT", ["q", "q"]], ["SWAP", "e", "e"]],
+                             ids=["GATE CNOT q q", "SWAP e e"])
+    def test_op_naming_a_wire_twice_carries_line(self, entry):
+        with pytest.raises(CircuitFormatError, match="names a wire twice"):
+            parse_circuit(_dump_text([["q", 2], ["e", 2]], ["q"], [entry]))
 
     def test_wire_dim_below_one_carries_the_wires_line(self):
-        with pytest.raises(CircuitFormatError, match="line 2: wire 'q' has dim 0 < 1"):
-            parse_circuit("LABEL x\nWIRES q:0 e\nSYSTEM q\n")
+        with pytest.raises(CircuitFormatError, match="^wire 'q' has dim 0 < 1$"):
+            parse_circuit(_dump_text([["q", 0], ["e", 2]], ["q"], [], label="x"))
 
     def test_missing_header_rejected(self):
-        with pytest.raises(CircuitFormatError, match="WIRES"):
-            parse_circuit("GATE X q")
+        with pytest.raises(CircuitFormatError, match='"wires"'):
+            parse_circuit('{"label": "", "ops": [["GATE", "X", ["q"]]]}')
+
+    def test_labels_that_broke_the_line_form_round_trip(self):
+        layout = (Wire("q b"), Wire("e"), Wire("c:3", 3), Wire("c#", 3))
+        ops = [GateOp.gate("CNOT", ("e", "q b")), GateOp.swap("c:3", "c#"), GateOp.reset("e")]
+        step = StepCircuit("a\nRESET e", layout, ("q b",), ops)
+        back = parse_circuit(dump_circuit(step))
+        assert same_circuit(back, step) and len(back.ops) == 3
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(step=_relabelled(circuits()))
+    def test_any_text_labels_round_trip(self, step):
+        assert same_circuit(parse_circuit(dump_circuit(step)), step)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(text=st.text(max_size=20) | JSON_INPUTS.map(json.dumps))
+    def test_any_input_parses_or_raises_circuit_format_error(self, text):
+        try:
+            step = parse_circuit(text)
+        except CircuitFormatError:
+            return
+        assert same_circuit(parse_circuit(dump_circuit(step)), step)
+
+    def test_bad_json_names_line_and_column(self):
+        with pytest.raises(CircuitFormatError, match="line 2 column 12"):
+            parse_circuit('{"label": "x",\n "wires": [}')
+
+    @pytest.mark.parametrize("wire", [["q", True], ["q", 2.0], ["q"], [2, "q"], "q", ["q", 2, 2]])
+    def test_wire_must_be_a_label_and_an_integer_dim(self, wire):
+        with pytest.raises(CircuitFormatError, match=r'^expected \{"label": str, "wires"'):
+            parse_circuit(_dump_text([wire], ["q"], []))
+
+    @pytest.mark.parametrize("entry", [
+        ["GATE", "X", "q"],
+        ["UNITARY", "q", [[1, 0], [0, 0], [0, 0], [1, 0]]],
+        ["GATE", "Ry", ["q"], "0.5"],
+        ["RESET", ["e"]],
+        ["SWAP", "q"],
+        ["MEASURE", "q"],
+        "RESET e",
+    ])
+    def test_op_entry_of_the_wrong_shape_rejected(self, entry):
+        with pytest.raises(CircuitFormatError, match="^op 0: expected a GATE, RESET, SWAP or UNITARY"):
+            parse_circuit(_dump_text([["q", 2], ["e", 2]], ["q"], [entry]))
+
+    @pytest.mark.parametrize("entry", [
+        ["GATE", "Ry", ["q"], 10**400],
+        ["UNITARY", ["q"], [[10**400, 0], [0, 0], [0, 0], [1, 0]]],
+    ])
+    def test_number_too_large_for_a_float_rejected(self, entry):
+        with pytest.raises(CircuitFormatError, match="^op 0: int too large to convert to float$"):
+            parse_circuit(_dump_text([["q", 2]], ["q"], [entry]))
+
+    @pytest.mark.parametrize("text", [
+        '{"label": 5, "wires": [["q", 2]], "system": ["q"], "ops": []}',
+        '{"label": "", "wires": [["q", 2]], "system": "q", "ops": []}',
+        '{"label": "", "wires": [["q", 2]], "system": ["q"], "ops": [], "extra": 1}',
+        "[]",
+    ])
+    def test_object_of_the_wrong_shape_rejected(self, text):
+        with pytest.raises(CircuitFormatError, match=r"^expected \{"):
+            parse_circuit(text)
+
+
+def _oracle_base(label="base", layout=None, system=("q",), ops=None):
+    layout = layout or (Wire("q"), Wire("e"), Wire("c"))
+    if ops is None:
+        ops = [
+            GateOp.gate("Ry", ("e",), 0.134),
+            GateOp("unitary-apply", ("q", "e"), matrix=standard_gate("CNOT")),
+            GateOp.swap("e", "c"),
+            GateOp.reset("e"),
+        ]
+    return StepCircuit(label, layout, system, ops)
+
+
+def _with_op(i, op):
+    ops = list(_oracle_base().ops)
+    ops[i] = op
+    return _oracle_base(ops=ops)
+
+
+def _x_on_e(kind):
+    return _oracle_base(ops=[GateOp(kind, ("e",), matrix=standard_gate("X"))])
+
+
+class TestSameCircuit:
+    """The round-trip oracle tells apart two circuits that differ in one field.
+
+    Only a unitary-apply op has a matrix, so whether one is present follows
+    from the op kind."""
+
+    def test_equal_circuits_match(self):
+        assert same_circuit(_oracle_base(), _oracle_base())
+
+    @pytest.mark.parametrize("pair", [
+        pytest.param(lambda: (_oracle_base(), _oracle_base(label="other")), id="label"),
+        pytest.param(lambda: (_oracle_base(), _oracle_base(
+            layout=(Wire("q"), Wire("e"), Wire("c"), Wire("d")))), id="layout"),
+        pytest.param(lambda: (_oracle_base(), _oracle_base(system=("q", "c"))), id="system"),
+        pytest.param(lambda: (_oracle_base(), _oracle_base(ops=_oracle_base().ops[:-1])),
+                     id="op-count"),
+        pytest.param(lambda: (_x_on_e("unitary-apply"), _x_on_e("trace-reset")), id="op-kind"),
+        pytest.param(lambda: (_oracle_base(), _with_op(2, GateOp.swap("c", "e"))), id="op-wires"),
+        pytest.param(lambda: (_oracle_base(), _with_op(1, GateOp.gate("CNOT", ("q", "e")))),
+                     id="op-name"),
+        # one ulp apart, 0.134 and its successor give Ry the same matrix
+        pytest.param(lambda: (_oracle_base(), _with_op(
+            0, GateOp.gate("Ry", ("e",), math.nextafter(0.134, 1.0)))), id="op-theta"),
+        pytest.param(lambda: (_oracle_base(), _with_op(
+            1, GateOp("unitary-apply", ("q", "e"), matrix=standard_gate("CZ")))),
+            id="matrix-values"),
+    ])
+    def test_one_differing_field_is_told_apart(self, pair):
+        a, b = pair()
+        assert not same_circuit(a, b) and not same_circuit(b, a)
+
+    def test_theta_case_differs_in_theta_alone(self):
+        a, b = (GateOp.gate("Ry", ("e",), t) for t in (0.134, math.nextafter(0.134, 1.0)))
+        assert a.theta != b.theta and np.array_equal(a.matrix, b.matrix)

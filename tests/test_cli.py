@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -239,8 +241,21 @@ class TestMainRuns:
         assert run_main_in(tmp_path, monkeypatch, argv) == 0
         assert capsys.readouterr().err == ""
         text = (tmp_path / "x").read_text()
-        assert "\nUNITARY e q " in text
+        assert '\n["UNITARY", ["e", "q"], ' in text
         assert same_circuit(parse_circuit(text), build_sequential_step(ch))
+
+    def test_dump_of_a_channel_whose_label_holds_a_line_break_round_trips(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        ch = KrausChannel(2, [math.sqrt(0.9) * np.eye(2), math.sqrt(0.1) * PAULI_X],
+                          label="a\nRESET e")
+        save_channel(ch, tmp_path / "ch.json")
+        argv = ["--channel", "custom-file", "--mode", "sequential", "--channel-file", "ch.json",
+                "--dump-circuit", "o.circuit"]
+        assert run_main_in(tmp_path, monkeypatch, argv) == 0
+        back = parse_circuit((tmp_path / "o.circuit").read_text())
+        ran = build_sequential_step(ch)
+        assert len(ran.ops) == 6 and same_circuit(back, ran)
 
     def test_svg_written(self, tmp_path, monkeypatch):
         code = run_main_in(
@@ -507,6 +522,30 @@ class TestExitCodes:
         assert run_main_in(tmp_path, monkeypatch, []) == 2
         assert capsys.readouterr().err.startswith("config error: nothing to do")
 
+    def test_resource_table_alone_needs_no_experiment(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-m", "oqsim.cli", "--resource-table"], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == cli._resource_comparison_table() + "\n"
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("flag,key", [
+        ("--csv", "csv"), ("--svg", "svg"), ("--dump-circuit", "circuit"),
+    ])
+    def test_empty_output_path_flag_exits_2(self, tmp_path, monkeypatch, capsys, flag, key):
+        assert run_main_in(tmp_path, monkeypatch, ["--preset", "fig6", flag, ""]) == 2
+        assert capsys.readouterr().err == f"config error: {key} must name a file\n"
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("key", ["csv", "svg", "circuit"])
+    def test_empty_output_path_in_a_file_names_its_line(self, tmp_path, monkeypatch, capsys, key):
+        (tmp_path / "exp.cfg").write_text(f"preset = fig6\n[outputs]\n{key} =\n")
+        assert run_main_in(tmp_path, monkeypatch, ["--config", "exp.cfg"]) == 2
+        assert capsys.readouterr().err == f"config error: exp.cfg:3: {key} must name a file\n"
+        assert os.listdir(tmp_path) == ["exp.cfg"]
+
     def test_invalid_custom_channel_exits_2(self, tmp_path, monkeypatch, capsys):
         ch = KrausChannel(2, [0.5 * np.eye(2)])
         save_channel(ch, tmp_path / "bad.json")
@@ -569,7 +608,8 @@ class TestExitCodes:
         code = run_main_in(tmp_path, monkeypatch, ["--preset", "fig6", "--mode", "non-markovian"])
         assert code == 2
         assert capsys.readouterr().err == (
-            "config error: the nonmarkovian register (dimension 16) does not fit in memory\n"
+            "config error: the nonmarkovian run (register dimension 16, 50 steps) "
+            "does not fit in memory\n"
         )
 
     def test_numerical_violation_exits_3(self, tmp_path, monkeypatch, capsys):

@@ -17,7 +17,6 @@ from oqsim.circuit import (
     build_markovian_step,
     build_nonmarkovian_step,
     build_sequential_step,
-    parse_circuit,
 )
 from oqsim.engine import evolve, projector_observable, run
 from oqsim.qmath import DensityMatrix, DimensionMismatchError, InvalidStateError, Wire
@@ -188,6 +187,6 @@ class TestSystemLayout:
             evolve(self.STEP, [self.RHO], 3)
 
     def test_step_without_system_wires_rejected(self):
-        step = parse_circuit("LABEL bare\nWIRES a b\nSYSTEM\n")
+        step = StepCircuit("bare", (Wire("a"), Wire("b")), (), [])
         with pytest.raises(DimensionMismatchError, match=r"^step 'bare' has no system wires$"):
             evolve(step, [self.RHO], 2)

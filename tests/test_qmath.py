@@ -112,6 +112,10 @@ class TestPartialTrace:
         with pytest.raises(UnknownWireError, match="nope"):
             partial_trace(rho, "nope")
 
+    def test_matrix_dims_must_match(self):
+        with pytest.raises(DimensionMismatchError, match=r"^dims \[2, 3\] do not match matrix dim 4$"):
+            partial_trace_matrix(np.eye(4) / 4, [2, 3], 0)
+
     def test_hermitian_property_vs_oracle(self, rng):
         # partial_trace(a (x) b over B) = a * trace(b) for Hermitian a, b
         for _ in range(20):
