@@ -183,14 +183,9 @@ def pauli_channel(px: float, py: float, pz: float) -> KrausChannel:
 def apply_channel(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     """Apply ``rho -> sum_i K_i rho K_i^dag``."""
     if ch.dim != rho.dim:
-        raise DimensionMismatchError(
-            f"channel dim {ch.dim} does not match state dim {rho.dim}"
-        )
+        raise DimensionMismatchError(f"channel dim {ch.dim} does not match state dim {rho.dim}")
     _require_valid(ch)
-    out = np.zeros_like(rho.matrix)
-    for op in ch.operators:
-        out = out + op @ rho.matrix @ op.conj().T
-    return DensityMatrix(out, rho.layout)
+    return DensityMatrix(sum(op @ rho.matrix @ op.conj().T for op in ch.operators), rho.layout)
 
 
 def environment_dim(num_operators: int) -> int:
@@ -227,36 +222,26 @@ def stinespring_dilate(ch: KrausChannel) -> np.ndarray:
 def to_superoperator(ch: KrausChannel) -> Superoperator:
     """Column-stacking matrix form ``sum_i conj(K_i) (x) K_i``."""
     _require_valid(ch)
-    n = ch.dim
-    s = np.zeros((n * n, n * n), dtype=complex)
-    for op in ch.operators:
-        s += np.kron(op.conj(), op)
-    return Superoperator(matrix=s, dim=n)
+    return Superoperator(matrix=sum(np.kron(op.conj(), op) for op in ch.operators), dim=ch.dim)
 
 
 def compose(second: Superoperator, first: Superoperator) -> Superoperator:
     """Map applying ``first`` and then ``second``."""
     if second.dim != first.dim:
-        raise DimensionMismatchError(
-            f"superoperator dims differ: {second.dim} vs {first.dim}"
-        )
+        raise DimensionMismatchError(f"superoperator dims differ: {second.dim} vs {first.dim}")
     return Superoperator(matrix=second.matrix @ first.matrix, dim=first.dim)
 
 
 def intermediate_map(phi_t: Superoperator, phi_s: Superoperator) -> Superoperator:
     """The two-time map ``phi_t . phi_s^{-1}``."""
     if phi_t.dim != phi_s.dim:
-        raise DimensionMismatchError(
-            f"superoperator dims differ: {phi_t.dim} vs {phi_s.dim}"
-        )
+        raise DimensionMismatchError(f"superoperator dims differ: {phi_t.dim} vs {phi_s.dim}")
     cond = np.linalg.cond(phi_s.matrix)
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise SingularMapError(
             f"map is not invertible (condition number {cond:.3e} beyond {CONDITION_LIMIT:.0e})"
         )
-    return Superoperator(
-        matrix=phi_t.matrix @ np.linalg.inv(phi_s.matrix), dim=phi_t.dim
-    )
+    return Superoperator(matrix=phi_t.matrix @ np.linalg.inv(phi_s.matrix), dim=phi_t.dim)
 
 
 def choi_matrix(phi: Superoperator) -> np.ndarray:

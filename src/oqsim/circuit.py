@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
@@ -25,7 +24,6 @@ from .qmath import (
     Wire,
     as_complex_matrix,
     is_unitary,
-    reset_factor,
     wire_index,
 )
 
@@ -384,9 +382,17 @@ def build_dilation_step(ch: ch_mod.KrausChannel) -> StepCircuit:
     return StepCircuit(f"dilation-{ch.label}", layout, ("q",), ops)
 
 
-def _swap_index(dims, a: int, b: int) -> np.ndarray:
-    """Flat-index gather that swaps the equal-dim factors at ``a`` and ``b``."""
-    return np.arange(math.prod(dims)).reshape(dims).swapaxes(a, b).reshape(-1)
+def _fresh(step: StepCircuit) -> list[int]:
+    """Positions of the non-system wires a step leaves in |0>: each one's last
+    reset, followed through the swaps after it, with no gate on it since."""
+    zero = dict.fromkeys(step.wire_labels, False)
+    for op in step.ops:
+        if op.kind == "swap":
+            a, b = op.wires
+            zero[a], zero[b] = zero[b], zero[a]
+        else:
+            zero.update(dict.fromkeys(op.wires, op.kind == "trace-reset"))
+    return [i for i, w in enumerate(step.wire_labels) if zero[w] and w not in step.system]
 
 
 def _apply_rows(u: np.ndarray, gate: np.ndarray, positions, dims) -> np.ndarray:
@@ -397,48 +403,76 @@ def _apply_rows(u: np.ndarray, gate: np.ndarray, positions, dims) -> np.ndarray:
     return np.moveaxis(t, range(m), positions).reshape(u.shape)
 
 
-def _fuse(ops, layout, dims):
-    """One program entry for a run of gates and swaps with no reset inside."""
-    acc = np.arange(math.prod(dims))  # a row gather until the first gate
-    for op in ops:
-        positions = [wire_index(layout, w) for w in op.wires]
-        if op.kind == "swap":
-            acc = acc[_swap_index(dims, *positions)]
-            continue
-        if acc.ndim == 1:
-            acc = np.eye(acc.size, dtype=complex)[acc]
-        acc = _apply_rows(acc, op.matrix, positions, dims)
-    return ("unitary" if acc.ndim == 2 else "permute", acc)
+def _reset_rows(acc: np.ndarray, axis: int, dims) -> np.ndarray:
+    """Every operator K of a ``(d, r d_c)`` stack split into |0><j| K, for each value j
+    of the wire at ``axis``."""
+    left, k = math.prod(dims[:axis]), dims[axis]
+    t = acc.reshape(left, k, -1, acc.shape[1])
+    out = np.zeros(t.shape[:3] + (k, acc.shape[1]), dtype=complex)
+    out[:, 0] = t.transpose(0, 2, 1, 3)
+    return out.reshape(acc.shape[0], -1)
 
 
-def compile_step(step: StepCircuit):
-    """Compile a step into ``(dims, program)`` for :func:`run_compiled`.
+def _compress(acc: np.ndarray, dc: int) -> np.ndarray:
+    """At most ``rows * dc`` operators for the map of a ``(rows, r dc)`` stack: the map is fixed
+    by sum_j vec(K_j) vec(K_j)^dag, which R of a QR of the stacked rows vec(K_j) keeps."""
+    rows, r = acc.shape[0], acc.shape[1] // dc
+    if r <= rows * dc:
+        return acc
+    flat = acc.reshape(rows, r, dc).transpose(1, 0, 2).reshape(r, rows * dc)
+    return np.linalg.qr(flat, mode="r").reshape(-1, rows, dc).transpose(1, 0, 2).reshape(rows, -1)
 
-    Each maximal run of gates and swaps between resets becomes one entry:
-    ``("unitary", U)``, the run's product, built gate by gate on the rows of
-    its own wires (a swap reindexes the rows) and applied as ``U rho U^dag``;
-    or, for swaps only, ``("permute", idx)``, applied as ``rho[idx][:, idx]``.
-    A reset stays ``("reset", axis)`` for :func:`qmath.reset_factor`.
+
+def compile_step(step: StepCircuit, full: bool = False):
+    """Compile a step into ``(carried, kraus, adjoints, superop)``, its Kraus map on the wires
+    that carry state, for :func:`run_compiled`.
+
+    Given |0> on the wires a step leaves in |0> (:func:`_fresh`), it maps a
+    state rho on the others, the ``carried`` wire positions (all with
+    ``full``), of dim d_c, to sum_j K_j rho K_j^dag.  One walk of the ops
+    builds the ``(d, r d_c)`` stack of the K_j as maps into the whole
+    register: a gate acts on its wires' rows, a swap swaps two row axes, a
+    reset splits every operator by its wire's value.  The stack is compressed
+    whenever r exceeds d d_c, and at the end to r <= d_c^2.  ``kraus`` is K,
+    ``(r, d_c, d_c)``; ``adjoints`` the K_j^dag stacked, ``(r d_c, d_c)``;
+    ``superop`` sum_j K_j (x) conj(K_j) on the row-major vec(rho) when
+    d_c <= r makes it the smaller product, else None.
     """
     dims = [w.dim for w in step.layout]
-    program = []
-    for is_reset, ops in groupby(step.ops, key=lambda op: op.kind == "trace-reset"):
-        if is_reset:
-            program += [("reset", wire_index(step.layout, op.wires[0])) for op in ops]
+    fresh = () if full else _fresh(step)
+    carried = tuple(i for i in range(len(dims)) if i not in fresh)
+    dc = math.prod(dims[i] for i in carried)
+    zero = tuple(0 if i in fresh else slice(None) for i in range(len(dims)))
+    acc = np.zeros(dims + [dc], dtype=complex)
+    acc[zero] = np.eye(dc).reshape([dims[i] for i in carried] + [dc])
+    acc = acc.reshape(-1, dc)
+    for op in step.ops:
+        positions = [wire_index(step.layout, w) for w in op.wires]
+        if op.kind == "unitary-apply":
+            acc = _apply_rows(acc, op.matrix, positions, dims)
+        elif op.kind == "swap":
+            acc = acc.reshape(dims + [-1]).swapaxes(*positions).reshape(acc.shape)
         else:
-            program.append(_fuse(ops, step.layout, dims))
-    return dims, program
+            acc = _compress(_reset_rows(acc, positions[0], dims), dc)
+    acc = _compress(acc.reshape(dims + [-1])[zero].reshape(dc, -1), dc)
+    kraus = acc.reshape(dc, -1, dc).transpose(1, 0, 2).copy()
+    adjoints = kraus.conj().transpose(0, 2, 1).reshape(-1, dc)
+    if dc > len(kraus):
+        return carried, kraus, adjoints, None
+    superop = np.einsum("rij,rkl->ikjl", kraus, kraus.conj())
+    return carried, kraus, adjoints, superop.reshape(dc * dc, -1)
 
 
-def run_compiled(compiled, dims, matrix: np.ndarray) -> np.ndarray:
-    for kind, payload in compiled:
-        if kind == "unitary":
-            matrix = payload @ matrix @ payload.conj().T
-        elif kind == "permute":
-            matrix = matrix[np.ix_(payload, payload)]
-        else:
-            matrix = reset_factor(matrix, dims, payload)
-    return matrix
+def run_compiled(program, states: np.ndarray) -> np.ndarray:
+    """One step on an ``(n, d_c, d_c)`` stack of carried states: a batched product with the
+    superoperator, or one ``(r d_c x d_c)`` product giving every K_j rho, one transpose
+    copy that sets them side by side and one ``(d_c x r d_c)`` product with the adjoints."""
+    _, kraus, adjoints, superop = program
+    n, dc = len(states), states.shape[-1]
+    if superop is not None:
+        return (superop @ states.reshape(n, dc * dc, 1)).reshape(states.shape)
+    side = (kraus.reshape(-1, dc) @ states).reshape(n, -1, dc, dc).transpose(0, 2, 1, 3)
+    return side.reshape(n, dc, -1) @ adjoints
 
 
 def apply_step(step: StepCircuit, rho: DensityMatrix) -> DensityMatrix:
@@ -448,8 +482,8 @@ def apply_step(step: StepCircuit, rho: DensityMatrix) -> DensityMatrix:
             f"state layout {rho.wire_labels} does not match step layout "
             f"{step.wire_labels}"
         )
-    dims, compiled = compile_step(step)
-    return DensityMatrix(run_compiled(compiled, dims, rho.matrix), step.layout)
+    out = run_compiled(compile_step(step, full=True), rho.matrix[np.newaxis])
+    return DensityMatrix(out[0], step.layout)
 
 
 def _op_entry(op: GateOp) -> list:
@@ -488,7 +522,10 @@ def _op(entry) -> GateOp:
                 flat = np.array([complex(re, im) for re, im in entries])
             except (TypeError, ValueError):
                 raise CircuitFormatError("unitary entries must be [re, im] number pairs") from None
-            return GateOp("unitary-apply", wires, matrix=flat.reshape(math.isqrt(flat.size), -1))
+            n = math.isqrt(flat.size)
+            if n == 0 or n * n != flat.size:
+                raise CircuitFormatError(f"unitary is empty or not square: {flat.size} entries")
+            return GateOp("unitary-apply", wires, matrix=flat.reshape(n, n))
     raise CircuitFormatError(f"expected a GATE, RESET, SWAP or UNITARY entry, got {entry!r:.80}")
 
 

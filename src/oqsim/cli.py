@@ -80,34 +80,13 @@ _CHANNELS = ("amplitude-damping", "dephasing", "pauli", "custom-file")
 _MODES = ("markovian", "non-markovian", "sequential")
 _ARMS = dict(zip(_MODES, ("markovian", "nonmarkovian", "sequential")))  # in file names
 
-PRESETS = {
-    "fig6": {
-        "channel": "amplitude-damping",
-        "theta": "pi/10",
-        "thetas": "pi/10, 2pi/3, 5pi/6",
-        "k": "3",
-        "steps": "50",
-        "initial": "|1>",
-        "observables": "p1",
-    },
-    "fig7": {
-        "channel": "dephasing",
-        "theta": "pi/5",
-        "thetas": "pi/5, pi/4, pi/2",
-        "k": "3",
-        "steps": "100",
-        "initial": "|+>",
-        "observables": "p+",
-    },
-    "fig8": {
-        "channel": "amplitude-damping",
-        "theta": "pi/8",
-        "thetas": "pi/8, 5pi/6, pi",
-        "k": "3",
-        "steps": "50",
-        "initial": "|1>",
-        "observables": "p1",
-    },
+PRESETS = {  # figure -> config keys, after the paper's figures 6, 7 and 8
+    fig: dict(zip(("channel", "theta", "thetas", "k", "steps", "initial", "observables"), row))
+    for fig, row in {
+        "fig6": ("amplitude-damping", "pi/10", "pi/10, 2pi/3, 5pi/6", "3", "50", "|1>", "p1"),
+        "fig7": ("dephasing", "pi/5", "pi/5, pi/4, pi/2", "3", "100", "|+>", "p+"),
+        "fig8": ("amplitude-damping", "pi/8", "pi/8, 5pi/6, pi", "3", "50", "|1>", "p1"),
+    }.items()
 }
 
 

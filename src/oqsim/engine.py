@@ -15,7 +15,6 @@ from .qmath import (
     is_hermitian,
     layout_dim,
     partial_trace_matrix,
-    tensor_product,
 )
 
 
@@ -101,7 +100,8 @@ def evolve(step: StepCircuit, states, steps: int) -> np.ndarray:
 
     Each register starts as |0><0| (x) rho0 (x) |0><0|: the system wires must
     be contiguous, with the other wires before and after them in |0>.  One
-    compile, then per step one kernel call and one partial trace per state.
+    compile to the carried register, then per step one kernel call per state
+    and one partial trace of the stack of all states.
     Returns the ``(steps + 1, len(states), s, s)`` stack after one
     :func:`check_states` in step order: an :class:`InvalidStateError` index
     is ``step * len(states) + state``.  A negative ``steps`` raises
@@ -120,17 +120,20 @@ def evolve(step: StepCircuit, states, steps: int) -> np.ndarray:
     for rho in states:
         if rho.layout != system:
             raise DimensionMismatchError(f"initial state layout {rho.layout} is not {system}")
-    blocks = (layout_dim(step.layout[:start]), layout_dim(system), layout_dim(step.layout[stop:]))
-    ground = [np.eye(n, 1) @ np.eye(1, n) for n in blocks[::2]]  # |0><0|
-    matrices = [tensor_product(tensor_product(ground[0], rho.matrix), ground[1]) for rho in states]
-    dims, program = compile_step(step)
-    out = np.empty((steps + 1, len(matrices), blocks[1], blocks[1]), dtype=complex)
+    carried, *_ = program = compile_step(step)
+    kept = [step.layout[i] for i in carried]  # system wires are always carried
+    at = kept.index(system[0])
+    blocks = (layout_dim(kept[:at]), layout_dim(system), layout_dim(kept[at + len(system):]))
+    s, dc = blocks[1], layout_dim(kept)
+    matrices = np.zeros((len(states), *blocks, *blocks), dtype=complex)
+    matrices[:, 0, :, 0, 0, :, 0] = np.reshape([rho.matrix for rho in states], (-1, s, s))
+    matrices = matrices.reshape(-1, dc, dc)  # |0><0| (x) rho0 (x) |0><0| for each state
+    out = np.empty((steps + 1, len(states), s, s), dtype=complex)
     for n in range(steps + 1):
-        for i, matrix in enumerate(matrices):
-            if n:
-                matrix = matrices[i] = run_compiled(program, dims, matrix)
-            out[n, i] = partial_trace_matrix(matrix, blocks, 0, 2)
-    check_states(out.reshape(-1, blocks[1], blocks[1]), system)
+        for i in range(len(states)) if n else ():  # one kernel call per state and step
+            matrices[i:i + 1] = run_compiled(program, matrices[i:i + 1])
+        out[n] = partial_trace_matrix(matrices, blocks, 0, 2)
+    check_states(out.reshape(-1, s, s), system)
     return out
 
 

@@ -67,7 +67,10 @@ def is_hermitian(m, atol: float = VALIDITY_ATOL) -> bool:
 
 
 def is_unitary(m, atol: float = VALIDITY_ATOL) -> bool:
+    """An entry above 1 + atol in modulus (NaN, inf, huge) fails before the product overflows."""
     a = as_complex_matrix(m)
+    if not (np.abs(a) <= 1.0 + atol).all():
+        return False
     return bool(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))) <= atol)
 
 
@@ -166,19 +169,21 @@ def partial_trace_matrix(mat, dims, *axes: int) -> np.ndarray:
 
     ``dims`` lists the factor dimensions in layout order; the remaining
     factors keep their relative order (no axes: the matrix; all: its 1x1 trace).
+    A stack of matrices, with leading axes, reduces in the same call.
     """
-    mat = as_complex_matrix(mat)
+    mat = np.asarray(mat, dtype=complex)
     dims = list(dims)
-    m = len(dims)
-    if mat.shape[0] != math.prod(dims):
-        raise DimensionMismatchError(f"dims {dims} do not match matrix dim {mat.shape[0]}")
+    m, lead = len(dims), mat.shape[:-2]
+    if mat.shape[-2:] != (math.prod(dims),) * 2:
+        raise DimensionMismatchError(f"dims {dims} do not match matrix dim {mat.shape[-1]}")
     if not set(axes) <= set(range(m)):
         raise DimensionMismatchError(f"axes {axes} are not factors of dims {dims}")
     keep = [i for i in range(m) if i not in axes]
     cols = [i if i in axes else m + i for i in range(m)]
-    t = np.einsum(mat.reshape(dims + dims), [*range(m), *cols], [*keep, *(m + i for i in keep)])
+    out = [..., *keep, *(m + i for i in keep)]
+    t = np.einsum(mat.reshape(lead + (*dims, *dims)), [..., *range(m), *cols], out)
     rest = math.prod(dims[i] for i in keep)
-    return t.reshape(rest, rest)
+    return t.reshape(lead + (rest, rest))
 
 
 def partial_trace(rho: DensityMatrix, wire: str) -> DensityMatrix:
@@ -224,12 +229,3 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
             f"states differ in dim/layout: {rho!r} vs {sigma!r}"
         )
     return float(trace_distance_matrix(rho.matrix, sigma.matrix))
-
-
-def reset_factor(mat, dims, axis: int) -> np.ndarray:
-    """Trace out one factor and re-tensor |0><0| at the same position."""
-    left, dim, right = math.prod(dims[:axis]), dims[axis], math.prod(dims[axis + 1:])
-    t = np.asarray(mat, dtype=complex).reshape(left, dim, right, left, dim, right)
-    out = np.zeros_like(t)
-    out[:, 0, :, :, 0, :] = np.trace(t, axis1=1, axis2=4)
-    return out.reshape(np.shape(mat))

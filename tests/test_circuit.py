@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -200,9 +201,9 @@ class TestStepCircuitInvariants:
         assert repr(op) == "GateOp(SWAP on ('q', 'a'))"
         step = StepCircuit("qutrits", (Wire("q", 3), Wire("a", 3)), ("q",), [op])
         assert '\n["SWAP", "q", "a"]\n' in dump_circuit(step)
-        dims, program = compile_step(step)
-        assert dims == [3, 3] and [kind for kind, _ in program] == ["permute"]
-        assert program[0][1].tolist() == [0, 3, 6, 1, 4, 7, 2, 5, 8]
+        carried, kraus, _, superop = compile_step(step)
+        assert carried == (0, 1) and superop is None
+        assert np.array_equal(kraus, np.eye(9)[[[0, 3, 6, 1, 4, 7, 2, 5, 8]]])
 
 
 class TestMarkovianStep:
@@ -712,6 +713,19 @@ class TestSerialization:
     def test_number_too_large_for_a_float_rejected(self, entry):
         with pytest.raises(CircuitFormatError, match="^op 0: int too large to convert to float$"):
             parse_circuit(_dump_text([["q", 2]], ["q"], [entry]))
+
+    @pytest.mark.parametrize("entries", [[], [[1, 0], [0, 0], [0, 0]]], ids=["empty", "3 entries"])
+    def test_unitary_that_is_empty_or_not_square_rejected(self, entries):
+        message = f"^op 0: unitary is empty or not square: {len(entries)} entries$"
+        with pytest.raises(CircuitFormatError, match=message):
+            parse_circuit(_dump_text([["q", 2]], ["q"], [["UNITARY", ["q"], entries]]))
+
+    def test_unitary_of_huge_entries_rejected_without_a_warning(self):
+        entry = ["UNITARY", ["q"], [[1e308, 0]] * 4]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CircuitFormatError, match="^op 0: gate <anonymous> is not unitary$"):
+                parse_circuit(_dump_text([["q", 2]], ["q"], [entry]))
 
     @pytest.mark.parametrize("text", [
         '{"label": 5, "wires": [["q", 2]], "system": ["q"], "ops": []}',

@@ -1,4 +1,9 @@
-"""The compiled step program against the per-op dense oracle in conftest."""
+"""The compiled step program against the per-op dense oracle in conftest.
+
+A program has two forms: the full layout (``apply_step``), which takes any
+state of the whole register, and the carried register (``evolve``), which
+holds every wire but those the step leaves in |0>.
+"""
 
 import math
 
@@ -12,6 +17,7 @@ from oqsim.circuit import (
     GateOp,
     MemorySpec,
     StepCircuit,
+    apply_step,
     build_dilation_step,
     build_markovian_step,
     build_nonmarkovian_step,
@@ -19,29 +25,25 @@ from oqsim.circuit import (
     compile_step,
     run_compiled,
 )
-from oqsim.qmath import Wire
+from oqsim.engine import evolve
+from oqsim.qmath import DensityMatrix, Wire
 
-from conftest import dense_apply, dense_maps, random_channel_ops, random_density
+from conftest import dense_apply, dense_maps, dense_trajectory, random_channel_ops, random_density
 
 KINDS = ("amplitude-damping", "dephasing")
 THETAS = (math.pi / 10, 2 * math.pi / 3, 5 * math.pi / 6, math.pi / 4, 1.1)
 QUBITS3 = (Wire("q"), Wire("a"), Wire("b"))
+ORACLE_STEPS = 50
 
 
-def expected_kinds(step):
-    """Program entry kinds the fusion rule gives: one per reset, one per run
-    of gates and swaps between resets ("unitary" when it holds a gate)."""
-    kinds, run = [], []
-    for op in list(step.ops) + [None]:
-        if op is not None and op.kind != "trace-reset":
-            run.append(op.kind)
-            continue
-        if run:
-            kinds.append("unitary" if "unitary-apply" in run else "permute")
-            run = []
-        if op is not None:
-            kinds.append("reset")
-    return kinds
+def _mixed_unitary(seed, l):
+    """sqrt(p_i) U_i for random weights p and Haar-ish unitaries U_i."""
+    rng = np.random.default_rng(seed)
+    ops = []
+    for p in rng.dirichlet(np.ones(l)):
+        q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        ops.append(math.sqrt(p) * q)
+    return KrausChannel(2, ops, label=f"mixed-unitary-l{l}")
 
 
 def _steps():
@@ -55,6 +57,7 @@ def _steps():
     pauli = pauli_channel(0.05, 0.1, 0.15)
     steps["sequential"] = build_sequential_step(pauli)
     steps["sequential-memory-k3"] = build_sequential_step(pauli, MemorySpec(3, THETAS[:3]))
+    steps["sequential-l16"] = build_sequential_step(_mixed_unitary(3, 16))
     ops = random_channel_ops(np.random.default_rng(5), n=4, l=3)
     steps["dilation-2-qubit"] = build_dilation_step(KrausChannel(4, ops, label="rand4"))
     steps["no-reset"] = StepCircuit(
@@ -90,26 +93,127 @@ def _steps():
 STEPS = _steps()
 
 
+def _dims(step):
+    return [w.dim for w in step.layout]
+
+
+def embed_carried(rho, dims, carried):
+    """``rho`` on the factors at ``carried``, |0><0| on every other, as a full matrix."""
+    at = tuple(slice(None) if i in carried else 0 for i in range(len(dims)))
+    full = np.zeros(dims * 2, dtype=complex)
+    full[at + at] = rho.reshape([dims[i] for i in carried] * 2)
+    return full.reshape(math.prod(dims), -1)
+
+
+def _full_form_matches(step, rho, steps):
+    maps, want = dense_maps(step), rho
+    state = DensityMatrix(rho, step.layout)
+    for _ in range(steps):
+        state = apply_step(step, state)
+        want = dense_apply(maps, want)
+        assert np.max(np.abs(state.matrix - want)) <= 1e-12
+
+
+def _carried_form_matches(step, rho, steps):
+    """The carried program on ``rho`` is the oracle on the whole register,
+    and the other wires stay in |0>."""
+    dims = _dims(step)
+    program = compile_step(step)
+    carried = program[0]
+    maps, want = dense_maps(step), embed_carried(rho, dims, carried)
+    states = rho[np.newaxis]
+    for _ in range(steps):
+        states = run_compiled(program, states)
+        want = dense_apply(maps, want)
+        assert np.max(np.abs(embed_carried(states[0], dims, carried) - want)) <= 1e-12
+
+
 @pytest.mark.parametrize("name", sorted(STEPS))
 def test_compiled_step_matches_dense_oracle(name, rng):
     step = STEPS[name]
-    dims, program = compile_step(step)
-    assert [kind for kind, _ in program] == expected_kinds(step)
-    maps = dense_maps(step)
-    rho = random_density(rng, math.prod(dims))
-    want = rho
-    for _ in range(50):
-        rho = run_compiled(program, dims, rho)
-        want = dense_apply(maps, want)
-        assert np.max(np.abs(rho - want)) <= 1e-12
+    _full_form_matches(step, random_density(rng, math.prod(_dims(step))), ORACLE_STEPS)
+
+
+@pytest.mark.parametrize("name", sorted(STEPS))
+def test_carried_program_matches_dense_oracle(name, rng):
+    step = STEPS[name]
+    carried = compile_step(step)[0]
+    rho = random_density(rng, math.prod(_dims(step)[i] for i in carried))
+    _carried_form_matches(step, rho, ORACLE_STEPS)
+
+
+@pytest.mark.parametrize("name", sorted(STEPS))
+def test_evolve_matches_dense_oracle_over_fifty_steps(name, rng):
+    step = STEPS[name]
+    system = tuple(w for w in step.layout if w.label in step.system)
+    rho0 = DensityMatrix(random_density(rng, math.prod(w.dim for w in system)), system)
+    got = evolve(step, [rho0], ORACLE_STEPS)[:, 0]
+    for n, want in enumerate(dense_trajectory(step, rho0, ORACLE_STEPS)):
+        assert np.max(np.abs(got[n] - want)) <= 1e-12, f"step {n}"
+
+
+# -- structure: what the carried register saves, pinned without timing -------
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("k", range(2, 6))
+def test_memory_step_carries_half_the_register_with_two_operators(kind, k):
+    step = STEPS[f"memory-{kind}-k{k}"]
+    carried, kraus, _, superop = compile_step(step)
+    half = 2**k
+    assert [step.wire_labels[i] for i in carried] == ["q"] + [f"e{i}" for i in range(1, k)]
+    assert kraus.shape == (2, half, half) and superop is None
 
 
 def test_memory_step_program_shape():
-    step = STEPS["memory-amplitude-damping-k5"]
-    dims, program = compile_step(step)
-    assert [kind for kind, _ in program] == ["unitary", "reset", "permute"]
-    assert program[0][1].shape == (64, 64)
-    assert program[2][1].shape == (64,)
+    carried, kraus, _, superop = compile_step(STEPS["memory-amplitude-damping-k5"])
+    assert carried == (0, 1, 2, 3, 4)
+    assert kraus.shape == (2, 32, 32) and superop is None
+
+
+@pytest.mark.parametrize(
+    "name", ["markovian-amplitude-damping", "markovian-dephasing", "sequential", "sequential-l16"]
+)
+def test_markovian_and_sequential_steps_carry_only_the_system(name):
+    step = STEPS[name]
+    carried, kraus, _, superop = compile_step(step)
+    assert [step.wire_labels[i] for i in carried] == ["q"]
+    assert kraus.shape[1:] == (2, 2) and superop.shape == (4, 4)
+
+
+def test_sequential_l64_step_compresses_to_at_most_dc_squared_operators():
+    step = build_sequential_step(_mixed_unitary(7, 64))
+    assert sum(op.kind == "trace-reset" for op in step.ops) == 65
+    carried, kraus, _, superop = compile_step(step)
+    assert len(carried) == 1 and kraus.shape[1:] == (2, 2) and len(kraus) <= 4
+    assert superop.shape == (4, 4)
+
+
+def test_step_without_reset_is_one_operator_on_the_whole_register():
+    step = STEPS["no-reset"]
+    carried, kraus, _, superop = compile_step(step)
+    assert carried == (0, 1, 2) and kraus.shape == (1, 8, 8) and superop is None
+
+
+def test_full_layout_carries_every_wire():
+    step = STEPS["memory-dephasing-k3"]
+    carried, kraus, *_ = compile_step(step, full=True)
+    assert carried == (0, 1, 2, 3) and kraus.shape == (2, 16, 16)
+
+
+def test_a_swap_can_leave_the_system_wire_fresh_yet_it_stays_carried():
+    step = STEPS["swap-only-segment"]  # q ends in the |0> that the reset of a left
+    assert compile_step(step)[0] == (0, 1)
+
+
+def test_states_in_one_call_equal_the_states_one_at_a_time(rng):
+    for name in ("memory-amplitude-damping-k3", "sequential-memory-k3"):
+        program = compile_step(STEPS[name])
+        d = program[1].shape[1]
+        states = np.array([random_density(rng, d) for _ in range(3)])
+        together = run_compiled(program, states)
+        for state, want in zip(states, together):
+            assert np.array_equal(run_compiled(program, state[np.newaxis])[0], want)
 
 
 # -- property test: random small circuits -------------------------------------
@@ -157,9 +261,11 @@ def circuits(draw):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(step=circuits(), seed=st.integers(0, 2**16))
 def test_random_circuits_match_oracle_and_keep_trace(step, seed):
-    dims, program = compile_step(step)
-    assert [kind for kind, _ in program] == expected_kinds(step)
-    rho = random_density(np.random.default_rng(seed), math.prod(dims))
-    got = run_compiled(program, dims, rho)
-    assert np.max(np.abs(got - dense_apply(dense_maps(step), rho))) <= 1e-12
-    assert abs(np.trace(got) - 1.0) <= 1e-12
+    rng = np.random.default_rng(seed)
+    dims = _dims(step)
+    carried, kraus, *_ = compile_step(step)
+    _full_form_matches(step, random_density(rng, math.prod(dims)), ORACLE_STEPS)
+    _carried_form_matches(step, random_density(rng, kraus.shape[1]), ORACLE_STEPS)
+    completeness = np.einsum("rji,rjk->ik", kraus.conj(), kraus)
+    assert np.max(np.abs(completeness - np.eye(kraus.shape[1]))) <= 1e-12
+    assert len(kraus) <= kraus.shape[1] ** 2

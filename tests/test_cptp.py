@@ -1,9 +1,11 @@
-"""Every builder's step is a CPTP map on its whole register.
+"""Every builder's step is a CPTP map, in both forms of its compiled program.
 
-A step's map is taken as the d^2 x d^2 column-stacking matrix S whose
-column i + j d is the compiled program's image of |i><j|, for registers of
-d <= 16. Its Choi matrix must be positive semidefinite and each image must
-keep the trace of |i><j|, which is delta_ij.
+A form's map is taken as the d^2 x d^2 column-stacking matrix S whose
+column i + j d is the program's image of |i><j|, all d^2 units run through
+one :func:`run_compiled` call: d is the whole register (d <= 16) for the
+full layout and the carried register for the form ``evolve`` runs. Its Choi
+matrix must be positive semidefinite and each image must keep the trace of
+|i><j|, which is delta_ij.
 """
 
 import math
@@ -61,18 +63,19 @@ STEPS = st.one_of(
 )
 
 
+def _assert_cptp(program):
+    d = program[1].shape[1]
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)  # |i><j| at i d + j
+    images = run_compiled(program, units)
+    assert np.max(np.abs(np.trace(images, axis1=1, axis2=2) - np.eye(d).ravel())) <= 1e-12
+    order = np.arange(d * d).reshape(d, d).T.ravel()  # column i + j d holds |i><j|
+    s = images[order].transpose(0, 2, 1).reshape(d * d, d * d).T
+    assert cp_witness(Superoperator(s, d)) >= -1e-9
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(step=STEPS)
 def test_every_builders_step_is_cptp(step):
-    dims, program = compile_step(step)
-    d = math.prod(dims)
-    assert d <= 16
-    s = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[i, j] = 1.0
-            image = run_compiled(program, dims, unit)
-            assert abs(np.trace(image) - (i == j)) <= 1e-12
-            s[:, i + j * d] = image.ravel(order="F")
-    assert cp_witness(Superoperator(s, d)) >= -1e-9
+    assert math.prod(w.dim for w in step.layout) <= 16
+    _assert_cptp(compile_step(step, full=True))
+    _assert_cptp(compile_step(step))

@@ -118,8 +118,8 @@ class TestRun:
 
         original = eng.run_compiled
 
-        def corrupting(compiled, dims, matrix):
-            return matrix * 1.01
+        def corrupting(compiled, states):
+            return states * 1.01
 
         eng.run_compiled = corrupting
         try:
@@ -153,9 +153,9 @@ class TestViolationContract:
             DensityMatrix(bad, (Wire("q"),))
         calls = []
 
-        def breaking(program, dims, matrix):  # the kernel's output turns bad at step 3
+        def breaking(program, states):  # the kernel's output turns bad at step 3
             calls.append(None)
-            return np.array(bad, dtype=complex) if len(calls) >= 3 else matrix
+            return np.array([bad], dtype=complex) if len(calls) >= 3 else states
 
         monkeypatch.setattr(eng, "run_compiled", breaking)
         with pytest.raises(NumericalViolationError) as err:
@@ -166,7 +166,7 @@ class TestViolationContract:
         assert str(err.value) == f"step 3: {invariant} violated ({direct.value})"
 
     def test_blp_witness_raises_for_the_first_bad_state(self, monkeypatch):
-        monkeypatch.setattr(eng, "run_compiled", lambda program, dims, matrix: matrix * 1.01)
+        monkeypatch.setattr(eng, "run_compiled", lambda program, states: states * 1.01)
         rho_a, rho_b = qstate(proj(KET0)), qstate(proj(KET1))
         with pytest.raises(InvalidStateError) as direct:
             DensityMatrix(rho_a.matrix * 1.01, rho_a.layout)

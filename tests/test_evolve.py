@@ -112,6 +112,7 @@ def test_evolve_compiles_once_and_runs_each_state_once_per_step(monkeypatch, rng
     kernels = _counting(monkeypatch, "run_compiled")
     evolve(step, [_system_state(step, rng) for _ in range(3)], 5)
     assert len(compiles) == 1 and len(kernels) == 3 * 5
+    assert all(states.shape == (1, 8, 8) for _, states in kernels)
 
 
 def test_evolve_error_index_is_step_times_states_plus_state(monkeypatch, rng):

@@ -1,3 +1,4 @@
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -15,7 +16,6 @@ from oqsim.qmath import (
     partial_trace,
     partial_trace_matrix,
     psd_sqrt,
-    reset_factor,
     tensor_product,
     trace_distance,
 )
@@ -49,6 +49,12 @@ class TestPredicates:
         assert is_unitary(X)
         assert is_unitary(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
         assert not is_unitary(0.5 * X)
+
+    @pytest.mark.parametrize("value", [1e308, np.inf, np.nan])
+    def test_non_finite_or_overflowing_matrix_is_not_unitary(self, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not is_unitary(np.full((2, 2), value))
 
 
 class TestTensorProduct:
@@ -153,6 +159,13 @@ class TestPartialTrace:
         assert np.isclose(partial_trace_matrix(m, dims, *range(len(dims)))[0, 0], np.trace(m))
         with pytest.raises(DimensionMismatchError, match="axes"):
             partial_trace_matrix(m, dims, len(dims))
+
+    def test_stack_reduces_each_matrix(self, rng):
+        stack = np.array([random_density(rng, 12) for _ in range(3)])
+        got = partial_trace_matrix(stack, [2, 3, 2], 0, 2)
+        assert got.shape == (3, 3, 3)
+        for g, m in zip(got, stack):
+            assert np.array_equal(g, partial_trace_matrix(m, [2, 3, 2], 0, 2))
 
     def test_preserves_trace(self, rng):
         rho = DensityMatrix(
@@ -296,18 +309,3 @@ class TestEmbedding:
                         for aa in range(2):
                             want[aa * 4 + b * 2 + cc] += sub[cc * 2 + aa]
                     assert np.allclose(out, want, atol=1e-12)
-
-
-class TestResetFactor:
-    def test_reset_flipped_wire(self):
-        rho_q = random_density(np.random.default_rng(3))
-        mat = np.kron(rho_q, proj(KET1))
-        got = reset_factor(mat, [2, 2], 1)
-        assert np.allclose(got, np.kron(rho_q, proj(KET0)), atol=1e-12)
-
-    def test_reset_middle_wire(self, rng):
-        blocks = [random_density(rng) for _ in range(3)]
-        mat = np.kron(np.kron(blocks[0], blocks[1]), blocks[2])
-        got = reset_factor(mat, [2, 2, 2], 1)
-        want = np.kron(np.kron(blocks[0], proj(KET0)), blocks[2])
-        assert np.allclose(got, want, atol=1e-12)
