@@ -18,6 +18,7 @@ from .qmath import (
     DimensionMismatchError,
     PSDViolationError,
     as_complex_matrix,
+    complex_pairs,
     psd_sqrt,
 )
 
@@ -339,7 +340,7 @@ def load_channel(path) -> KrausChannel:
     ops = []
     for flat in operators:
         try:
-            vals = [complex(re, im) for re, im in flat]
+            vals = complex_pairs(flat)
         except (TypeError, ValueError):
             raise InvalidChannelError(
                 f"operator entries must be [re, im] number pairs, got {flat!r}"

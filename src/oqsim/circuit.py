@@ -23,6 +23,7 @@ from .qmath import (
     DimensionMismatchError,
     Wire,
     as_complex_matrix,
+    complex_pairs,
     is_unitary,
     wire_index,
 )
@@ -515,11 +516,13 @@ def _op(entry) -> GateOp:
             return GateOp.swap(a, b)
         case ["GATE", str(name), wires] if _labels(wires):
             return GateOp("unitary-apply", wires, name=name)
-        case ["GATE", str(name), wires, int() | float() as theta] if _labels(wires):
+        case ["GATE", str(name), wires, int() | float() as theta] if (
+            _labels(wires) and type(theta) is not bool
+        ):
             return GateOp("unitary-apply", wires, name=name, theta=theta)
         case ["UNITARY", wires, list(entries)] if _labels(wires):
             try:
-                flat = np.array([complex(re, im) for re, im in entries])
+                flat = np.array(complex_pairs(entries))
             except (TypeError, ValueError):
                 raise CircuitFormatError("unitary entries must be [re, im] number pairs") from None
             n = math.isqrt(flat.size)

@@ -85,6 +85,9 @@ class Trajectory:
         return tuple(self.records[0].values)
 
 
+_CHUNK_ENTRIES = 2**14  # complex entries of carried states that evolve reduces in one call
+
+
 def _purities(m: np.ndarray) -> np.ndarray:
     """trace(m @ m) over the last two axes, for one matrix or a stack."""
     return np.einsum("...ij,...ji->...", m, m).real
@@ -101,12 +104,14 @@ def evolve(step: StepCircuit, states, steps: int) -> np.ndarray:
     Each register starts as |0><0| (x) rho0 (x) |0><0|: the system wires must
     be contiguous, with the other wires before and after them in |0>.  One
     compile to the carried register, then per step one kernel call per state
-    and one partial trace of the stack of all states.
+    into a chunk buffer of carried states, and one partial trace per full (or
+    last) chunk.  The buffer holds at most ``2**14`` complex entries (256 KiB),
+    or one step's ``(len(states), d_c, d_c)`` stack when that is larger.
     Returns the ``(steps + 1, len(states), s, s)`` stack after one
     :func:`check_states` in step order: an :class:`InvalidStateError` index
     is ``step * len(states) + state``.  A negative ``steps`` raises
-    :class:`ValueError`; a step without system wires raises
-    :class:`DimensionMismatchError`.
+    :class:`ValueError`, a stack too large to allocate :class:`MemoryError`;
+    a step without system wires raises :class:`DimensionMismatchError`.
     """
     if steps < 0:
         raise ValueError(f"step count {steps} must be >= 0")
@@ -125,14 +130,20 @@ def evolve(step: StepCircuit, states, steps: int) -> np.ndarray:
     at = kept.index(system[0])
     blocks = (layout_dim(kept[:at]), layout_dim(system), layout_dim(kept[at + len(system):]))
     s, dc = blocks[1], layout_dim(kept)
-    matrices = np.zeros((len(states), *blocks, *blocks), dtype=complex)
-    matrices[:, 0, :, 0, 0, :, 0] = np.reshape([rho.matrix for rho in states], (-1, s, s))
-    matrices = matrices.reshape(-1, dc, dc)  # |0><0| (x) rho0 (x) |0><0| for each state
-    out = np.empty((steps + 1, len(states), s, s), dtype=complex)
+    try:
+        out = np.empty((steps + 1, len(states), s, s), dtype=complex)
+    except ValueError as exc:  # a shape beyond numpy's index range
+        raise MemoryError(str(exc)) from None
+    chunk = max(1, _CHUNK_ENTRIES // (len(states) * dc * dc or 1))
+    buffer = np.zeros((min(chunk, steps + 1), len(states), dc, dc), dtype=complex)
+    first = buffer[0].reshape(len(states), *blocks, *blocks)  # a view: buffer is contiguous
+    first[:, 0, :, 0, 0, :, 0] = np.reshape([rho.matrix for rho in states], (-1, s, s))
     for n in range(steps + 1):
+        j = n % chunk  # slot j - 1 (the last one when j == 0) holds step n - 1
         for i in range(len(states)) if n else ():  # one kernel call per state and step
-            matrices[i:i + 1] = run_compiled(program, matrices[i:i + 1])
-        out[n] = partial_trace_matrix(matrices, blocks, 0, 2)
+            buffer[j, i:i + 1] = run_compiled(program, buffer[j - 1, i:i + 1])
+        if j == chunk - 1 or n == steps:
+            out[n - j:n + 1] = partial_trace_matrix(buffer[:j + 1], blocks, 0, 2)
     check_states(out.reshape(-1, s, s), system)
     return out
 

@@ -61,6 +61,20 @@ def as_complex_matrix(m) -> np.ndarray:
     return a
 
 
+def complex_pairs(pairs) -> list[complex]:
+    """JSON ``[re, im]`` number pairs as complex numbers.
+
+    Anything else raises ``TypeError`` or ``ValueError``, a boolean included:
+    ``complex`` alone would read ``true`` as 1.
+    """
+    values = []
+    for re, im in pairs:
+        if not {type(re), type(im)} <= {int, float}:
+            raise TypeError(f"[{re!r}, {im!r}] is not a pair of numbers")
+        values.append(complex(re, im))
+    return values
+
+
 def is_hermitian(m, atol: float = VALIDITY_ATOL) -> bool:
     a = as_complex_matrix(m)
     return bool(np.max(np.abs(a - a.conj().T)) <= atol)

@@ -426,6 +426,13 @@ class TestChannelFiles:
         with pytest.raises(InvalidChannelError, match="entries"):
             load_channel(path)
 
+    @pytest.mark.parametrize("pair", ["[true, 0]", "[1, false]", '["1", 0]', "[null, 0]"])
+    def test_rejects_entry_that_is_not_a_number_pair(self, tmp_path, pair):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"dim": 1, "operators": [[{pair}]]}}')
+        with pytest.raises(InvalidChannelError, match=r"^operator entries must be \[re, im\] number"):
+            load_channel(path)
+
     def test_rejects_missing_key(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"operators": []}')

@@ -701,6 +701,8 @@ class TestSerialization:
         ["SWAP", "q"],
         ["MEASURE", "q"],
         "RESET e",
+        ["GATE", "Ry", ["q"], True],
+        ["GATE", "Ry", ["q"], False],
     ])
     def test_op_entry_of_the_wrong_shape_rejected(self, entry):
         with pytest.raises(CircuitFormatError, match="^op 0: expected a GATE, RESET, SWAP or UNITARY"):
@@ -719,6 +721,12 @@ class TestSerialization:
         message = f"^op 0: unitary is empty or not square: {len(entries)} entries$"
         with pytest.raises(CircuitFormatError, match=message):
             parse_circuit(_dump_text([["q", 2]], ["q"], [["UNITARY", ["q"], entries]]))
+
+    @pytest.mark.parametrize("pair", [[True, 0], [1, False], ["1", 0], [None, 0], [1, 0, 0]])
+    def test_unitary_entry_that_is_not_a_number_pair_rejected(self, pair):
+        entry = ["UNITARY", ["q"], [pair, [0, 0], [0, 0], [1, 0]]]
+        with pytest.raises(CircuitFormatError, match="^op 0: unitary entries must be"):
+            parse_circuit(_dump_text([["q", 2]], ["q"], [entry]))
 
     def test_unitary_of_huge_entries_rejected_without_a_warning(self):
         entry = ["UNITARY", ["q"], [[1e308, 0]] * 4]

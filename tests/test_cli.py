@@ -612,6 +612,17 @@ class TestExitCodes:
             "does not fit in memory\n"
         )
 
+    @pytest.mark.parametrize("steps", ["99999999999999999999", str(2**58)])
+    def test_step_count_beyond_numpy_shapes_exits_2(self, tmp_path, monkeypatch, capsys, steps):
+        argv = ["--channel", "dephasing", "--mode", "markovian", "--theta", "pi/5",
+                "--steps", steps, "--csv", "x.csv"]
+        assert run_main_in(tmp_path, monkeypatch, argv) == 2
+        assert capsys.readouterr().err == (
+            f"config error: the markovian run (register dimension 4, {steps} steps) "
+            "does not fit in memory\n"
+        )
+        assert os.listdir(tmp_path) == []
+
     def test_numerical_violation_exits_3(self, tmp_path, monkeypatch, capsys):
         from oqsim.engine import NumericalViolationError
 

@@ -106,17 +106,59 @@ def _counting(monkeypatch, name, replace=None):
     return calls
 
 
-def test_evolve_compiles_once_and_runs_each_state_once_per_step(monkeypatch, rng):
+def _chunk_steps(monkeypatch, step, n_states, steps_per_chunk):
+    """Set evolve's chunk budget so that one chunk holds ``steps_per_chunk`` steps."""
+    dc = math.prod(step.layout[i].dim for i in engine.compile_step(step)[0])
+    monkeypatch.setattr(engine, "_CHUNK_ENTRIES", steps_per_chunk * n_states * dc * dc)
+
+
+@pytest.mark.parametrize("steps_per_chunk", [1, 2, 3])
+def test_chunked_evolve_is_bit_identical_to_one_chunk(monkeypatch, rng, steps_per_chunk):
     step = BUILDERS["sequential-memory-k3"]
-    compiles = _counting(monkeypatch, "compile_step")
+    states = [_system_state(step, rng) for _ in range(3)]
+    whole = evolve(step, states, 7)
+    _chunk_steps(monkeypatch, step, 3, steps_per_chunk)
+    reductions = _counting(monkeypatch, "partial_trace_matrix")
+    got = evolve(step, states, 7)
+    assert np.array_equal(got, whole)
+    assert len(reductions) == math.ceil(8 / steps_per_chunk)
+
+
+def test_chunk_budget_below_one_step_gives_one_step_chunks(monkeypatch, rng):
+    step = BUILDERS["memory-dephasing-k3"]
+    states = [_system_state(step, rng) for _ in range(2)]
+    whole = evolve(step, states, 4)
+    monkeypatch.setattr(engine, "_CHUNK_ENTRIES", 1)
+    reductions = _counting(monkeypatch, "partial_trace_matrix")
+    assert np.array_equal(evolve(step, states, 4), whole)
+    assert [len(stack) for stack, *_ in reductions] == [1] * 5
+
+
+def test_chunk_buffer_holds_at_most_the_budget(monkeypatch, rng):
+    step = BUILDERS["markovian-dephasing"]  # d_c = 2: 4096 steps fill the 2**14 entries
+    reductions = _counting(monkeypatch, "partial_trace_matrix")
+    evolve(step, [_system_state(step, rng)], 9000)
+    assert [len(stack) for stack, *_ in reductions] == [4096, 4096, 809]
+    assert all(stack.size <= 2**14 for stack, *_ in reductions)
+
+
+@pytest.mark.parametrize("steps_per_chunk", [1, 2, 3, 6])  # 6: all 5 steps and the start
+def test_evolve_compiles_once_and_runs_each_state_once_per_step(monkeypatch, rng, steps_per_chunk):
+    step = BUILDERS["sequential-memory-k3"]
+    _chunk_steps(monkeypatch, step, 3, steps_per_chunk)
+    programs = []
+    compiles = _counting(monkeypatch, "compile_step", lambda _, p: programs.append(p) or p)
     kernels = _counting(monkeypatch, "run_compiled")
     evolve(step, [_system_state(step, rng) for _ in range(3)], 5)
     assert len(compiles) == 1 and len(kernels) == 3 * 5
+    assert all(program is programs[0] for program, _ in kernels)
     assert all(states.shape == (1, 8, 8) for _, states in kernels)
 
 
-def test_evolve_error_index_is_step_times_states_plus_state(monkeypatch, rng):
+@pytest.mark.parametrize("steps_per_chunk", [1, 2, 3, 6])
+def test_evolve_error_index_is_step_times_states_plus_state(monkeypatch, rng, steps_per_chunk):
     step = BUILDERS["memory-dephasing-k2"]
+    _chunk_steps(monkeypatch, step, 2, steps_per_chunk)
 
     def break_state_1_from_step_3(call, result):
         state, n = call % 2, call // 2 + 1
