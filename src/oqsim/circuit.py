@@ -311,13 +311,15 @@ def build_sequential_step(
     """Apply a channel's Kraus operators one at a time on wires {c, q, e}.
 
     Each operator must be a scaled unitary ``w U``.  Per factor: a rotation
-    on e conditioned on the live flag c prepares amplitude w, the unitary
-    part is applied to q controlled on e, and e flips c out of the live
-    branch before its reset, so later factors act only where no earlier
-    operator fired.  Factors whose unitary part is the identity are exact
-    identity maps and emit no gates.  c starts each step raised by an X
-    and is traced out at the end; the ancilla count stays at 2 however
-    many operators the channel has.
+    on e conditioned on the live flag c prepares amplitude w / sqrt(live),
+    the unitary part is applied to q controlled on e, and e flips c out of
+    the live branch before its reset, so later factors act only where no
+    earlier operator fired.  The live branch holds live = 1 - sum of the
+    earlier w^2, so every operator fires with weight exactly w.  Factors
+    whose unitary part is the identity emit no gates and take what is left
+    on the live branch.  c starts each step raised by an X and is traced
+    out at the end; the ancilla count stays at 2 however many operators the
+    channel has.
 
     With a memory spec, uncontrolled storage rotations with angles
     theta^2..theta^k act on extra wires e_2..e_k and the SWAP chain shifts
@@ -346,11 +348,13 @@ def build_sequential_step(
     ops = [GateOp.gate("X", ("c",))]
     for i in range(1, len(env)):
         ops.append(GateOp.gate("Ry", (env[i],), mem.thetas[i]))
+    live = 1.0  # squared amplitude left on the branch where no factor has fired
     for w, unitary in parts:
         coupling = _coupling_op(unitary, (coupling_wire, "q"))
         if coupling is None:
             continue
-        theta = 2.0 * math.asin(min(max(w, 0.0), 1.0))
+        theta = 2.0 * math.asin(min(w / math.sqrt(live), 1.0) if live > 0.0 else 1.0)
+        live -= w * w
         ops.append(GateOp.gate("CRy", ("c", coupling_wire), theta))
         ops.append(coupling)
         ops.append(GateOp.gate("CNOT", (coupling_wire, "c")))
@@ -465,15 +469,20 @@ def compile_step(step: StepCircuit, full: bool = False):
 
 
 def run_compiled(program, states: np.ndarray) -> np.ndarray:
-    """One step on an ``(n, d_c, d_c)`` stack of carried states: a batched product with the
-    superoperator, or one ``(r d_c x d_c)`` product giving every K_j rho, one transpose
-    copy that sets them side by side and one ``(d_c x r d_c)`` product with the adjoints."""
+    """One step on an ``(n, d_c, m)`` stack.  A square stack (m = d_c) holds carried states:
+    a batched product with the superoperator, or one ``(r d_c x d_c)`` product giving every
+    K_j rho, one transpose copy that sets them side by side and one ``(d_c x r d_c)`` product
+    with the adjoints.  A narrower stack (m < d_c) holds factors W of states W X W^dag: it
+    takes the first two of those three and returns the ``(n, d_c, r m)`` factors
+    [K_1 W, .., K_r W], exactly, since sum_j K_j W X W^dag K_j^dag is
+    [K_1 W, .., K_r W] (I_r (x) X) [K_1 W, .., K_r W]^dag."""
     _, kraus, adjoints, superop = program
-    n, dc = len(states), states.shape[-1]
-    if superop is not None:
+    n, dc, m = states.shape
+    if superop is not None and m == dc:
         return (superop @ states.reshape(n, dc * dc, 1)).reshape(states.shape)
-    side = (kraus.reshape(-1, dc) @ states).reshape(n, -1, dc, dc).transpose(0, 2, 1, 3)
-    return side.reshape(n, dc, -1) @ adjoints
+    side = (kraus.reshape(-1, dc) @ states).reshape(n, -1, dc, m).transpose(0, 2, 1, 3)
+    side = side.reshape(n, dc, -1)
+    return side if m < dc else side @ adjoints
 
 
 def apply_step(step: StepCircuit, rho: DensityMatrix) -> DensityMatrix:

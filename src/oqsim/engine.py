@@ -107,6 +107,15 @@ def evolve(step: StepCircuit, states, steps: int) -> np.ndarray:
     into a chunk buffer of carried states, and one partial trace per full (or
     last) chunk.  The buffer holds at most ``2**14`` complex entries (256 KiB),
     or one step's ``(len(states), d_c, d_c)`` stack when that is larger.
+
+    While the system (dim s) is smaller than the carried register (d_c), a
+    state after n steps is W_n (I (x) rho0) W_n^dag, with W_0 the ``(d_c, s)``
+    lift of the system into the register and W_{n+1} = [K_1 W_n, .., K_r W_n].
+    The kernel call then maps W, r times wider each step, and the buffer slot
+    gets W (I (x) rho0) W^dag; once W has d_c columns or more, the next steps
+    go on from that slot on the dense state.  Both forms are exact for any
+    rho0, pure or mixed, and need no decomposition or tolerance.
+
     Returns the ``(steps + 1, len(states), s, s)`` stack after one
     :func:`check_states` in step order: an :class:`InvalidStateError` index
     is ``step * len(states) + state``.  A negative ``steps`` raises
@@ -136,12 +145,23 @@ def evolve(step: StepCircuit, states, steps: int) -> np.ndarray:
         raise MemoryError(str(exc)) from None
     chunk = max(1, _CHUNK_ENTRIES // (len(states) * dc * dc or 1))
     buffer = np.zeros((min(chunk, steps + 1), len(states), dc, dc), dtype=complex)
+    rho0 = np.reshape([rho.matrix for rho in states], (-1, s, s))
+    lift = np.zeros((dc, s), dtype=complex)  # W_0: the system into the register, |0> elsewhere
+    lift.reshape(*blocks, s)[0, :, 0] = np.eye(s)
+    factors = [lift[np.newaxis]] * len(states) if s < dc else None
     first = buffer[0].reshape(len(states), *blocks, *blocks)  # a view: buffer is contiguous
-    first[:, 0, :, 0, 0, :, 0] = np.reshape([rho.matrix for rho in states], (-1, s, s))
+    first[:, 0, :, 0, 0, :, 0] = rho0
     for n in range(steps + 1):
         j = n % chunk  # slot j - 1 (the last one when j == 0) holds step n - 1
         for i in range(len(states)) if n else ():  # one kernel call per state and step
-            buffer[j, i:i + 1] = run_compiled(program, buffer[j - 1, i:i + 1])
+            if factors is None:
+                buffer[j, i:i + 1] = run_compiled(program, buffer[j - 1, i:i + 1])
+                continue
+            factors[i] = run_compiled(program, factors[i])
+            w = factors[i][0]
+            np.matmul((w.reshape(-1, s) @ rho0[i]).reshape(dc, -1), w.conj().T, out=buffer[j, i])
+        if factors and factors[0].shape[-1] >= dc:
+            factors = None  # W fills the register: go on from the dense states in slot j
         if j == chunk - 1 or n == steps:
             out[n - j:n + 1] = partial_trace_matrix(buffer[:j + 1], blocks, 0, 2)
     check_states(out.reshape(-1, s, s), system)

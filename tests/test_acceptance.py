@@ -154,7 +154,7 @@ def test_criterion_5_zero_memory_reduction():
           f"(max gap {worst:.2e} over 50 steps)")
 
 
-def test_criterion_6_sequential_error_order():
+def test_criterion_6_sequential_step_is_exact():
     rng = np.random.default_rng(61)
     states = [random_density(rng) for _ in range(20)]
     grid = (0.04, 0.02, 0.01, 0.005)
@@ -167,12 +167,11 @@ def test_criterion_6_sequential_error_order():
             red = reduced(apply_step(step, embed_initial(rho, step)), step)
             want = apply_channel(ch, qstate(rho))
             ds.append(0.5 * np.abs(np.linalg.eigvalsh(red.matrix - want.matrix)).sum())
-        errs.append(float(np.mean(ds)))
-    slope = float(np.polyfit(np.log(grid), np.log(errs), 1)[0])
-    assert abs(slope - 2.0) <= 0.2
+        errs.append(max(ds))
+    assert max(errs) <= 1e-12
     print(
-        f"\nACCEPTANCE 6: PASS - sequential error order slope {slope:.3f} "
-        f"(errors {['%.2e' % e for e in errs]})"
+        f"\nACCEPTANCE 6: PASS - sequential step exact "
+        f"(worst errors {['%.2e' % e for e in errs]})"
     )
 
 

@@ -269,3 +269,14 @@ def test_random_circuits_match_oracle_and_keep_trace(step, seed):
     completeness = np.einsum("rji,rjk->ik", kraus.conj(), kraus)
     assert np.max(np.abs(completeness - np.eye(kraus.shape[1]))) <= 1e-12
     assert len(kraus) <= kraus.shape[1] ** 2
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(step=circuits(), seed=st.integers(0, 2**16))
+def test_random_circuits_evolve_like_the_oracle(step, seed):
+    """Any wire dims and any r: the factor start, its switch and the dense steps."""
+    rng = np.random.default_rng(seed)
+    rho0 = DensityMatrix(random_density(rng, step.layout[0].dim), step.layout[:1])
+    got = evolve(step, [rho0], 6)[:, 0]
+    for n, want in enumerate(dense_trajectory(step, rho0, 6)):
+        assert np.max(np.abs(got[n] - want)) <= 1e-12, f"step {n}"

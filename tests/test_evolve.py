@@ -17,6 +17,8 @@ from oqsim.circuit import (
     build_markovian_step,
     build_nonmarkovian_step,
     build_sequential_step,
+    compile_step,
+    run_compiled,
 )
 from oqsim.engine import evolve, projector_observable, run
 from oqsim.qmath import DensityMatrix, DimensionMismatchError, InvalidStateError, Wire
@@ -93,6 +95,96 @@ def test_evolve_of_several_states_stacks_the_single_state_results(name, rng):
     assert np.array_equal(got, want)
 
 
+def _pure_state(step, rng):
+    layout = tuple(w for w in step.layout if w.label in step.system)
+    v = rng.normal(size=math.prod(w.dim for w in layout)) * (1 + 0.5j)
+    return DensityMatrix(np.outer(v, v.conj()) / np.vdot(v, v).real, layout)
+
+
+def _overshooting_step():
+    """A random unitary on q, a, e1, e2, then resets of e1 and e2: d_c = 4 (q and a) and
+    r = 4 >= d_c, so the program has a superoperator and one factor step takes the (4, 2)
+    lift past d_c, to 8 columns."""
+    g = np.random.default_rng(3).normal(size=(2, 16, 16))
+    u = np.linalg.qr(g[0] + 1j * g[1])[0]
+    layout = tuple(Wire(w) for w in ("q", "a", "e1", "e2"))
+    ops = [GateOp("unitary-apply", ("q", "a", "e1", "e2"), matrix=u)]
+    return StepCircuit("overshoot", layout, ("q",), ops + [GateOp.reset("e1"), GateOp.reset("e2")])
+
+
+FACTOR_STEPS = {"overshoot": _overshooting_step(), **BUILDERS}
+
+
+def _widths(step, steps):
+    """Columns of each kernel input: the factor's s r^n while below d_c, then d_c."""
+    _, kraus, *_ = compile_step(step)
+    dc, m = kraus.shape[1], math.prod(w.dim for w in step.layout if w.label in step.system)
+    widths = []
+    for _ in range(steps):
+        widths.append(m)
+        m = min(m * len(kraus), dc)
+    return widths
+
+
+def _matches_oracle(step, states, got):
+    for i, rho0 in enumerate(states):
+        for n, want in enumerate(dense_trajectory(step, rho0, len(got) - 1)):
+            assert np.max(np.abs(got[n, i] - want)) <= 1e-12, f"state {i}, step {n}"
+
+
+@pytest.mark.parametrize("purity", ["pure", "mixed"])
+@pytest.mark.parametrize("name", sorted(FACTOR_STEPS))
+def test_factor_start_matches_dense_oracle(monkeypatch, rng, name, purity):
+    step = FACTOR_STEPS[name]
+    rho0 = (_pure_state if purity == "pure" else _system_state)(step, rng)
+    widths = _widths(step, 8)
+    kernels = _counting(monkeypatch, "run_compiled")
+    got = evolve(step, [rho0], 8)
+    assert [states.shape[-1] for _, states in kernels] == widths
+    _matches_oracle(step, [rho0], got)
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2, 3])
+@pytest.mark.parametrize("name", ["overshoot", "memory-dephasing-k3"])
+def test_steps_around_the_switch_to_dense_states(monkeypatch, rng, name, steps):
+    step = FACTOR_STEPS[name]  # overshoot switches after step 1, memory k=3 (d_c = 8) after 2
+    states = [_pure_state(step, rng), _system_state(step, rng)]
+    shapes = []
+    kernels = _counting(monkeypatch, "run_compiled", lambda _, out: shapes.append(out.shape) or out)
+    got = evolve(step, states, steps)
+    assert got.shape == (steps + 1, 2, 2, 2)
+    assert [s.shape[-1] for _, s in kernels] == [w for w in _widths(step, steps) for _ in states]
+    if name == "overshoot":
+        assert compile_step(step)[3] is not None
+        assert shapes == ([(1, 4, 8)] * 2 + [(1, 4, 4)] * 4)[:2 * steps]
+    _matches_oracle(step, states, got)
+
+
+@pytest.mark.parametrize("steps_per_chunk", [1, 2, 3])
+def test_factor_steps_across_chunk_boundaries(monkeypatch, rng, steps_per_chunk):
+    step = BUILDERS["memory-amplitude-damping-k4"]  # d_c = 16: three factor steps
+    states = [_pure_state(step, rng), _system_state(step, rng)]
+    whole = evolve(step, states, 7)
+    _chunk_steps(monkeypatch, step, 2, steps_per_chunk)
+    got = evolve(step, states, 7)
+    assert np.array_equal(got, whole)
+    _matches_oracle(step, states, got)
+
+
+def test_run_compiled_on_a_factor_is_the_step_of_its_state(rng):
+    program = compile_step(BUILDERS["memory-amplitude-damping-k4"])
+    r, dc = program[1].shape[:2]
+    g = rng.normal(size=(2, 3, dc, 6)) / dc
+    factors, x = g[0] + 1j * g[1], random_density(rng, 2)
+
+    def state(w):  # w (I (x) x) w^dag
+        return w @ np.kron(np.eye(w.shape[-1] // 2), x) @ w.conj().swapaxes(-1, -2)
+
+    wide = run_compiled(program, factors)
+    assert wide.shape == (3, dc, 6 * r)
+    assert np.max(np.abs(state(wide) - run_compiled(program, state(factors)))) <= 1e-12
+
+
 def _counting(monkeypatch, name, replace=None):
     """Wrap ``engine.<name>`` to record its calls; ``replace(index, result)`` may alter a result."""
     calls, original = [], getattr(engine, name)
@@ -152,7 +244,20 @@ def test_evolve_compiles_once_and_runs_each_state_once_per_step(monkeypatch, rng
     evolve(step, [_system_state(step, rng) for _ in range(3)], 5)
     assert len(compiles) == 1 and len(kernels) == 3 * 5
     assert all(program is programs[0] for program, _ in kernels)
-    assert all(states.shape == (1, 8, 8) for _, states in kernels)
+    # r = 16: one factor step takes each state's (8, 2) lift past d_c = 8
+    want = [(1, 8, 2)] * 3 + [(1, 8, 8)] * 12
+    assert [states.shape for _, states in kernels] == want
+
+
+def test_k7_factor_doubles_until_it_fills_the_carried_register(monkeypatch, rng):
+    mem = MemorySpec(7, (0.3, 1.1, 2.0, 0.7, 2.9, 0.4, 1.6))
+    step = build_nonmarkovian_step("amplitude-damping", mem)
+    rho0 = _system_state(step, rng)
+    kernels = _counting(monkeypatch, "run_compiled")
+    got = evolve(step, [rho0], 8)
+    want = [(1, 128, 2**n) for n in range(1, 7)] + [(1, 128, 128)] * 2
+    assert [states.shape for _, states in kernels] == want
+    _matches_oracle(step, [rho0], got)
 
 
 @pytest.mark.parametrize("steps_per_chunk", [1, 2, 3, 6])
