@@ -400,68 +400,68 @@ def _fresh(step: StepCircuit) -> list[int]:
     return [i for i, w in enumerate(step.wire_labels) if zero[w] and w not in step.system]
 
 
-def _apply_rows(u: np.ndarray, gate: np.ndarray, positions, dims) -> np.ndarray:
-    """``gate`` on the factors at ``positions`` times ``u``, touching those rows only."""
-    m = len(positions)
-    g = gate.reshape([dims[p] for p in positions] * 2)
-    t = np.tensordot(g, u.reshape(dims + [u.shape[1]]), axes=(range(m, 2 * m), positions))
-    return np.moveaxis(t, range(m), positions).reshape(u.shape)
-
-
-def _reset_rows(acc: np.ndarray, axis: int, dims) -> np.ndarray:
-    """Every operator K of a ``(d, r d_c)`` stack split into |0><j| K, for each value j
-    of the wire at ``axis``."""
-    left, k = math.prod(dims[:axis]), dims[axis]
-    t = acc.reshape(left, k, -1, acc.shape[1])
-    out = np.zeros(t.shape[:3] + (k, acc.shape[1]), dtype=complex)
-    out[:, 0] = t.transpose(0, 2, 1, 3)
-    return out.reshape(acc.shape[0], -1)
+def _apply_rows(t: np.ndarray, gate: np.ndarray, wires, live: list, dims) -> np.ndarray:
+    """``gate`` on ``wires`` of an operator tensor whose row axes hold the ``live`` wires, touching
+    those axes only.  A wire not in ``live`` is in |0>: only the gate's columns for its value 0
+    act, and it gets a row axis, appended to the rows and to ``live``."""
+    m, held = len(wires), [w for w in wires if w in live]
+    inputs = [slice(None) if w in live else 0 for w in wires]  # value 0 of a wire in |0>
+    g = gate.reshape([dims[w] for w in wires] * 2)[(..., *inputs)]
+    t = np.tensordot(g, t, axes=(range(m, m + len(held)), [live.index(w) for w in held]))
+    live += [w for w in wires if w not in live]
+    return np.moveaxis(t, range(m), [live.index(w) for w in wires])
 
 
 def _compress(acc: np.ndarray, dc: int) -> np.ndarray:
-    """At most ``rows * dc`` operators for the map of a ``(rows, r dc)`` stack: the map is fixed
-    by sum_j vec(K_j) vec(K_j)^dag, which R of a QR of the stacked rows vec(K_j) keeps."""
-    rows, r = acc.shape[0], acc.shape[1] // dc
+    """At most ``rows * dc`` operators for the map of an operator tensor with ``rows`` row entries:
+    the map is fixed by sum_j vec(K_j) vec(K_j)^dag, which R of a QR of the rows vec(K_j) keeps."""
+    rows, r = math.prod(acc.shape[:-1]), acc.shape[-1] // dc
     if r <= rows * dc:
         return acc
-    flat = acc.reshape(rows, r, dc).transpose(1, 0, 2).reshape(r, rows * dc)
-    return np.linalg.qr(flat, mode="r").reshape(-1, rows, dc).transpose(1, 0, 2).reshape(rows, -1)
+    kept = np.linalg.qr(acc.reshape(rows, r, dc).transpose(1, 0, 2).reshape(r, -1), mode="r")
+    return kept.reshape(-1, rows, dc).transpose(1, 0, 2).reshape(acc.shape[:-1] + (-1,))
 
 
 def compile_step(step: StepCircuit, full: bool = False):
     """Compile a step into ``(carried, kraus, adjoints, superop)``, its Kraus map on the wires
     that carry state, for :func:`run_compiled`.
 
-    Given |0> on the wires a step leaves in |0> (:func:`_fresh`), it maps a
-    state rho on the others, the ``carried`` wire positions (all with
-    ``full``), of dim d_c, to sum_j K_j rho K_j^dag.  One walk of the ops
-    builds the ``(d, r d_c)`` stack of the K_j as maps into the whole
-    register: a gate acts on its wires' rows, a swap swaps two row axes, a
-    reset splits every operator by its wire's value.  The stack is compressed
-    whenever r exceeds d d_c, and at the end to r <= d_c^2.  ``kraus`` is K,
-    ``(r, d_c, d_c)``; ``adjoints`` the K_j^dag stacked, ``(r d_c, d_c)``;
-    ``superop`` sum_j K_j (x) conj(K_j) on the row-major vec(rho) when
-    d_c <= r makes it the smaller product, else None.
+    Given |0> on the wires a step leaves in |0> (:func:`_fresh`), it maps a state rho on the
+    others, the ``carried`` wire positions (all with ``full``), of dim d_c, to
+    sum_j K_j rho K_j^dag.  One walk of the ops builds the K_j as a tensor with a row axis for
+    each wire not known to be in |0> and r d_c columns, from the identity on the carried
+    wires: a gate first gives its wires in |0> an axis at value 0, a swap swaps two wires'
+    labels, a reset moves its wire's axis into the operator index.  The stack is compressed
+    whenever r exceeds the live rows times d_c, and at the end, with the carried axes in
+    layout order, to r <= d_c^2.  ``kraus`` is K, ``(r, d_c, d_c)``; ``adjoints`` the K_j^dag
+    stacked, ``(r d_c, d_c)``; ``superop`` sum_j K_j (x) conj(K_j) on the row-major vec(rho)
+    when d_c <= r makes it the smaller product, else None.
     """
     dims = [w.dim for w in step.layout]
     fresh = () if full else _fresh(step)
     carried = tuple(i for i in range(len(dims)) if i not in fresh)
     dc = math.prod(dims[i] for i in carried)
-    zero = tuple(0 if i in fresh else slice(None) for i in range(len(dims)))
-    acc = np.zeros(dims + [dc], dtype=complex)
-    acc[zero] = np.eye(dc).reshape([dims[i] for i in carried] + [dc])
-    acc = acc.reshape(-1, dc)
+    live = list(carried)  # the wire of each row axis
+    acc = np.eye(dc, dtype=complex).reshape([dims[i] for i in carried] + [dc])
     for op in step.ops:
         positions = [wire_index(step.layout, w) for w in op.wires]
         if op.kind == "unitary-apply":
-            acc = _apply_rows(acc, op.matrix, positions, dims)
+            acc = _apply_rows(acc, op.matrix, positions, live, dims)
         elif op.kind == "swap":
-            acc = acc.reshape(dims + [-1]).swapaxes(*positions).reshape(acc.shape)
-        else:
-            acc = _compress(_reset_rows(acc, positions[0], dims), dc)
-    acc = _compress(acc.reshape(dims + [-1])[zero].reshape(dc, -1), dc)
+            a, b = positions
+            live = [b if w == a else a if w == b else w for w in live]
+        elif positions[0] in live:  # its axis goes next to the columns, then into them
+            a = live.index(positions[0])
+            t = acc.transpose([*range(a), *range(a + 1, acc.ndim - 1), a, -1])
+            del live[a]
+            acc = _compress(t.reshape(t.shape[:-2] + (-1,)), dc)
+    at_zero = [w for w in carried if w not in live]  # carried wires that end in |0>
+    if at_zero:
+        acc = _apply_rows(acc, np.eye(math.prod(dims[w] for w in at_zero)), at_zero, live, dims)
+    acc = acc.transpose([live.index(w) for w in carried] + [-1])
+    acc = _compress(acc.reshape(dc, -1), dc)
     kraus = acc.reshape(dc, -1, dc).transpose(1, 0, 2).copy()
-    adjoints = kraus.conj().transpose(0, 2, 1).reshape(-1, dc)
+    adjoints = np.conj(kraus.transpose(0, 2, 1), order="C").reshape(-1, dc)
     if dc > len(kraus):
         return carried, kraus, adjoints, None
     superop = np.einsum("rij,rkl->ikjl", kraus, kraus.conj())

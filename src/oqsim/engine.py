@@ -103,18 +103,18 @@ def evolve(step: StepCircuit, states, steps: int) -> np.ndarray:
 
     Each register starts as |0><0| (x) rho0 (x) |0><0|: the system wires must
     be contiguous, with the other wires before and after them in |0>.  One
-    compile to the carried register, then per step one kernel call per state
-    into a chunk buffer of carried states, and one partial trace per full (or
-    last) chunk.  The buffer holds at most ``2**14`` complex entries (256 KiB),
-    or one step's ``(len(states), d_c, d_c)`` stack when that is larger.
+    compile to the carried register (dim d_c), then one kernel call per state
+    and step.
 
-    While the system (dim s) is smaller than the carried register (d_c), a
-    state after n steps is W_n (I (x) rho0) W_n^dag, with W_0 the ``(d_c, s)``
-    lift of the system into the register and W_{n+1} = [K_1 W_n, .., K_r W_n].
-    The kernel call then maps W, r times wider each step, and the buffer slot
-    gets W (I (x) rho0) W^dag; once W has d_c columns or more, the next steps
-    go on from that slot on the dense state.  Both forms are exact for any
-    rho0, pure or mixed, and need no decomposition or tolerance.
+    A state after n steps is W_n (I (x) X) W_n^dag: X is the block of rho0 on
+    the m system basis states that the call's initial states occupy (a row or
+    column not all zero), W_0 the ``(d_c, m)`` lift of those into the register
+    and W_{n+1} = [K_1 W_n, .., K_r W_n].  While W has fewer than d_c columns
+    the kernel maps W, and the record is tr_env W (I (x) X) W^dag from the
+    system rows of W.  Then W (I (x) X) W^dag is formed once and the steps go
+    on densely, into a chunk buffer of at most ``2**14`` complex entries, or
+    one step's ``(len(states), d_c, d_c)`` stack when that is larger, reduced
+    by one partial trace per full (or last) chunk.  Exact for any rho0.
 
     Returns the ``(steps + 1, len(states), s, s)`` stack after one
     :func:`check_states` in step order: an :class:`InvalidStateError` index
@@ -143,25 +143,39 @@ def evolve(step: StepCircuit, states, steps: int) -> np.ndarray:
         out = np.empty((steps + 1, len(states), s, s), dtype=complex)
     except ValueError as exc:  # a shape beyond numpy's index range
         raise MemoryError(str(exc)) from None
-    chunk = max(1, _CHUNK_ENTRIES // (len(states) * dc * dc or 1))
-    buffer = np.zeros((min(chunk, steps + 1), len(states), dc, dc), dtype=complex)
+    if not len(states):
+        return out
+    chunk = max(1, _CHUNK_ENTRIES // (len(states) * dc * dc))
     rho0 = np.reshape([rho.matrix for rho in states], (-1, s, s))
-    lift = np.zeros((dc, s), dtype=complex)  # W_0: the system into the register, |0> elsewhere
-    lift.reshape(*blocks, s)[0, :, 0] = np.eye(s)
-    factors = [lift[np.newaxis]] * len(states) if s < dc else None
-    first = buffer[0].reshape(len(states), *blocks, *blocks)  # a view: buffer is contiguous
-    first[:, 0, :, 0, 0, :, 0] = rho0
-    for n in range(steps + 1):
-        j = n % chunk  # slot j - 1 (the last one when j == 0) holds step n - 1
-        for i in range(len(states)) if n else ():  # one kernel call per state and step
-            if factors is None:
-                buffer[j, i:i + 1] = run_compiled(program, buffer[j - 1, i:i + 1])
-                continue
-            factors[i] = run_compiled(program, factors[i])
-            w = factors[i][0]
-            np.matmul((w.reshape(-1, s) @ rho0[i]).reshape(dc, -1), w.conj().T, out=buffer[j, i])
-        if factors and factors[0].shape[-1] >= dc:
-            factors = None  # W fills the register: go on from the dense states in slot j
+    rows = rho0.any(axis=0).tolist()
+    occupied = [i for i, row in enumerate(rows) if any(row) or any(r[i] for r in rows)]
+    x = rho0.take(occupied, 1).take(occupied, 2)
+    lift = np.zeros((1, dc, len(occupied)), dtype=complex)  # W_0: |0> off the system
+    for column, i in enumerate(occupied):
+        lift[0, i * blocks[2], column] = 1
+    factors = [lift] * len(states)
+
+    def weighted(i, w):  # W (I (x) X) of state i, as a (d_c, .) matrix
+        return (w.reshape(-1, len(occupied)) @ x[i]).reshape(dc, -1)
+
+    out[0] = rho0  # tr_env W_0 (I (x) X) W_0^dag, as rho0 is 0 off the occupied states
+    base = steps + 1  # the first dense step; none if the run ends among the factor steps
+    for n in range(steps + 1):  # factor steps, while W is narrower than the register
+        if n:
+            factors = [run_compiled(program, w) for w in factors]  # one kernel call per state
+        if factors[0].shape[-1] >= dc:
+            base = n
+            break
+        for i, w in enumerate(factors if n else ()):  # tr_env W (I (x) X) W^dag
+            v = weighted(i, w).reshape(blocks[0], s, -1)  # rows: (before, system, after)
+            np.einsum("bik,bjk->ij", v, w.conj().reshape(blocks[0], s, -1), out=out[n, i])
+    buffer = np.empty((min(chunk, steps + 1 - base), len(states), dc, dc), dtype=complex)
+    for i, w in enumerate(factors if base <= steps else ()):  # W (I (x) X) W^dag, formed once
+        np.matmul(weighted(i, w), w[0].conj().T, out=buffer[0, i])
+    for n in range(base, steps + 1):  # dense steps
+        j = (n - base) % chunk  # slot j - 1 (the last one when j == 0) holds step n - 1
+        for i in range(len(states)) if n > base else ():  # one kernel call per state
+            buffer[j, i:i + 1] = run_compiled(program, buffer[j - 1, i:i + 1])
         if j == chunk - 1 or n == steps:
             out[n - j:n + 1] = partial_trace_matrix(buffer[:j + 1], blocks, 0, 2)
     check_states(out.reshape(-1, s, s), system)

@@ -46,6 +46,12 @@ def _mixed_unitary(seed, l):
     return KrausChannel(2, ops, label=f"mixed-unitary-l{l}")
 
 
+def _unitary(seed, n):
+    r = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(r.normal(size=(n, n)) + 1j * r.normal(size=(n, n)))
+    return q
+
+
 def _steps():
     steps = {}
     for kind in KINDS:
@@ -84,6 +90,59 @@ def _steps():
             GateOp.gate("CRy", ("q", "a"), 0.7),
             GateOp.swap("a", "b"),
             GateOp.gate("CZ", ("b", "q")),
+            GateOp.reset("b"),
+        ],
+    )
+    # the live-wire walk's edge cases: which wires hold an axis, and when
+    steps["gate-after-reset"] = StepCircuit(
+        "gate-after-reset", QUBITS3, ("q",),
+        [
+            GateOp.gate("CRy", ("q", "a"), 0.8),
+            GateOp.reset("a"),
+            GateOp.gate("H", ("a",)),
+            GateOp.gate("CZ", ("a", "q")),
+            GateOp.gate("CRy", ("q", "b"), 1.9),
+            GateOp.reset("b"),
+        ],
+    )
+    steps["reset-of-a-zero-wire"] = StepCircuit(
+        "reset-zero", QUBITS3, ("q",),
+        [
+            GateOp.reset("b"),
+            GateOp.gate("CRy", ("q", "a"), 1.2),
+            GateOp.reset("a"),
+            GateOp.reset("a"),
+            GateOp.reset("b"),
+        ],
+    )
+    steps["swap-live-and-zero"] = StepCircuit(
+        "swap-live-zero", QUBITS3, ("q",),
+        [
+            GateOp.gate("CRy", ("q", "a"), 0.6),
+            GateOp.reset("b"),
+            GateOp.swap("a", "b"),
+            GateOp.gate("CNOT", ("b", "q")),
+            GateOp.reset("b"),
+        ],
+    )
+    steps["swap-two-zero-wires"] = StepCircuit(
+        "swap-zero-zero", QUBITS3, ("q",),
+        [
+            GateOp.reset("a"),
+            GateOp.reset("b"),
+            GateOp.swap("a", "b"),
+            GateOp.gate("CRy", ("q", "b"), 0.5),
+            GateOp.gate("CNOT", ("b", "q")),
+            GateOp.reset("b"),
+        ],
+    )
+    steps["qutrits"] = StepCircuit(  # a ends carried, in the |0> that the swap brings from b
+        "qutrits", (Wire("q", 3), Wire("a", 3), Wire("b", 3)), ("q",),
+        [
+            GateOp("unitary-apply", ("q", "a"), matrix=_unitary(11, 9)),
+            GateOp.reset("a"),
+            GateOp.swap("a", "b"),
+            GateOp("unitary-apply", ("b", "q"), matrix=_unitary(12, 9)),
             GateOp.reset("b"),
         ],
     )
@@ -152,6 +211,55 @@ def test_evolve_matches_dense_oracle_over_fifty_steps(name, rng):
         assert np.max(np.abs(got[n] - want)) <= 1e-12, f"step {n}"
 
 
+def _full_row_superop(step, full=False):
+    """The carried map as a superoperator, from a walk over all d rows of the register: every
+    op as its full-space Kraus set (conftest's ``dense_maps``), so a reset splits each operator
+    K into the |0><j| K; the stack is kept to d d_c operators by R of a QR."""
+    dims, carried = _dims(step), compile_step(step, full)[0]
+    d, dc = math.prod(dims), math.prod(dims[i] for i in carried)
+    at = tuple(slice(None) if i in carried else 0 for i in range(len(dims)))
+    ops = np.zeros(dims + [dc], dtype=complex)
+    ops[at] = np.eye(dc).reshape([dims[i] for i in carried] + [dc])
+    ops = ops.reshape(1, d, dc)
+    for kraus in dense_maps(step):
+        ops = np.concatenate([k @ ops for k in kraus])
+        if len(ops) > d * dc:
+            ops = np.linalg.qr(ops.reshape(len(ops), -1), mode="r").reshape(-1, d, dc)
+    ops = ops.reshape(-1, *dims, dc)[(slice(None), *at)].reshape(-1, dc, dc)
+    return _superop(ops)
+
+
+def _superop(kraus):
+    dc = kraus.shape[1]
+    return np.einsum("rij,rkl->ikjl", kraus, kraus.conj()).reshape(dc * dc, -1)
+
+
+SMALL = [name for name in sorted(STEPS) if math.prod(_dims(STEPS[name])) <= 16]
+
+
+@pytest.mark.parametrize(
+    "name, full", [(name, False) for name in sorted(STEPS)] + [(name, True) for name in SMALL]
+)
+def test_live_wire_walk_gives_the_full_row_walks_map(name, full):
+    step = STEPS[name]
+    got = _superop(compile_step(step, full)[1])
+    assert np.max(np.abs(got - _full_row_superop(step, full))) <= 1e-14
+
+
+def test_a_reset_of_a_wire_in_zero_adds_no_operator():
+    step = STEPS["reset-of-a-zero-wire"]
+    plain = StepCircuit("plain", QUBITS3, ("q",), [step.ops[i] for i in (1, 2, 4)])  # b fresh
+    assert compile_step(step)[1].shape == (2, 2, 2)
+    for a, b in zip(compile_step(step), compile_step(plain)):
+        assert np.array_equal(a, b)
+
+
+def test_a_carried_wire_without_an_axis_gets_one_at_zero():
+    carried, kraus, *_ = compile_step(STEPS["qutrits"])
+    assert carried == (0, 1) and kraus.shape == (9, 9, 9)  # two qutrit resets: r = 3 * 3
+    assert not np.any(kraus.reshape(9, 3, 3, 9)[:, :, 1:])  # a is |0> after every operator
+
+
 # -- structure: what the carried register saves, pinned without timing -------
 
 
@@ -217,12 +325,6 @@ def test_states_in_one_call_equal_the_states_one_at_a_time(rng):
 
 
 # -- property test: random small circuits -------------------------------------
-
-
-def _unitary(seed, n):
-    r = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(r.normal(size=(n, n)) + 1j * r.normal(size=(n, n)))
-    return q
 
 
 @st.composite

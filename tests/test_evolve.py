@@ -213,7 +213,8 @@ def test_chunked_evolve_is_bit_identical_to_one_chunk(monkeypatch, rng, steps_pe
     reductions = _counting(monkeypatch, "partial_trace_matrix")
     got = evolve(step, states, 7)
     assert np.array_equal(got, whole)
-    assert len(reductions) == math.ceil(8 / steps_per_chunk)
+    # r = 16: step 0 is rho0 and step 1 fills d_c = 8, so steps 1..7 are reduced by chunks
+    assert len(reductions) == {1: 7, 2: 4, 3: 3}[steps_per_chunk]
 
 
 def test_chunk_budget_below_one_step_gives_one_step_chunks(monkeypatch, rng):
@@ -223,7 +224,8 @@ def test_chunk_budget_below_one_step_gives_one_step_chunks(monkeypatch, rng):
     monkeypatch.setattr(engine, "_CHUNK_ENTRIES", 1)
     reductions = _counting(monkeypatch, "partial_trace_matrix")
     assert np.array_equal(evolve(step, states, 4), whole)
-    assert [len(stack) for stack, *_ in reductions] == [1] * 5
+    # d_c = 8, r = 2: step 0 is rho0, step 1 is read from its factor, 2..4 reduced one by one
+    assert [len(stack) for stack, *_ in reductions] == [1] * 3
 
 
 def test_chunk_buffer_holds_at_most_the_budget(monkeypatch, rng):
@@ -257,6 +259,94 @@ def test_k7_factor_doubles_until_it_fills_the_carried_register(monkeypatch, rng)
     got = evolve(step, [rho0], 8)
     want = [(1, 128, 2**n) for n in range(1, 7)] + [(1, 128, 128)] * 2
     assert [states.shape for _, states in kernels] == want
+    _matches_oracle(step, [rho0], got)
+
+
+def _basis_state(step, *weights):
+    """The diagonal state sum_i weights[i] |i><i| on the system wires."""
+    layout = tuple(w for w in step.layout if w.label in step.system)
+    diag = np.zeros(math.prod(w.dim for w in layout))
+    diag[:len(weights)] = weights
+    return DensityMatrix(np.diag(diag).astype(complex), layout)
+
+
+def test_k7_from_a_basis_state_lifts_one_column(monkeypatch):
+    mem = MemorySpec(7, (0.3, 1.1, 2.0, 0.7, 2.9, 0.4, 1.6))
+    step = build_nonmarkovian_step("amplitude-damping", mem)
+    rho0 = _basis_state(step, 0.0, 1.0)
+    kernels = _counting(monkeypatch, "run_compiled")
+    reductions = _counting(monkeypatch, "partial_trace_matrix")
+    got = evolve(step, [rho0], 9)
+    want = [(1, 128, 2**n) for n in range(7)] + [(1, 128, 128)] * 2
+    assert [states.shape for _, states in kernels] == want
+    assert [len(stack) for stack, *_ in reductions] == [1] * 3  # steps 7..9; 1..6 read from W
+    _matches_oracle(step, [rho0], got)
+
+
+def test_a_call_from_zero_and_one_lifts_both_basis_states(monkeypatch):
+    step = BUILDERS["memory-amplitude-damping-k3"]
+    states = [_basis_state(step, 1.0), _basis_state(step, 0.0, 1.0)]
+    kernels = _counting(monkeypatch, "run_compiled")
+    got = evolve(step, states, 4)
+    assert [s.shape[-1] for _, s in kernels] == [2, 2, 4, 4, 8, 8, 8, 8]
+    _matches_oracle(step, states, got)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_markovian_arm_from_one_takes_one_factor_step_then_the_superoperator(monkeypatch, kind):
+    step = BUILDERS[f"markovian-{kind}"]
+    rho0 = _basis_state(step, 0.0, 1.0)
+    assert compile_step(step)[3] is not None
+    kernels = _counting(monkeypatch, "run_compiled")
+    got = evolve(step, [rho0], 5)
+    assert [s.shape for _, s in kernels] == [(1, 2, 1)] + [(1, 2, 2)] * 4
+    _matches_oracle(step, [rho0], got)
+
+
+def _system_behind_a_carried_wire():
+    """Layout (a, q, e) with a carried, e reset: the system rows sit in two blocks of W."""
+    layout = tuple(Wire(w) for w in ("a", "q", "e"))
+    ops = [
+        GateOp.gate("CRy", ("q", "e"), 1.1),
+        GateOp.gate("CNOT", ("e", "a")),
+        GateOp.gate("CZ", ("a", "q")),
+        GateOp.reset("e"),
+    ]
+    return StepCircuit("behind", layout, ("q",), ops)
+
+
+def _qutrit_step():
+    g = np.random.default_rng(8).normal(size=(2, 9, 9))
+    u = np.linalg.qr(g[0] + 1j * g[1])[0]
+    layout = (Wire("a", 3), Wire("q", 3), Wire("e", 3))
+    ops = [GateOp("unitary-apply", ("q", "e"), matrix=u), GateOp.reset("e")]
+    return StepCircuit("qutrit", layout, ("q",), ops + [GateOp.swap("a", "e")])
+
+
+@pytest.mark.parametrize(
+    "name, weights, width",
+    [
+        ("memory-dephasing-k3", (0.25, 0.75), 2),
+        ("behind", (0.0, 1.0), 1),
+        ("qutrit", (0.5, 0.0, 0.5), 2),  # rows 0 and 2: a lift with a gap
+    ],
+)
+def test_diagonal_mixed_start_matches_the_oracle(monkeypatch, name, weights, width):
+    step = {"behind": _system_behind_a_carried_wire(), "qutrit": _qutrit_step(), **BUILDERS}[name]
+    rho0 = _basis_state(step, *weights)
+    kernels = _counting(monkeypatch, "run_compiled")
+    got = evolve(step, [rho0], 6)
+    assert kernels[0][1].shape[-1] == width
+    _matches_oracle(step, [rho0], got)
+
+
+def test_a_run_that_ends_among_the_factor_steps_forms_no_carried_state(monkeypatch):
+    step = BUILDERS["memory-amplitude-damping-k4"]  # d_c = 16: widths 1, 2, 4, 8 from |1>
+    rho0 = _basis_state(step, 0.0, 1.0)
+    reductions = _counting(monkeypatch, "partial_trace_matrix")
+    kernels = _counting(monkeypatch, "run_compiled")
+    got = evolve(step, [rho0], 3)
+    assert [s.shape[-1] for _, s in kernels] == [1, 2, 4] and reductions == []
     _matches_oracle(step, [rho0], got)
 
 
@@ -304,6 +394,10 @@ def test_negative_step_count_rejected(rng):
         evolve(step, [rho], -1)
     with pytest.raises(ValueError, match=r"^step count -2 must be >= 0$"):
         blp_witness(step, rho, rho, -2)
+
+
+def test_evolve_of_no_states_is_an_empty_stack():
+    assert evolve(BUILDERS["memory-dephasing-k2"], [], 4).shape == (5, 0, 2, 2)
 
 
 def test_blp_witness_of_zero_steps_is_zero(rng):
