@@ -2,8 +2,8 @@
 
 Modules:
   qmath     - dense complex linear algebra over wire registers
-  channels  - Kraus channels, dilation, superoperator algebra, factorization
-  circuit   - gate library and step-circuit builders
+  channels  - Kraus channels: builders, validation, application, dilation
+  circuit   - gate library, step-circuit builders and the step compiler
   engine    - trajectory runner
   analysis  - memory diagnostics and resource accounting
   cli       - experiment runner (``simulate`` entry point)
@@ -13,23 +13,16 @@ from .qmath import (
     DensityMatrix,
     Wire,
     partial_trace,
-    psd_sqrt,
     tensor_product,
     trace_distance,
 )
 from .channels import (
     KrausChannel,
-    Superoperator,
     amplitude_damping,
     apply_channel,
-    cp_witness,
-    compose,
     dephasing,
-    intermediate_map,
     pauli_channel,
-    sequential_factors,
     stinespring_dilate,
-    to_superoperator,
     validate,
 )
 from .circuit import (

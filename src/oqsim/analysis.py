@@ -34,7 +34,7 @@ class MonotonicityVerdict:
 def monotonicity_check(
     traj: Trajectory, observable: str, tolerance: float = MONOTONE_ATOL
 ) -> MonotonicityVerdict:
-    if tolerance < 0:
+    if not tolerance >= 0:
         raise ValueError(f"tolerance {tolerance} must be >= 0")
     series = traj.series(observable)
     first = None
@@ -95,15 +95,6 @@ class ResourceReport:
 
 
 _METHODS = ("direct-dilation", "sequential")
-
-
-def formula_qubit_count(method: str, system_qubits: int, k: int, l: int) -> int:
-    """Qubit counts the two architectures are expected to need."""
-    if method == "sequential":
-        return system_qubits + k + 1
-    if method == "direct-dilation":
-        return system_qubits + k * max(0, math.ceil(math.log2(max(l, 1))))
-    raise ValueError(f"unknown method {method!r}; expected one of {_METHODS}")
 
 
 def resource_count(

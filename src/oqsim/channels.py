@@ -1,8 +1,9 @@
-"""Kraus channels: construction, validation, application and algebra.
+"""Kraus channels: construction, validation, application and dilation.
 
-Superoperators use the column-stacking convention throughout: with
-``vec(rho)`` stacking columns, a channel with operators ``{K}`` has the
-matrix ``sum_K conj(K) (x) K`` acting as ``vec(rho') = S vec(rho)``.
+A channel is its ordered Kraus operators; this module builds no matrix
+form of it.  The package's one superoperator is the one
+:func:`oqsim.circuit.compile_step` builds, ``sum_K K (x) conj(K)`` on the
+row-major ``vec(rho)``.
 """
 
 from __future__ import annotations
@@ -16,14 +17,11 @@ import numpy as np
 from .qmath import (
     DensityMatrix,
     DimensionMismatchError,
-    PSDViolationError,
     as_complex_matrix,
     complex_pairs,
-    psd_sqrt,
 )
 
 COMPLETENESS_ATOL = 1e-9
-CONDITION_LIMIT = 1e12
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -37,14 +35,6 @@ class ParameterError(ValueError):
 
 class InvalidChannelError(ValueError):
     """Kraus operators that do not satisfy the completeness relation."""
-
-
-class SingularMapError(ValueError):
-    """A superoperator too ill-conditioned to invert."""
-
-
-class DecompositionError(ValueError):
-    """Sequential factorization impossible for the given operators."""
 
 
 class KrausChannel:
@@ -85,24 +75,6 @@ class ValidationReport:
 
     deviation: float
     passed: bool
-
-
-@dataclass(frozen=True)
-class Superoperator:
-    """n^2 x n^2 matrix on column-stacked density matrices."""
-
-    matrix: np.ndarray
-    dim: int
-
-    def __post_init__(self):
-        m = as_complex_matrix(self.matrix)
-        if m.shape[0] != self.dim * self.dim:
-            raise DimensionMismatchError(
-                f"superoperator matrix dim {m.shape[0]} != {self.dim}^2"
-            )
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
 
 
 def validate(ch: KrausChannel) -> ValidationReport:
@@ -166,6 +138,9 @@ def dephasing(gamma: float) -> KrausChannel:
 def pauli_channel(px: float, py: float, pz: float) -> KrausChannel:
     """Mixture of Pauli errors with the given probabilities."""
     probs = (px, py, pz)
+    for name, p in zip(("px", "py", "pz"), probs):
+        if not math.isfinite(p):
+            raise ParameterError(f"probability {name} = {p} is not a finite number")
     if any(p < 0 for p in probs):
         raise ParameterError(f"negative probability in {probs}")
     total = px + py + pz
@@ -220,79 +195,11 @@ def stinespring_dilate(ch: KrausChannel) -> np.ndarray:
     return u
 
 
-def to_superoperator(ch: KrausChannel) -> Superoperator:
-    """Column-stacking matrix form ``sum_i conj(K_i) (x) K_i``."""
-    _require_valid(ch)
-    return Superoperator(matrix=sum(np.kron(op.conj(), op) for op in ch.operators), dim=ch.dim)
-
-
-def compose(second: Superoperator, first: Superoperator) -> Superoperator:
-    """Map applying ``first`` and then ``second``."""
-    if second.dim != first.dim:
-        raise DimensionMismatchError(f"superoperator dims differ: {second.dim} vs {first.dim}")
-    return Superoperator(matrix=second.matrix @ first.matrix, dim=first.dim)
-
-
-def intermediate_map(phi_t: Superoperator, phi_s: Superoperator) -> Superoperator:
-    """The two-time map ``phi_t . phi_s^{-1}``."""
-    if phi_t.dim != phi_s.dim:
-        raise DimensionMismatchError(f"superoperator dims differ: {phi_t.dim} vs {phi_s.dim}")
-    cond = np.linalg.cond(phi_s.matrix)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise SingularMapError(
-            f"map is not invertible (condition number {cond:.3e} beyond {CONDITION_LIMIT:.0e})"
-        )
-    return Superoperator(matrix=phi_t.matrix @ np.linalg.inv(phi_s.matrix), dim=phi_t.dim)
-
-
-def choi_matrix(phi: Superoperator) -> np.ndarray:
-    """Reshuffle of the superoperator; PSD iff the map is completely positive."""
-    n = phi.dim
-    c = phi.matrix.reshape(n, n, n, n).swapaxes(0, 3).reshape(n * n, n * n)
-    # hermitize: meaningful witnesses assume a hermiticity-preserving map
-    return (c + c.conj().T) / 2.0
-
-
-def cp_witness(phi: Superoperator) -> float:
-    """Minimum Choi eigenvalue; >= -1e-9 certifies complete positivity."""
-    return float(np.linalg.eigvalsh(choi_matrix(phi)).min())
-
-
-def sequential_factors(ch: KrausChannel, mode: str = "exact") -> list[KrausChannel]:
-    """Split a channel into one two-operator factor per Kraus operator.
-
-    Factor ``i`` is ``{K_i, K_i'}`` with ``K_i' = sqrt(I - K_i^dag K_i)``
-    in ``exact`` mode (each factor is exactly trace preserving) or the
-    expansion ``K_i' = I - K_i^dag K_i / 2`` in ``first-order`` mode.
-    Composing the exact factors reproduces the channel up to second
-    order in the operator weights.
-    """
-    if mode not in ("exact", "first-order"):
-        raise ParameterError(f"unknown mode {mode!r}")
-    eye = np.eye(ch.dim, dtype=complex)
-    factors = []
-    for i, op in enumerate(ch.operators):
-        gram = op.conj().T @ op
-        if mode == "exact":
-            try:
-                comp = psd_sqrt(eye - gram)
-            except PSDViolationError as exc:
-                raise DecompositionError(
-                    f"operator {i} of {ch.label!r} has singular value above 1: {exc}"
-                ) from exc
-        else:
-            comp = eye - 0.5 * gram
-        factors.append(
-            KrausChannel(ch.dim, [op, comp], label=f"{ch.label}#factor{i}")
-        )
-    return factors
-
-
 def scaled_unitary_part(op) -> tuple[float, np.ndarray] | None:
     """Split ``op = w U`` with ``U`` unitary, or ``None`` if not of that form.
 
-    A global phase is folded into ``U`` being reported up to phase as the
-    nearest Pauli by callers; here ``U`` is simply ``op / w``.
+    ``U`` is ``op / w`` and keeps any global phase of ``op``; callers that
+    name ``U`` as a Pauli gate match it up to that phase.
     """
     a = as_complex_matrix(op)
     gram = a.conj().T @ a

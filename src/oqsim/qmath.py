@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 VALIDITY_ATOL = 1e-10   # hermiticity / trace / unitarity checks
-RECON_ATOL = 1e-9       # reconstruction checks and eigenvalue floors
+RECON_ATOL = 1e-9       # eigenvalue floor of the state check
 
 
 class DimensionMismatchError(ValueError):
@@ -27,10 +27,6 @@ class DimensionMismatchError(ValueError):
 
 class UnknownWireError(ValueError):
     """A wire label that is not present in a layout."""
-
-
-class PSDViolationError(ValueError):
-    """Input is not positive semidefinite within tolerance."""
 
 
 class InvalidStateError(ValueError):
@@ -208,22 +204,6 @@ def partial_trace(rho: DensityMatrix, wire: str) -> DensityMatrix:
     rest = tuple(w for i, w in enumerate(rho.layout) if i != idx)
     # tracing the only wire leaves the 1x1 matrix [trace] on a scalar wire
     return DensityMatrix(red, rest or (Wire("scalar", 1),))
-
-
-def psd_sqrt(m, atol: float = RECON_ATOL) -> np.ndarray:
-    """Unique PSD square root via eigendecomposition.
-
-    Eigenvalues in ``[-atol, 0)`` are clamped to zero; anything below
-    ``-atol`` raises :class:`PSDViolationError`.
-    """
-    a = as_complex_matrix(m)
-    if not is_hermitian(a):
-        raise PSDViolationError("psd_sqrt requires a Hermitian matrix")
-    vals, vecs = np.linalg.eigh(a)
-    if vals.min() < -atol:
-        raise PSDViolationError(f"matrix has eigenvalue {vals.min()} below {-atol}")
-    root = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
-    return (root + root.conj().T) / 2.0
 
 
 def trace_distance_matrix(a, b):

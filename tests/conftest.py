@@ -166,10 +166,25 @@ def brute_partial_trace(mat, dims, axis):
     return out
 
 
-def vec_colstack(m):
-    """Column-stacking vectorization, written independently."""
-    m = np.asarray(m, dtype=complex)
-    return np.concatenate([m[:, j] for j in range(m.shape[1])])
+def unit_images(ops, d):
+    """The d^2 images ``sum_K K |i><j| K^dag`` of a Kraus set, stacked at i d + j."""
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    return np.array([kraus_apply(ops, u) for u in units])
+
+
+def choi_min_eigenvalue(images):
+    """Lowest eigenvalue of the Choi matrix of a map given by its unit images.
+
+    ``images`` holds the d^2 images of |i><j|, stacked at i d + j.  The Choi
+    matrix sum_ij |i><j| (x) Phi(|i><j|) has entry [(i, a), (j, b)] equal to
+    Phi(|i><j|)[a, b]; it must be Hermitian, and the map is completely
+    positive exactly when its lowest eigenvalue is >= 0.
+    """
+    images = np.asarray(images, dtype=complex)
+    d = images.shape[-1]
+    choi = images.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    assert np.max(np.abs(choi - choi.conj().T)) <= 1e-12
+    return float(np.linalg.eigvalsh(choi).min())
 
 
 KET0 = np.array([1.0, 0.0], dtype=complex)

@@ -16,13 +16,10 @@ from oqsim.channels import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    Superoperator,
     amplitude_damping,
     apply_channel,
-    cp_witness,
     dephasing,
     pauli_channel,
-    to_superoperator,
 )
 from oqsim.circuit import (
     MemorySpec,
@@ -36,7 +33,16 @@ from oqsim.cli import main
 from oqsim.engine import projector_observable, run
 from oqsim.qmath import DensityMatrix, Wire, partial_trace
 
-from conftest import KET0, KET1, KETP, proj, qstate, random_density
+from conftest import (
+    KET0,
+    KET1,
+    KETP,
+    choi_min_eigenvalue,
+    proj,
+    qstate,
+    random_density,
+    unit_images,
+)
 
 P1 = projector_observable("p1")
 PPLUS = projector_observable("p+")
@@ -255,13 +261,11 @@ def test_criterion_9_cp_witness():
         pauli_channel(0.1, 0.05, 0.2),
         pauli_channel(0.25, 0.25, 0.25),
     ]
-    worst = min(cp_witness(to_superoperator(ch)) for ch in builtins)
+    worst = min(choi_min_eigenvalue(unit_images(ch.operators, 2)) for ch in builtins)
     assert worst >= -1e-9
-    swap = np.zeros((4, 4))
-    for i in range(2):
-        for j in range(2):
-            swap[i * 2 + j, j * 2 + i] = 1.0
-    transpose_witness = cp_witness(Superoperator(swap, 2))
+    # the transpose map sends |i><j| to |j><i|
+    transposed = np.eye(4, dtype=complex).reshape(4, 2, 2).transpose(0, 2, 1)
+    transpose_witness = choi_min_eigenvalue(transposed)
     assert transpose_witness < 0
     print(
         f"\nACCEPTANCE 9: PASS - builtin channels CP (min witness {worst:.2e}); "

@@ -4,30 +4,18 @@ import numpy as np
 import pytest
 
 from oqsim.channels import (
-    DecompositionError,
     InvalidChannelError,
     KrausChannel,
     PAULI_I,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
     ParameterError,
-    SingularMapError,
-    Superoperator,
     amplitude_damping,
     apply_channel,
-    choi_matrix,
-    compose,
-    cp_witness,
     dephasing,
     environment_dim,
-    intermediate_map,
     load_channel,
     pauli_channel,
     save_channel,
-    sequential_factors,
     stinespring_dilate,
-    to_superoperator,
     validate,
 )
 from oqsim.qmath import DensityMatrix, DimensionMismatchError, Wire, partial_trace
@@ -36,12 +24,13 @@ from conftest import (
     KET0,
     KET1,
     KETP,
+    choi_min_eigenvalue,
     kraus_apply,
     proj,
     qstate,
     random_channel_ops,
     random_density,
-    vec_colstack,
+    unit_images,
 )
 
 COS2_PI20 = 0.9755282581475768      # 1 - sin(pi/20)^2
@@ -112,10 +101,11 @@ class TestBuilders:
         assert len(pauli_channel(0, 0, 0)) == 1
 
     def test_pauli_matches_dephasing_superoperator(self):
+        # equal images of every unit |i><j| make the two maps equal
         gamma = 0.37
-        a = to_superoperator(pauli_channel(0, 0, gamma**2))
-        b = to_superoperator(dephasing(gamma))
-        assert np.max(np.abs(a.matrix - b.matrix)) < 1e-12
+        a = unit_images(pauli_channel(0, 0, gamma**2).operators, 2)
+        b = unit_images(dephasing(gamma).operators, 2)
+        assert np.max(np.abs(a - b)) < 1e-12
 
     def test_pauli_depolarizes(self, rng):
         ch = pauli_channel(0.25, 0.25, 0.25)
@@ -128,6 +118,12 @@ class TestBuilders:
             pauli_channel(-0.1, 0, 0)
         with pytest.raises(ParameterError):
             pauli_channel(0.5, 0.4, 0.3)
+
+    @pytest.mark.parametrize("which", ["px", "py", "pz"])
+    def test_pauli_rejects_a_nan_probability(self, which):
+        probs = {"px": 0.0, "py": 0.0, "pz": 0.0, which: math.nan}
+        with pytest.raises(ParameterError, match=rf"^probability {which} = nan is not a finite number$"):
+            pauli_channel(**probs)
 
 
 class TestApplyChannel:
@@ -219,80 +215,6 @@ class TestStinespring:
         assert np.array_equal(stinespring_dilate(ch), stinespring_dilate(ch))
 
 
-class TestSuperoperators:
-    def test_identity_channel_superop(self):
-        s = to_superoperator(KrausChannel(2, [PAULI_I]))
-        assert np.array_equal(s.matrix, np.eye(4))
-
-    def test_dephasing_superop_diagonal(self):
-        gamma = 0.44
-        s = to_superoperator(dephasing(gamma))
-        want = np.diag([1.0, 1 - 2 * gamma**2, 1 - 2 * gamma**2, 1.0])
-        assert np.allclose(s.matrix, want, atol=1e-12)
-
-    def test_matches_apply_channel(self, rng):
-        ch = KrausChannel(2, random_channel_ops(rng, 2, 4), label="rank4")
-        s = to_superoperator(ch)
-        for _ in range(50):
-            rho = random_density(rng)
-            out_vec = s.matrix @ vec_colstack(rho)
-            want = apply_channel(ch, qstate(rho)).matrix
-            assert np.max(np.abs(out_vec - vec_colstack(want))) < 1e-10
-
-    def test_preserves_trace_of_vectorized_states(self, rng):
-        s = to_superoperator(amplitude_damping(0.61))
-        for _ in range(10):
-            rho = random_density(rng)
-            out = (s.matrix @ vec_colstack(rho)).reshape(2, 2).T
-            assert abs(np.trace(out) - 1) < 1e-9
-
-    def test_compose_identity(self):
-        phi = to_superoperator(amplitude_damping(0.3))
-        ident = Superoperator(np.eye(4), 2)
-        assert np.allclose(compose(phi, ident).matrix, phi.matrix, atol=1e-15)
-
-    def test_compose_matches_sequential_application(self, rng):
-        ch = amplitude_damping(0.29)
-        phi = to_superoperator(ch)
-        phi2 = compose(phi, phi)
-        for _ in range(20):
-            rho = qstate(random_density(rng))
-            twice = apply_channel(ch, apply_channel(ch, rho)).matrix
-            via_super = (phi2.matrix @ vec_colstack(rho.matrix)).reshape(2, 2).T
-            assert np.max(np.abs(twice - via_super)) < 1e-10
-
-    def test_dephasing_superops_commute(self):
-        a = to_superoperator(dephasing(0.3))
-        b = to_superoperator(dephasing(0.7))
-        assert np.max(np.abs(compose(a, b).matrix - compose(b, a).matrix)) < 1e-12
-
-    def test_compose_dim_mismatch(self):
-        a = to_superoperator(dephasing(0.3))
-        b = Superoperator(np.eye(9), 3)
-        with pytest.raises(DimensionMismatchError):
-            compose(a, b)
-
-
-class TestIntermediateMap:
-    def test_self_gives_identity(self):
-        phi = to_superoperator(amplitude_damping(0.4))
-        mid = intermediate_map(phi, phi)
-        assert np.allclose(mid.matrix, np.eye(4), atol=1e-12)
-
-    def test_divisible_family(self):
-        one = to_superoperator(dephasing(math.sin(math.pi / 10)))
-        n = 12
-        phi_n = Superoperator(np.linalg.matrix_power(one.matrix, n), 2)
-        phi_m = Superoperator(np.linalg.matrix_power(one.matrix, n - 1), 2)
-        mid = intermediate_map(phi_n, phi_m)
-        assert np.max(np.abs(mid.matrix - one.matrix)) < 1e-9
-
-    def test_singular_map_rejected(self):
-        full = to_superoperator(dephasing(math.sqrt(0.5)))
-        with pytest.raises(SingularMapError):
-            intermediate_map(full, full)
-
-
 class TestCpWitness:
     def test_builtin_channels_are_cp(self, rng):
         chans = [
@@ -302,106 +224,24 @@ class TestCpWitness:
             KrausChannel(2, random_channel_ops(rng, 2, 4), label="rank4"),
         ]
         for ch in chans:
-            assert cp_witness(to_superoperator(ch)) >= -1e-9
+            assert choi_min_eigenvalue(unit_images(ch.operators, 2)) >= -1e-9
 
     def test_identity_choi(self):
-        s = Superoperator(np.eye(4), 2)
-        choi = choi_matrix(s)
+        # the identity map's Choi matrix is the projector |00> + |11> times its
+        # adjoint, with eigenvalues 2, 0, 0, 0
+        images = unit_images([PAULI_I], 2)
         bell = np.zeros(4)
         bell[0] = bell[3] = 1.0
+        choi = images.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
         assert np.allclose(choi, np.outer(bell, bell), atol=1e-12)
-        eigs = np.linalg.eigvalsh(choi)
-        assert abs(eigs.min()) <= 1e-9 and abs(eigs.max() - 2.0) < 1e-12
+        assert abs(choi_min_eigenvalue(images)) <= 1e-12
 
     def test_transpose_map_detected(self):
-        # superoperator of rho -> rho^T under column stacking is the swap matrix
-        swap = np.zeros((4, 4))
-        for i in range(2):
-            for j in range(2):
-                swap[i * 2 + j, j * 2 + i] = 1.0
-        witness = cp_witness(Superoperator(swap, 2))
+        # the transpose map sends |i><j| to |j><i|; its Choi matrix is the SWAP
+        images = np.eye(4, dtype=complex).reshape(4, 2, 2).transpose(0, 2, 1)
+        witness = choi_min_eigenvalue(images)
         assert witness < 0
         assert abs(witness - (-1.0)) < 1e-12
-
-
-class TestSequentialFactors:
-    def test_unitary_channel_single_factor(self, rng):
-        h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-        factors = sequential_factors(KrausChannel(2, [h], label="h"))
-        assert len(factors) == 1
-        rho = qstate(random_density(rng))
-        out = apply_channel(factors[0], rho)
-        assert np.allclose(out.matrix, h @ rho.matrix @ h.conj().T, atol=1e-12)
-
-    def test_pauli_factor_complements_exact(self):
-        eps = 0.02
-        factors = sequential_factors(pauli_channel(eps, eps, eps))
-        # jump factors carry sqrt(1-eps) I as the complement
-        for f in factors[1:]:
-            assert np.allclose(
-                f.operators[1], math.sqrt(1 - eps) * np.eye(2), atol=1e-12
-            )
-        for f in factors:
-            report = validate(f)
-            assert report.passed and report.deviation <= 1e-9
-
-    def test_first_order_mode_tracks_expansion(self):
-        eps = 0.03
-        factors = sequential_factors(pauli_channel(eps, eps, eps), mode="first-order")
-        gram = eps * np.eye(2)
-        assert np.allclose(factors[1].operators[1], np.eye(2) - gram / 2, atol=1e-15)
-        # trace preserving only to first order: deviation ~ eps^2/4 * ||I||
-        report = validate(factors[1])
-        assert not report.passed
-        assert report.deviation == pytest.approx(eps**2 / 4 * math.sqrt(2), rel=1e-6)
-
-    def test_composition_error_is_second_order(self, rng):
-        states = [random_density(rng) for _ in range(20)]
-        errs = []
-        for eps in (0.04, 0.02, 0.01):
-            ch = pauli_channel(eps, eps, eps)
-            factors = sequential_factors(ch)
-            ds = []
-            for rho in states:
-                acc = rho
-                for f in factors:
-                    acc = kraus_apply(f.operators, acc)
-                direct = kraus_apply(ch.operators, rho)
-                ds.append(
-                    0.5 * np.abs(np.linalg.eigvalsh(acc - direct)).sum()
-                )
-            errs.append(np.mean(ds))
-        assert 3.5 <= errs[0] / errs[1] <= 4.5
-        assert 3.5 <= errs[1] / errs[2] <= 4.5
-
-    def test_damping_factors_compose_close_and_cptp(self, rng):
-        ch = amplitude_damping(0.3)
-        factors = sequential_factors(ch)
-        for f in factors:
-            assert validate(f).deviation <= 1e-9
-        # composed map stays completely positive and trace preserving
-        s = np.eye(4, dtype=complex)
-        for f in factors:
-            s = to_superoperator(f).matrix @ s
-        assert cp_witness(Superoperator(s, 2)) >= -1e-9
-        for _ in range(20):
-            rho = random_density(rng)
-            acc = rho
-            for f in factors:
-                acc = kraus_apply(f.operators, acc)
-            direct = kraus_apply(ch.operators, rho)
-            dist = 0.5 * np.abs(np.linalg.eigvalsh(acc - direct)).sum()
-            assert dist <= 0.05
-            assert abs(np.trace(acc) - 1) < 1e-12
-
-    def test_singular_value_above_one_rejected(self):
-        bad = KrausChannel(2, [1.2 * PAULI_X])
-        with pytest.raises(DecompositionError):
-            sequential_factors(bad)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ParameterError):
-            sequential_factors(amplitude_damping(0.2), mode="zeroth")
 
 
 class TestChannelFiles:

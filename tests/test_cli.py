@@ -299,6 +299,14 @@ class TestMainRuns:
         rows = (tmp_path / "seq.csv").read_text().splitlines()
         assert len(rows) == 12
 
+    def test_sequential_pauli_nan_probability_exits_2(self, tmp_path, monkeypatch, capsys):
+        argv = ["--channel", "pauli", "--mode", "sequential", "--px", "nan", "--csv", "seq.csv"]
+        assert run_main_in(tmp_path, monkeypatch, argv) == 2
+        assert capsys.readouterr().err == (
+            "config error: probability px = nan is not a finite number\n"
+        )
+        assert not (tmp_path / "seq.csv").exists()
+
     def test_custom_channel_file(self, tmp_path, monkeypatch):
         ch = KrausChannel(2, [math.sqrt(0.9) * np.eye(2), math.sqrt(0.1) * PAULI_X])
         save_channel(ch, tmp_path / "chan.json")

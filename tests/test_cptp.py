@@ -1,11 +1,11 @@
 """Every builder's step is a CPTP map, in both forms of its compiled program.
 
-A form's map is taken as the d^2 x d^2 column-stacking matrix S whose
-column i + j d is the program's image of |i><j|, all d^2 units run through
-one :func:`run_compiled` call: d is the whole register (d <= 16) for the
-full layout and the carried register for the form ``evolve`` runs. Its Choi
-matrix must be positive semidefinite and each image must keep the trace of
-|i><j|, which is delta_ij.
+A form's map is given by its images of the d^2 units |i><j|, stacked at
+i d + j and run through one :func:`run_compiled` call: d is the whole
+register (d <= 16) for the full layout and the carried register for the
+form ``evolve`` runs. The Choi matrix built from those images must be
+positive semidefinite and each image must keep the trace of |i><j|, which
+is delta_ij.
 """
 
 import math
@@ -14,7 +14,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oqsim.channels import KrausChannel, Superoperator, cp_witness
+from oqsim.channels import KrausChannel
 from oqsim.circuit import (
     MemorySpec,
     build_dilation_step,
@@ -25,7 +25,7 @@ from oqsim.circuit import (
     run_compiled,
 )
 
-from conftest import random_channel_ops
+from conftest import choi_min_eigenvalue, random_channel_ops
 
 KINDS = st.sampled_from(["amplitude-damping", "dephasing"])
 ANGLES = st.floats(0.0, 2.0 * math.pi, exclude_max=True)
@@ -68,9 +68,7 @@ def _assert_cptp(program):
     units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)  # |i><j| at i d + j
     images = run_compiled(program, units)
     assert np.max(np.abs(np.trace(images, axis1=1, axis2=2) - np.eye(d).ravel())) <= 1e-12
-    order = np.arange(d * d).reshape(d, d).T.ravel()  # column i + j d holds |i><j|
-    s = images[order].transpose(0, 2, 1).reshape(d * d, d * d).T
-    assert cp_witness(Superoperator(s, d)) >= -1e-9
+    assert choi_min_eigenvalue(images) >= -1e-9
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

@@ -8,14 +8,12 @@ from oqsim.qmath import (
     DensityMatrix,
     DimensionMismatchError,
     InvalidStateError,
-    PSDViolationError,
     UnknownWireError,
     Wire,
     is_hermitian,
     is_unitary,
     partial_trace,
     partial_trace_matrix,
-    psd_sqrt,
     tensor_product,
     trace_distance,
 )
@@ -173,41 +171,6 @@ class TestPartialTrace:
         )
         red = partial_trace(rho, "A")
         assert abs(np.trace(red.matrix) - 1.0) < 1e-10
-
-
-class TestPsdSqrt:
-    def test_identity(self):
-        assert np.allclose(psd_sqrt(np.eye(3)), np.eye(3), atol=1e-12)
-
-    def test_diagonal(self):
-        assert np.allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-12)
-
-    def test_damping_complement(self):
-        gamma = 0.3
-        omega1 = np.zeros((2, 2), dtype=complex)
-        omega1[0, 1] = gamma
-        got = psd_sqrt(np.eye(2) - omega1.conj().T @ omega1)
-        assert np.allclose(got, np.diag([1.0, np.sqrt(1 - gamma**2)]), atol=1e-12)
-
-    @pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
-    def test_square_recovers_input(self, rng, n):
-        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        m = g @ g.conj().T
-        m /= np.trace(m).real
-        s = psd_sqrt(m)
-        assert np.linalg.norm(s @ s - m) <= 1e-9
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(PSDViolationError):
-            psd_sqrt([[0, 1], [0, 0]])
-
-    def test_negative_eigenvalue_rejected(self):
-        with pytest.raises(PSDViolationError):
-            psd_sqrt(np.diag([1.0, -1e-6]))
-
-    def test_tiny_negative_clamped(self):
-        s = psd_sqrt(np.diag([1.0, -5e-10]))
-        assert np.allclose(s, np.diag([1.0, 0.0]), atol=1e-5)
 
 
 class TestTraceDistance:
