@@ -66,26 +66,20 @@ def blp_witness(
 
 @dataclass(frozen=True)
 class ResourceReport:
-    """Counted resources of a step circuit plus comparison metadata.
+    """Counted resources of a step circuit.
 
     ``gates_per_step`` counts every directive (trace-reset and SWAP are one
-    each); ``unitary_gates_per_step`` excludes resets, which matches a
-    two-gates-per-operator count for the sequential builders.
+    each); ``unitary_gates_per_step`` excludes resets: for a sequential step,
+    one X on c plus three gates per operator that is not the identity.
     """
 
     qubit_count: int
     gates_per_step: int
     unitary_gates_per_step: int
     total_gates: int
-    method: str
-    k: int
-    l: int
 
     def as_text(self) -> str:
         lines = [
-            f"method = {self.method}",
-            f"k = {self.k}",
-            f"l = {self.l}",
             f"qubit_count = {self.qubit_count}",
             f"gates_per_step = {self.gates_per_step}",
             f"unitary_gates_per_step = {self.unitary_gates_per_step}",
@@ -94,15 +88,8 @@ class ResourceReport:
         return "\n".join(lines) + "\n"
 
 
-_METHODS = ("direct-dilation", "sequential")
-
-
-def resource_count(
-    step: StepCircuit, steps: int, method: str, k: int, l: int
-) -> ResourceReport:
-    """Count the wires and ops of a step and tag them for comparison."""
-    if method not in _METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {_METHODS}")
+def resource_count(step: StepCircuit, steps: int) -> ResourceReport:
+    """Count the qubits and ops of a step, and its ops over ``steps`` steps."""
     qubits = 0
     for w in step.layout:
         nq = int(round(math.log2(w.dim)))
@@ -116,7 +103,4 @@ def resource_count(
         gates_per_step=per_step,
         unitary_gates_per_step=per_step - resets,
         total_gates=steps * per_step,
-        method=method,
-        k=k,
-        l=l,
     )

@@ -96,8 +96,7 @@ def _require_valid(ch: KrausChannel):
 
 
 def _drop_zero_operators(ops):
-    kept = [op for op in ops if np.linalg.norm(op) > 0.0]
-    return kept if kept else list(ops)
+    return [op for op in ops if np.linalg.norm(op) > 0.0]
 
 
 def _checked_gamma(gamma) -> float:

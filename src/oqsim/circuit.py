@@ -232,27 +232,19 @@ class StepCircuit:
 _COIN_GATES = {"amplitude-damping": (("q",), "CRy", "CNOT"), "dephasing": ((), "Ry", "CZ")}
 
 
-def _env_wires(k: int) -> list[str]:
-    """Environment labels: ``e`` for a memoryless step, ``e1..ek`` with memory."""
-    return [f"e{i}" for i in range(1, k + 1)] if k > 1 else ["e"]
-
-
-def _swap_chain(env) -> list[GateOp]:
-    """SWAPs shifting the register so e_{i+1}'s content moves onto e_i."""
-    return [GateOp.swap(a, b) for a, b in zip(env, env[1:])]
-
-
 def _check_kind(kind: str) -> None:
     if kind not in _COIN_GATES:
         raise BuilderError(f"unknown kind {kind!r}; expected one of {tuple(_COIN_GATES)}")
 
 
 def _coin_step(kind: str, thetas, label: str) -> StepCircuit:
-    """Coin step on q and e_1..e_k, k = len(thetas); k=1 is the memoryless step."""
+    """Coin step on q and e_1..e_k, k = len(thetas); k=1 is the memoryless step, on wire e.
+    After the reset, SWAPs shift the register so e_{i+1}'s content moves onto e_i."""
     controls, storage, coupling = _COIN_GATES[kind]
-    env = _env_wires(len(thetas))
+    env = [f"e{i}" for i in range(1, len(thetas) + 1)] if len(thetas) > 1 else ["e"]
     ops = [GateOp.gate(storage, controls + (e,), t) for e, t in zip(env, thetas)]
-    ops += [GateOp.gate(coupling, (env[0], "q")), GateOp.reset(env[0]), *_swap_chain(env)]
+    ops += [GateOp.gate(coupling, (env[0], "q")), GateOp.reset(env[0])]
+    ops += [GateOp.swap(a, b) for a, b in zip(env, env[1:])]
     return StepCircuit(label, tuple(Wire(w) for w in ("q", *env)), ("q",), ops)
 
 
@@ -305,9 +297,7 @@ def _coupling_op(unitary: np.ndarray, wires) -> GateOp | None:
     )
 
 
-def build_sequential_step(
-    ch: ch_mod.KrausChannel, mem: MemorySpec | None = None
-) -> StepCircuit:
+def build_sequential_step(ch: ch_mod.KrausChannel) -> StepCircuit:
     """Apply a channel's Kraus operators one at a time on wires {c, q, e}.
 
     Each operator must be a scaled unitary ``w U``.  Per factor: a rotation
@@ -320,11 +310,6 @@ def build_sequential_step(
     on the live branch.  c starts each step raised by an X and is traced
     out at the end; the ancilla count stays at 2 however many operators the
     channel has.
-
-    With a memory spec, uncontrolled storage rotations with angles
-    theta^2..theta^k act on extra wires e_2..e_k and the SWAP chain shifts
-    them after the factor loop, mirroring the memory variant of the named
-    builders.
     """
     if ch.dim != 2:
         raise BuilderError("sequential steps support single-qubit channels only")
@@ -343,25 +328,20 @@ def build_sequential_step(
                 "use stinespring_dilate for general channels"
             )
         parts.append(split)
-    env = _env_wires(mem.k if mem is not None else 1)
-    coupling_wire = env[0]
     ops = [GateOp.gate("X", ("c",))]
-    for i in range(1, len(env)):
-        ops.append(GateOp.gate("Ry", (env[i],), mem.thetas[i]))
     live = 1.0  # squared amplitude left on the branch where no factor has fired
     for w, unitary in parts:
-        coupling = _coupling_op(unitary, (coupling_wire, "q"))
+        coupling = _coupling_op(unitary, ("e", "q"))
         if coupling is None:
             continue
         theta = 2.0 * math.asin(min(w / math.sqrt(live), 1.0) if live > 0.0 else 1.0)
         live -= w * w
-        ops.append(GateOp.gate("CRy", ("c", coupling_wire), theta))
+        ops.append(GateOp.gate("CRy", ("c", "e"), theta))
         ops.append(coupling)
-        ops.append(GateOp.gate("CNOT", (coupling_wire, "c")))
-        ops.append(GateOp.reset(coupling_wire))
-    ops += _swap_chain(env)
+        ops.append(GateOp.gate("CNOT", ("e", "c")))
+        ops.append(GateOp.reset("e"))
     ops.append(GateOp.reset("c"))
-    layout = tuple(Wire(w) for w in ("c", "q", *env))
+    layout = tuple(Wire(w) for w in ("c", "q", "e"))
     return StepCircuit(f"sequential-{ch.label}", layout, ("q",), ops)
 
 
@@ -435,14 +415,18 @@ def compile_step(step: StepCircuit, full: bool = False):
     whenever r exceeds the live rows times d_c, and at the end, with the carried axes in
     layout order, to r <= d_c^2.  ``kraus`` is K, ``(r, d_c, d_c)``; ``adjoints`` the K_j^dag
     stacked, ``(r d_c, d_c)``; ``superop`` sum_j K_j (x) conj(K_j) on the row-major vec(rho)
-    when d_c <= r makes it the smaller product, else None.
+    when d_c <= r makes it the smaller product, else None.  A d_c too large to allocate
+    raises :class:`MemoryError`.
     """
     dims = [w.dim for w in step.layout]
     fresh = () if full else _fresh(step)
     carried = tuple(i for i in range(len(dims)) if i not in fresh)
     dc = math.prod(dims[i] for i in carried)
     live = list(carried)  # the wire of each row axis
-    acc = np.eye(dc, dtype=complex).reshape([dims[i] for i in carried] + [dc])
+    try:
+        acc = np.eye(dc, dtype=complex).reshape([dims[i] for i in carried] + [dc])
+    except ValueError as exc:  # a shape beyond numpy's index range
+        raise MemoryError(str(exc)) from None
     for op in step.ops:
         positions = [wire_index(step.layout, w) for w in op.wires]
         if op.kind == "unitary-apply":

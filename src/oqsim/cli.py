@@ -110,8 +110,10 @@ def _observable_names(key, text):
     names = tuple(n.strip() for n in text.split(",") if n.strip())
     if not names:
         raise ConfigError("observables must name at least one of p0, p1, p+, p-")
-    for n in names:
+    for i, n in enumerate(names):
         engine.projector_observable(n)
+        if n in names[:i]:
+            raise ConfigError(f"observable {n!r} is named twice")
     return names
 
 
@@ -364,7 +366,7 @@ def _sequential_channel(cfg: ExperimentConfig) -> channels.KrausChannel:
 
 
 def _build_arm(cfg: ExperimentConfig, mode: str):
-    """Returns (step circuit, resource method, k, l)."""
+    """Returns (step circuit, method, k, l), the last three printed above its resource report."""
     if mode == "markovian":
         step = circuit.build_markovian_step(cfg.channel, cfg.theta)
         return step, "direct-dilation", 1, 2
@@ -401,12 +403,8 @@ def _resource_comparison_table() -> str:
     for l in (2, 4, 8, 16):
         ops = [math.sqrt(1.0 / l) * paulis[i % 3] for i in range(l)]
         ch = channels.KrausChannel(2, ops, label=f"synthetic-l{l}")
-        seq = analysis.resource_count(
-            circuit.build_sequential_step(ch), 1, "sequential", 1, l
-        )
-        dil = analysis.resource_count(
-            circuit.build_dilation_step(ch), 1, "direct-dilation", 1, l
-        )
+        seq = analysis.resource_count(circuit.build_sequential_step(ch), 1)
+        dil = analysis.resource_count(circuit.build_dilation_step(ch), 1)
         lines.append(
             f"{l:<2} {seq.qubit_count:>17} {dil.qubit_count:>16} "
             f"{seq.gates_per_step:>25}"
@@ -433,8 +431,8 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         if ("circuit", arm) in paths:
             _atomic_write(paths["circuit", arm], circuit.dump_circuit(step))
             print(f"[{cfg.label}/{arm}] wrote {paths['circuit', arm]}")
-        report = analysis.resource_count(step, cfg.steps, method, k, l)
-        print(report.as_text(), end="")
+        print(f"method = {method}\nk = {k}\nl = {l}")
+        print(analysis.resource_count(step, cfg.steps).as_text(), end="")
         verdict = analysis.monotonicity_check(traj, cfg.observables[0])
         print(
             f"[{cfg.label}/{arm}] {cfg.observables[0]} monotone: {verdict.monotone}"

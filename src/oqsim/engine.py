@@ -194,11 +194,15 @@ def run(
     initial state.  The trajectory is the checked stack :func:`evolve`
     returns for the one initial state, measured in one pass; the first
     state that breaks an invariant raises :class:`NumericalViolationError`
-    with its step, so that long runs cannot silently drift.
+    with its step, so that long runs cannot silently drift.  Two observables
+    with one name raise :class:`ValueError`.
     """
     if steps < 1:
         raise ValueError(f"step count {steps} must be >= 1")
     sys_dim = rho0_system.dim
+    names = [obs.name for obs in observables]
+    if len(set(names)) != len(names):
+        raise ValueError(f"observable names {names} repeat a name")
     for obs in observables:
         if obs.projector.shape[0] != sys_dim:
             raise DimensionMismatchError(
@@ -213,7 +217,6 @@ def run(
     values = np.einsum("oij,nji->no", projectors, states).real.tolist()
     traces = np.einsum("nii->n", states).real.tolist()
     purities = _purities(states).tolist()
-    names = [obs.name for obs in observables]
     records = tuple(
         StepRecord(step=n, values=dict(zip(names, row)), trace=tr, purity=pu)
         for n, (row, tr, pu) in enumerate(zip(values, traces, purities))

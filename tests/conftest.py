@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from oqsim.circuit import GateOp, StepCircuit, build_sequential_step
 from oqsim.qmath import DensityMatrix, Wire
 
 
@@ -199,3 +200,23 @@ def proj(v):
 
 def qstate(matrix, label="q"):
     return DensityMatrix(matrix, (Wire(label),))
+
+
+def sequential_with_storage(ch, theta2, theta3):
+    """The sequential step of ``ch`` on c, q, e1, e2, e3: ``Ry(theta2)`` on e2 and
+    ``Ry(theta3)`` on e3 after c's X, the factor ops on e1, then SWAP e1<->e2 and
+    SWAP e2<->e3 before c's reset.
+
+    q sits between two traced blocks, and the compiled map has r = 16 > d_c = 8
+    operators, so its factor and dense paths both run.
+    """
+    plain = build_sequential_step(ch)
+    x, *factor_ops, reset_c = [
+        GateOp(op.kind, ["e1" if w == "e" else w for w in op.wires],
+               name=op.name, matrix=op.matrix, theta=op.theta)
+        for op in plain.ops
+    ]
+    ops = [x, GateOp.gate("Ry", ("e2",), theta2), GateOp.gate("Ry", ("e3",), theta3),
+           *factor_ops, GateOp.swap("e1", "e2"), GateOp.swap("e2", "e3"), reset_c]
+    layout = tuple(Wire(w) for w in ("c", "q", "e1", "e2", "e3"))
+    return StepCircuit(plain.label, layout, ("q",), ops)

@@ -189,8 +189,8 @@ def test_criterion_7_resource_claim():
     for l in ranks:
         ops = [math.sqrt(1.0 / l) * paulis[i % 3] for i in range(l)]
         ch = KrausChannel(2, ops, label=f"synthetic-l{l}")
-        seq = resource_count(build_sequential_step(ch), 1, "sequential", 1, l)
-        dil = resource_count(build_dilation_step(ch), 1, "direct-dilation", 1, l)
+        seq = resource_count(build_sequential_step(ch), 1)
+        dil = resource_count(build_dilation_step(ch), 1)
         seq_qubits.append(seq.qubit_count)
         dil_env.append(dil.qubit_count - 1)
         seq_gates.append(seq.gates_per_step)

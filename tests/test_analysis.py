@@ -112,6 +112,11 @@ class TestBlpWitness:
             )
             assert w >= 0.0
 
+    def test_register_beyond_numpy_shapes_raises_memory_error(self):
+        step = build_nonmarkovian_step("dephasing", MemorySpec(40, (0.1,) * 40))
+        with pytest.raises(MemoryError):
+            blp_witness(step, qstate(proj(KET0)), qstate(proj(KET1)), 5)
+
     def test_layout_mismatch(self):
         step = build_markovian_step("dephasing", 0.5)
         a = qstate(proj(KET0))
@@ -125,7 +130,7 @@ class TestBlpWitness:
 class TestResourceCount:
     def test_markovian_step_counts(self):
         step = build_markovian_step("amplitude-damping", math.pi / 10)
-        report = resource_count(step, 50, "direct-dilation", 1, 2)
+        report = resource_count(step, 50)
         assert report.qubit_count == 2
         assert report.gates_per_step == 3
         assert report.unitary_gates_per_step == 2
@@ -135,7 +140,7 @@ class TestResourceCount:
         step = build_nonmarkovian_step(
             "amplitude-damping", MemorySpec(3, (0.1, 0.2, 0.3))
         )
-        report = resource_count(step, 10, "direct-dilation", 3, 2)
+        report = resource_count(step, 10)
         assert report.qubit_count == 4
         assert report.gates_per_step == 7
 
@@ -145,8 +150,8 @@ class TestResourceCount:
         for l in (2, 4, 8, 16):
             ops = [math.sqrt(1.0 / l) * paulis[i % 3] for i in range(l)]
             ch = KrausChannel(2, ops, label=f"l{l}")
-            seq = resource_count(build_sequential_step(ch), 1, "sequential", 1, l)
-            dil = resource_count(build_dilation_step(ch), 1, "direct-dilation", 1, l)
+            seq = resource_count(build_sequential_step(ch), 1)
+            dil = resource_count(build_dilation_step(ch), 1)
             seq_qubits.append(seq.qubit_count)
             dil_qubits.append(dil.qubit_count)
             seq_gates.append(seq.gates_per_step)
@@ -157,19 +162,14 @@ class TestResourceCount:
         ratios = [g / l for g, l in zip(seq_gates, (2, 4, 8, 16))]
         assert max(ratios) <= 5 and min(ratios) >= 3
 
-    def test_formula_validation(self):
-        step = build_markovian_step("dephasing", 0.1)
-        with pytest.raises(ValueError):
-            resource_count(step, 1, "magic", 1, 2)
-
     def test_wire_dim_must_be_a_power_of_two(self):
         step = StepCircuit("qutrit", (Wire("q", 3),), ("q",), [])
         with pytest.raises(ValueError, match=r"^wire 'q' dim 3 is not a power of two$"):
-            resource_count(step, 1, "direct-dilation", 1, 2)
+            resource_count(step, 1)
 
     def test_report_text_block(self):
         step = build_markovian_step("dephasing", 0.1)
-        text = resource_count(step, 5, "direct-dilation", 1, 2).as_text()
+        text = resource_count(step, 5).as_text()
         assert "qubit_count = 2" in text
         assert "gates_per_step = 3" in text
         assert "total_gates = 15" in text

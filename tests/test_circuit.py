@@ -415,13 +415,6 @@ class TestSequentialStep:
         with pytest.raises(BuilderError):
             build_sequential_step(KrausChannel(3, [u]))
 
-    def test_memory_variant_shape(self):
-        ch = pauli_channel(0.02, 0.02, 0.02)
-        step = build_sequential_step(ch, MemorySpec(3, (0.0, 0.3, 0.5)))
-        assert step.wire_labels == ("c", "q", "e1", "e2", "e3")
-        kinds = [op.kind for op in step.ops]
-        assert kinds.count("swap") == 2
-
 
 class TestDilationStep:
     def test_matches_channel(self, rng):

@@ -148,6 +148,14 @@ class TestParseConfig:
             parse_config(path)
         assert str(err.value).startswith(f"{path}:2: ")
 
+    def test_repeated_observable_rejected_at_its_line(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "exp.cfg").write_text("preset = fig6\nobservables = p1, p0, p1\n")
+        assert run_main_in(tmp_path, monkeypatch, ["--config", "exp.cfg", "--csv", "x.csv"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: exp.cfg:2: observable 'p1' is named twice\n"
+        )
+        assert os.listdir(tmp_path) == ["exp.cfg"]
+
     def test_sequential_requires_pauli_or_custom(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("channel = dephasing\nmode = sequential\ntheta = pi/5\n")
@@ -619,6 +627,17 @@ class TestExitCodes:
             "config error: the nonmarkovian run (register dimension 16, 50 steps) "
             "does not fit in memory\n"
         )
+
+    @pytest.mark.parametrize("k", [30, 70])
+    def test_memory_order_beyond_numpy_shapes_exits_2(self, tmp_path, monkeypatch, capsys, k):
+        argv = ["--channel", "amplitude-damping", "--mode", "non-markovian",
+                "--thetas", ",".join(["0.1"] * k), "--steps", "3", "--csv", "x.csv"]
+        assert run_main_in(tmp_path, monkeypatch, argv) == 2
+        assert capsys.readouterr().err == (
+            f"config error: the nonmarkovian run (register dimension {2 ** (k + 1)}, 3 steps) "
+            "does not fit in memory\n"
+        )
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("steps", ["99999999999999999999", str(2**58)])
     def test_step_count_beyond_numpy_shapes_exits_2(self, tmp_path, monkeypatch, capsys, steps):

@@ -28,7 +28,14 @@ from oqsim.circuit import (
 from oqsim.engine import evolve
 from oqsim.qmath import DensityMatrix, Wire
 
-from conftest import dense_apply, dense_maps, dense_trajectory, random_channel_ops, random_density
+from conftest import (
+    dense_apply,
+    dense_maps,
+    dense_trajectory,
+    random_channel_ops,
+    random_density,
+    sequential_with_storage,
+)
 
 KINDS = ("amplitude-damping", "dephasing")
 THETAS = (math.pi / 10, 2 * math.pi / 3, 5 * math.pi / 6, math.pi / 4, 1.1)
@@ -62,7 +69,7 @@ def _steps():
             )
     pauli = pauli_channel(0.05, 0.1, 0.15)
     steps["sequential"] = build_sequential_step(pauli)
-    steps["sequential-memory-k3"] = build_sequential_step(pauli, MemorySpec(3, THETAS[:3]))
+    steps["sequential-memory-k3"] = sequential_with_storage(pauli, *THETAS[1:3])
     steps["sequential-l16"] = build_sequential_step(_mixed_unitary(3, 16))
     ops = random_channel_ops(np.random.default_rng(5), n=4, l=3)
     steps["dilation-2-qubit"] = build_dilation_step(KrausChannel(4, ops, label="rand4"))

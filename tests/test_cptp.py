@@ -49,10 +49,8 @@ STEPS = st.one_of(
         KINDS, st.lists(ANGLES, min_size=2, max_size=3),
     ),
     st.builds(
-        lambda seed, l, memory: build_sequential_step(
-            _mixed_unitary(seed, l), None if memory is None else MemorySpec(2, memory)
-        ),
-        SEEDS, st.integers(1, 4), st.none() | st.tuples(ANGLES, ANGLES),
+        lambda seed, l: build_sequential_step(_mixed_unitary(seed, l)),
+        SEEDS, st.integers(1, 4),
     ),
     st.builds(
         lambda seed, l: build_dilation_step(

@@ -105,6 +105,11 @@ class TestRun:
         with pytest.raises(DimensionMismatchError):
             run(step, rho, 3, [PPLUS])
 
+    def test_repeated_observable_name_rejected(self):
+        step = build_markovian_step("dephasing", 0.3)
+        with pytest.raises(ValueError, match="repeat"):
+            run(step, qstate(proj(KET0)), 3, [PPLUS, projector_observable("p0"), PPLUS])
+
     def test_step_count_validation(self):
         step = build_markovian_step("dephasing", 0.3)
         with pytest.raises(ValueError):

@@ -29,6 +29,7 @@ from conftest import (
     dense_trajectory,
     random_channel_ops,
     random_density,
+    sequential_with_storage,
 )
 
 KINDS = ("amplitude-damping", "dephasing")
@@ -47,7 +48,7 @@ def _steps():
     pauli = pauli_channel(0.05, 0.1, 0.15)
     # layout (c, q, e..): q sits between two traced blocks
     steps["sequential"] = build_sequential_step(pauli)
-    steps["sequential-memory-k3"] = build_sequential_step(pauli, MemorySpec(3, THETAS[:3]))
+    steps["sequential-memory-k3"] = sequential_with_storage(pauli, *THETAS[1:3])
     ops = random_channel_ops(np.random.default_rng(5), n=2, l=4)
     steps["dilation"] = build_dilation_step(KrausChannel(2, ops, label="rand2"))
     return steps
