@@ -2,7 +2,7 @@
 
 Modules:
   qmath     - dense complex linear algebra over wire registers
-  channels  - Kraus channels: builders, validation, application, dilation
+  channels  - complete Kraus channels: builders, application, dilation
   circuit   - gate library, step-circuit builders and the step compiler
   engine    - trajectory runner
   analysis  - memory diagnostics and resource accounting
@@ -23,7 +23,6 @@ from .channels import (
     dephasing,
     pauli_channel,
     stinespring_dilate,
-    validate,
 )
 from .circuit import (
     GateOp,

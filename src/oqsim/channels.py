@@ -1,4 +1,4 @@
-"""Kraus channels: construction, validation, application and dilation.
+"""Kraus channels: construction, application and dilation.
 
 A channel is its ordered Kraus operators; this module builds no matrix
 form of it.  The package's one superoperator is the one
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,26 +37,38 @@ class InvalidChannelError(ValueError):
 
 
 class KrausChannel:
-    """Ordered set of Kraus operators on a fixed dimension."""
+    """Ordered Kraus operators on a fixed dimension, complete by construction: an
+    entry not finite or above 1 + 1e-9 in modulus, or a Frobenius deviation of
+    ``sum K^dag K`` from I above 1e-9, raises :class:`InvalidChannelError`."""
 
     __slots__ = ("dim", "operators", "label")
 
     def __init__(self, dim: int, operators, label: str = ""):
+        label = str(label)
         ops = []
-        for op in operators:
+        for i, op in enumerate(operators):
             a = as_complex_matrix(op)
             if a.shape[0] != dim:
                 raise DimensionMismatchError(
                     f"operator dim {a.shape[0]} does not match channel dim {dim}"
+                )
+            if not (np.abs(a) <= 1.0 + COMPLETENESS_ATOL).all():
+                raise InvalidChannelError(
+                    f"operator {i} of channel {label!r} has an entry not finite or above 1"
                 )
             a = a.copy()
             a.flags.writeable = False
             ops.append(a)
         if not ops:
             raise InvalidChannelError("a channel needs at least one operator")
+        dev = float(np.linalg.norm(sum(a.conj().T @ a for a in ops) - np.eye(dim)))
+        if dev > COMPLETENESS_ATOL:
+            raise InvalidChannelError(
+                f"channel {label!r} completeness deviation {dev:.3e} exceeds {COMPLETENESS_ATOL}"
+            )
         object.__setattr__(self, "dim", int(dim))
         object.__setattr__(self, "operators", tuple(ops))
-        object.__setattr__(self, "label", str(label))
+        object.__setattr__(self, "label", label)
 
     def __setattr__(self, name, value):
         raise AttributeError("KrausChannel is immutable")
@@ -67,32 +78,6 @@ class KrausChannel:
 
     def __repr__(self):
         return f"KrausChannel({self.label!r}, dim={self.dim}, l={len(self)})"
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of the completeness check sum_i K_i^dag K_i = I."""
-
-    deviation: float
-    passed: bool
-
-
-def validate(ch: KrausChannel) -> ValidationReport:
-    """Report the Frobenius deviation of sum K^dag K from the identity."""
-    acc = np.zeros((ch.dim, ch.dim), dtype=complex)
-    for op in ch.operators:
-        acc += op.conj().T @ op
-    dev = float(np.linalg.norm(acc - np.eye(ch.dim)))
-    return ValidationReport(deviation=dev, passed=dev <= COMPLETENESS_ATOL)
-
-
-def _require_valid(ch: KrausChannel):
-    report = validate(ch)
-    if not report.passed:
-        raise InvalidChannelError(
-            f"channel {ch.label!r} completeness deviation {report.deviation:.3e} "
-            f"exceeds {COMPLETENESS_ATOL}"
-        )
 
 
 def _drop_zero_operators(ops):
@@ -156,17 +141,14 @@ def pauli_channel(px: float, py: float, pz: float) -> KrausChannel:
 
 
 def apply_channel(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
-    """Apply ``rho -> sum_i K_i rho K_i^dag``."""
+    """Apply ``rho -> sum_i K_i rho K_i^dag``; a channel is complete from its construction."""
     if ch.dim != rho.dim:
         raise DimensionMismatchError(f"channel dim {ch.dim} does not match state dim {rho.dim}")
-    _require_valid(ch)
     return DensityMatrix(sum(op @ rho.matrix @ op.conj().T for op in ch.operators), rho.layout)
 
 
 def environment_dim(num_operators: int) -> int:
     """Smallest power of two able to index the Kraus operators."""
-    if num_operators < 1:
-        raise ParameterError("need at least one operator")
     return 1 << max(0, (num_operators - 1).bit_length())
 
 
@@ -181,7 +163,6 @@ def stinespring_dilate(ch: KrausChannel) -> np.ndarray:
     result is deterministic.  These completion columns differ from those
     of a Gram-Schmidt completion over canonical basis vectors.
     """
-    _require_valid(ch)
     n = ch.dim
     ed = environment_dim(len(ch.operators))
     u = np.zeros((n * ed, n * ed), dtype=complex)
@@ -227,7 +208,11 @@ def save_channel(ch: KrausChannel, path) -> None:
 
 
 def load_channel(path) -> KrausChannel:
-    """Read a channel spec file written by :func:`save_channel`."""
+    """Read a channel spec file written by :func:`save_channel`.
+
+    A malformed file, or operators :class:`KrausChannel` refuses (an incomplete
+    set among them), raise :class:`InvalidChannelError` while loading.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):

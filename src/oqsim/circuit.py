@@ -313,12 +313,6 @@ def build_sequential_step(ch: ch_mod.KrausChannel) -> StepCircuit:
     """
     if ch.dim != 2:
         raise BuilderError("sequential steps support single-qubit channels only")
-    report = ch_mod.validate(ch)
-    if not report.passed:
-        raise BuilderError(
-            f"channel {ch.label!r} completeness deviation {report.deviation:.3e} "
-            f"exceeds {ch_mod.COMPLETENESS_ATOL}"
-        )
     parts = []
     for i, op in enumerate(ch.operators):
         split = ch_mod.scaled_unitary_part(op)

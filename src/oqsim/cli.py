@@ -8,6 +8,7 @@ Angles accept fractions of pi (``pi/10``, ``2pi/3``) and plain decimals.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import re
@@ -451,6 +452,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="simulate",
@@ -499,6 +501,8 @@ def _check_outputs(loaded) -> None:
                 raise OutputError(f"cannot write {out}: No such file or directory")
             if os.path.isdir(out):
                 raise OutputError(f"cannot write {out}: Is a directory")
+            if os.path.exists(out) and not os.path.isfile(out):
+                raise OutputError(f"cannot write {out}: not a regular file")
             j, first_path, first_key = writers.setdefault(os.path.abspath(out), (i, path, key))
             if j != i:
                 raise ConfigError(f"{first_path} and {path} both write {out}")

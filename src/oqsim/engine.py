@@ -36,6 +36,8 @@ class Observable:
 
     def __post_init__(self):
         p = np.asarray(self.projector, dtype=complex)
+        if not (np.abs(p) <= 1.0 + 1e-10).all():  # before any product can overflow
+            raise ValueError(f"projector {self.name!r} has an entry not finite or above 1")
         if not is_hermitian(p):
             raise ValueError(f"projector {self.name!r} is not Hermitian")
         if np.max(np.abs(p @ p - p)) > 1e-10:

@@ -100,7 +100,8 @@ def check_states(stack: np.ndarray, layout) -> None:
 
     Per state, in this order: the wire dimensions multiply to d, the trace
     is 1 within 1e-10, the matrix is Hermitian within 1e-10 (a NaN fails
-    here) and its minimum eigenvalue is >= -1e-9.  Raises
+    here, an infinity here or at the trace, with no numpy warning) and its
+    minimum eigenvalue is >= -1e-9.  Raises
     :class:`InvalidStateError` for the first state that fails, with its
     index; eigenvalues are computed only for the states before the first
     trace or hermiticity failure.
@@ -110,9 +111,10 @@ def check_states(stack: np.ndarray, layout) -> None:
         raise InvalidStateError(
             "layout", f"layout dims {[w.dim for w in layout]} do not multiply to {d}"
         )
-    traces = np.trace(stack, axis1=1, axis2=2)
-    bad_trace = np.abs(traces - 1.0) > VALIDITY_ATOL
-    skew = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf and huge entries
+        traces = np.trace(stack, axis1=1, axis2=2)
+        bad_trace = np.abs(traces - 1.0) > VALIDITY_ATOL
+        skew = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
     bad = np.flatnonzero(bad_trace | ~(skew <= VALIDITY_ATOL))
     first = int(bad[0]) if bad.size else n
     lows = np.linalg.eigvalsh(stack[:first]).min(axis=1)
@@ -133,7 +135,7 @@ class DensityMatrix:
     """Hermitian, unit-trace, PSD matrix over an ordered wire register.
 
     Instances are immutable: the stored matrix is a read-only copy.
-    Construction validates the matrix with :func:`check_states`.
+    Construction checks the matrix with :func:`check_states`.
     """
 
     __slots__ = ("matrix", "layout")

@@ -16,7 +16,6 @@ from oqsim.channels import (
     pauli_channel,
     save_channel,
     stinespring_dilate,
-    validate,
 )
 from oqsim.qmath import DensityMatrix, DimensionMismatchError, Wire, partial_trace
 
@@ -37,21 +36,30 @@ COS2_PI20 = 0.9755282581475768      # 1 - sin(pi/20)^2
 PPLUS_ONE_STEP = 0.9045084971874737  # (1 + (1 - 2 sin(pi/10)^2)) / 2
 
 
-class TestValidate:
+class TestCompleteness:
     def test_identity_passes(self):
-        report = validate(KrausChannel(2, [PAULI_I], label="id"))
-        assert report.passed and report.deviation == 0.0
+        ch = KrausChannel(2, [PAULI_I], label="id")
+        assert len(ch) == 1 and ch.label == "id"
 
     def test_amplitude_damping_passes(self):
-        report = validate(amplitude_damping(0.3))
-        assert report.passed
+        ch = amplitude_damping(0.3)
         # diag(1, 0.91) + diag(0, 0.09) = I
-        assert report.deviation < 1e-15
+        acc = sum(op.conj().T @ op for op in ch.operators)
+        assert np.linalg.norm(acc - np.eye(2)) < 1e-15
 
     def test_incomplete_set_fails(self):
-        report = validate(KrausChannel(2, [0.5 * PAULI_I]))
-        assert not report.passed
-        assert abs(report.deviation - np.linalg.norm(0.75 * np.eye(2))) < 1e-12
+        # deviation ||0.25 I - I||_F = 0.75 sqrt(2)
+        with pytest.raises(
+            InvalidChannelError,
+            match=r"^channel '' completeness deviation 1\.061e\+00 exceeds 1e-09$",
+        ):
+            KrausChannel(2, [0.5 * PAULI_I])
+
+    @pytest.mark.parametrize("entry", [1e308, np.inf, np.nan])
+    def test_entry_not_finite_or_above_one_fails_without_warning(self, entry):
+        # sum K^dag K would overflow or warn first; pyproject makes a RuntimeWarning an error
+        with pytest.raises(InvalidChannelError, match="^operator 1 of channel 'big' has an entry"):
+            KrausChannel(2, [PAULI_I, np.diag([entry, 0.0])], label="big")
 
 
 class TestBuilders:
@@ -145,10 +153,10 @@ class TestApplyChannel:
         with pytest.raises(DimensionMismatchError):
             apply_channel(ch, big)
 
-    def test_invalid_channel_rejected(self, rng):
-        ch = KrausChannel(2, [0.5 * PAULI_I])
-        with pytest.raises(InvalidChannelError):
-            apply_channel(ch, qstate(random_density(rng)))
+    def test_invalid_channel_rejected(self):
+        # refused where it is made, before any state meets it
+        with pytest.raises(InvalidChannelError, match="completeness"):
+            KrausChannel(2, [0.5 * PAULI_I])
 
     def test_preserves_state_invariants(self, rng):
         chans = [

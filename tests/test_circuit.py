@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oqsim.channels import (
+    InvalidChannelError,
     KrausChannel,
     PAULI_X,
     PAULI_Y,
@@ -406,9 +407,9 @@ class TestSequentialStep:
             assert np.max(np.abs(red.matrix - want.matrix)) < 1e-10
 
     def test_invalid_channel_rejected(self):
-        bad = KrausChannel(2, [0.9 * PAULI_X])
-        with pytest.raises(BuilderError, match="completeness"):
-            build_sequential_step(bad)
+        # an incomplete set never reaches the builder: construction refuses it
+        with pytest.raises(InvalidChannelError, match="completeness"):
+            KrausChannel(2, [0.9 * PAULI_X])
 
     def test_non_qubit_rejected(self, rng):
         u = np.eye(3, dtype=complex)

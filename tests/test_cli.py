@@ -1,5 +1,6 @@
 import math
 import os
+import stat
 import subprocess
 import sys
 
@@ -177,6 +178,9 @@ def run_main_in(tmp_path, monkeypatch, argv):
 
 
 class TestMainRuns:
+    def test_parser_is_built_once(self):
+        assert cli._parser() is cli._parser()
+
     def test_fig6_writes_two_csvs(self, tmp_path, monkeypatch):
         code = run_main_in(tmp_path, monkeypatch, ["--preset", "fig6"])
         assert code == 0
@@ -563,8 +567,10 @@ class TestExitCodes:
         assert os.listdir(tmp_path) == ["exp.cfg"]
 
     def test_invalid_custom_channel_exits_2(self, tmp_path, monkeypatch, capsys):
-        ch = KrausChannel(2, [0.5 * np.eye(2)])
-        save_channel(ch, tmp_path / "bad.json")
+        # 0.5 I alone: written by hand, as no KrausChannel holds an incomplete set
+        (tmp_path / "bad.json").write_text(
+            '{"dim": 2, "operators": [[[0.5, 0], [0, 0], [0, 0], [0.5, 0]]]}'
+        )
         code = run_main_in(
             tmp_path,
             monkeypatch,
@@ -702,6 +708,15 @@ class TestExitCodes:
         assert captured.err == "output error: cannot write adir: Is a directory\n"
         assert sorted(os.listdir(tmp_path)) == ["a.cfg", "adir"]
 
+    def test_output_naming_a_fifo_exits_4_and_keeps_it(self, tmp_path, monkeypatch, capsys):
+        os.mkfifo(tmp_path / "pipe.csv")
+        argv = ["--channel", "dephasing", "--mode", "markovian", "--theta", "pi/5",
+                "--steps", "3", "--csv", "pipe.csv"]
+        assert run_main_in(tmp_path, monkeypatch, argv) == 4
+        assert capsys.readouterr().err == "output error: cannot write pipe.csv: not a regular file\n"
+        assert stat.S_ISFIFO(os.lstat(tmp_path / "pipe.csv").st_mode)
+        assert os.listdir(tmp_path) == ["pipe.csv"]
+
     def test_failed_rename_exits_4_and_leaves_no_temp_file(self, tmp_path, monkeypatch, capsys):
         def refuse(src, dst):
             raise OSError(13, "Permission denied")
@@ -724,6 +739,9 @@ class TestExitCodes:
          "channel custom-file requires 'channel_file'"),
         (["--preset", "fig6", "--initial", "1,x;0,0"],
          "cannot parse initial state '1,x;0,0': complex() arg is a malformed string"),
+        (["--channel", "dephasing", "--mode", "markovian", "--theta", "pi/5",
+          "--initial", "1,0;0,inf"],
+         "cannot parse initial state '1,0;0,inf': trace (inf+0j) deviates from 1 beyond 1e-10"),
     ])
     def test_config_rule_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys, argv, err):
         (tmp_path / "dup.cfg").write_text(

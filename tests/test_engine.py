@@ -41,6 +41,12 @@ class TestObservable:
         with pytest.raises(ValueError, match="Hermitian"):
             Observable("skew", np.array([[0, 1], [0, 0]]))
 
+    @pytest.mark.parametrize("diagonal", [(1.0, np.inf), (1e200, 0.0)], ids=["inf", "huge"])
+    def test_entry_above_one_rejected_before_any_product(self, diagonal):
+        # pyproject makes a RuntimeWarning an error, so none may come first
+        with pytest.raises(ValueError, match="not finite or above 1"):
+            Observable("x", np.diag(diagonal))
+
 
 class TestRun:
     def test_identity_step_repeats_record(self, rng):

@@ -219,6 +219,18 @@ class TestDensityMatrix:
             qstate(m)
         assert err.value.invariant == "psd"
 
+    def test_rejects_infinite_entry_at_the_trace(self):
+        # inf - inf in the hermiticity skew may not warn: pyproject makes that an error
+        with pytest.raises(InvalidStateError) as err:
+            qstate(np.diag([1.0, np.inf]))
+        assert err.value.invariant == "trace"
+
+    def test_rejects_infinite_off_diagonal_pair(self):
+        m = np.array([[1.0, np.inf], [np.inf, 0.0]], dtype=complex)
+        with pytest.raises(InvalidStateError) as err:
+            qstate(m)
+        assert err.value.invariant == "hermitian"
+
     def test_rejects_layout_mismatch(self):
         with pytest.raises(InvalidStateError) as err:
             DensityMatrix(np.eye(2) / 2, (Wire("a"), Wire("b")))
