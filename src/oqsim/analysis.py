@@ -20,7 +20,7 @@ MONOTONE_ATOL = 1e-9
 
 @dataclass(frozen=True)
 class MonotonicityVerdict:
-    """Whether an observable series ever rises beyond tolerance.
+    """Whether an observable series ever rises by more than ``MONOTONE_ATOL``.
 
     ``max_revival`` is the largest single-step increase (negative when the
     series strictly decreases everywhere).
@@ -31,18 +31,14 @@ class MonotonicityVerdict:
     max_revival: float
 
 
-def monotonicity_check(
-    traj: Trajectory, observable: str, tolerance: float = MONOTONE_ATOL
-) -> MonotonicityVerdict:
-    if not tolerance >= 0:
-        raise ValueError(f"tolerance {tolerance} must be >= 0")
+def monotonicity_check(traj: Trajectory, observable: str) -> MonotonicityVerdict:
     series = traj.series(observable)
     first = None
     max_rev = -math.inf
     for i in range(1, len(series)):
         diff = series[i] - series[i - 1]
         max_rev = max(max_rev, diff)
-        if diff > tolerance and first is None:
+        if diff > MONOTONE_ATOL and first is None:
             first = i
     return MonotonicityVerdict(
         monotone=first is None, first_violation=first, max_revival=max_rev

@@ -214,7 +214,10 @@ def load_channel(path) -> KrausChannel:
     set among them), raise :class:`InvalidChannelError` while loading.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except RecursionError as exc:
+            raise InvalidChannelError(str(exc)) from None
     if not isinstance(payload, dict):
         raise InvalidChannelError("channel file must hold a JSON object")
     for key in ("dim", "operators"):

@@ -374,16 +374,13 @@ def _fresh(step: StepCircuit) -> list[int]:
     return [i for i, w in enumerate(step.wire_labels) if zero[w] and w not in step.system]
 
 
-def _apply_rows(t: np.ndarray, gate: np.ndarray, wires, live: list, dims) -> np.ndarray:
-    """``gate`` on ``wires`` of an operator tensor whose row axes hold the ``live`` wires, touching
-    those axes only.  A wire not in ``live`` is in |0>: only the gate's columns for its value 0
-    act, and it gets a row axis, appended to the rows and to ``live``."""
-    m, held = len(wires), [w for w in wires if w in live]
-    inputs = [slice(None) if w in live else 0 for w in wires]  # value 0 of a wire in |0>
-    g = gate.reshape([dims[w] for w in wires] * 2)[(..., *inputs)]
-    t = np.tensordot(g, t, axes=(range(m, m + len(held)), [live.index(w) for w in held]))
-    live += [w for w in wires if w not in live]
-    return np.moveaxis(t, range(m), [live.index(w) for w in wires])
+def _apply_rows(t: np.ndarray, gate: np.ndarray, wires, dims) -> np.ndarray:
+    """``gate`` on ``wires`` of an operator tensor with one row axis per wire, touching those
+    axes only.  A wire in |0> has an axis of length 1: only the gate's columns for its value 0
+    act, and the wire leaves with its full axis."""
+    m = len(wires)
+    g = gate.reshape([dims[w] for w in wires] * 2)[(..., *(slice(t.shape[w]) for w in wires))]
+    return np.moveaxis(np.tensordot(g, t, axes=(range(m, 2 * m), wires)), range(m), wires)
 
 
 def _compress(acc: np.ndarray, dc: int) -> np.ndarray:
@@ -402,41 +399,37 @@ def compile_step(step: StepCircuit, full: bool = False):
 
     Given |0> on the wires a step leaves in |0> (:func:`_fresh`), it maps a state rho on the
     others, the ``carried`` wire positions (all with ``full``), of dim d_c, to
-    sum_j K_j rho K_j^dag.  One walk of the ops builds the K_j as a tensor with a row axis for
-    each wire not known to be in |0> and r d_c columns, from the identity on the carried
-    wires: a gate first gives its wires in |0> an axis at value 0, a swap swaps two wires'
-    labels, a reset moves its wire's axis into the operator index.  The stack is compressed
-    whenever r exceeds the live rows times d_c, and at the end, with the carried axes in
-    layout order, to r <= d_c^2.  ``kraus`` is K, ``(r, d_c, d_c)``; ``adjoints`` the K_j^dag
-    stacked, ``(r d_c, d_c)``; ``superop`` sum_j K_j (x) conj(K_j) on the row-major vec(rho)
-    when d_c <= r makes it the smaller product, else None.  A d_c too large to allocate
-    raises :class:`MemoryError`.
+    sum_j K_j rho K_j^dag.  One walk of the ops builds the K_j as a tensor with one row axis
+    per wire, in layout order, and r d_c columns, from the identity on the carried wires; the
+    axis of a wire in |0> has length 1.  A gate gives its wires in |0> their full axis, a swap
+    swaps two axes, a reset moves its wire's axis into the operator index and leaves length 1.
+    The stack is compressed whenever r exceeds the rows times d_c, and at the end to
+    r <= d_c^2.  ``kraus`` is K, ``(r, d_c, d_c)``; ``adjoints`` the K_j^dag stacked,
+    ``(r d_c, d_c)``; ``superop`` sum_j K_j (x) conj(K_j) on the row-major vec(rho) when
+    d_c <= r makes it the smaller product, else None.  A d_c too large to allocate raises
+    :class:`MemoryError`.
     """
     dims = [w.dim for w in step.layout]
     fresh = () if full else _fresh(step)
     carried = tuple(i for i in range(len(dims)) if i not in fresh)
     dc = math.prod(dims[i] for i in carried)
-    live = list(carried)  # the wire of each row axis
+    rows = [1 if i in fresh else d for i, d in enumerate(dims)]
     try:
-        acc = np.eye(dc, dtype=complex).reshape([dims[i] for i in carried] + [dc])
+        acc = np.eye(dc, dtype=complex).reshape(rows + [dc])
     except ValueError as exc:  # a shape beyond numpy's index range
         raise MemoryError(str(exc)) from None
     for op in step.ops:
         positions = [wire_index(step.layout, w) for w in op.wires]
         if op.kind == "unitary-apply":
-            acc = _apply_rows(acc, op.matrix, positions, live, dims)
+            acc = _apply_rows(acc, op.matrix, positions, dims)
         elif op.kind == "swap":
-            a, b = positions
-            live = [b if w == a else a if w == b else w for w in live]
-        elif positions[0] in live:  # its axis goes next to the columns, then into them
-            a = live.index(positions[0])
-            t = acc.transpose([*range(a), *range(a + 1, acc.ndim - 1), a, -1])
-            del live[a]
-            acc = _compress(t.reshape(t.shape[:-2] + (-1,)), dc)
-    at_zero = [w for w in carried if w not in live]  # carried wires that end in |0>
+            acc = acc.swapaxes(*positions)
+        elif acc.shape[a := positions[0]] > 1:  # its axis goes next to the columns, then into them
+            shape = [*acc.shape[:a], 1, *acc.shape[a + 1:-1], -1]
+            acc = _compress(np.moveaxis(acc, a, -2).reshape(shape), dc)
+    at_zero = [w for w in carried if acc.shape[w] < dims[w]]  # carried wires that end in |0>
     if at_zero:
-        acc = _apply_rows(acc, np.eye(math.prod(dims[w] for w in at_zero)), at_zero, live, dims)
-    acc = acc.transpose([live.index(w) for w in carried] + [-1])
+        acc = _apply_rows(acc, np.eye(math.prod(dims[w] for w in at_zero)), at_zero, dims)
     acc = _compress(acc.reshape(dc, -1), dc)
     kraus = acc.reshape(dc, -1, dc).transpose(1, 0, 2).copy()
     adjoints = np.conj(kraus.transpose(0, 2, 1), order="C").reshape(-1, dc)

@@ -71,17 +71,17 @@ def complex_pairs(pairs) -> list[complex]:
     return values
 
 
-def is_hermitian(m, atol: float = VALIDITY_ATOL) -> bool:
+def is_hermitian(m) -> bool:
     a = as_complex_matrix(m)
-    return bool(np.max(np.abs(a - a.conj().T)) <= atol)
+    return bool(np.max(np.abs(a - a.conj().T)) <= VALIDITY_ATOL)
 
 
-def is_unitary(m, atol: float = VALIDITY_ATOL) -> bool:
-    """An entry above 1 + atol in modulus (NaN, inf, huge) fails before the product overflows."""
+def is_unitary(m) -> bool:
+    """An entry above 1 + VALIDITY_ATOL in modulus (NaN, inf, huge) fails before any product."""
     a = as_complex_matrix(m)
-    if not (np.abs(a) <= 1.0 + atol).all():
+    if not (np.abs(a) <= 1.0 + VALIDITY_ATOL).all():
         return False
-    return bool(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))) <= atol)
+    return bool(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))) <= VALIDITY_ATOL)
 
 
 def layout_dim(layout) -> int:

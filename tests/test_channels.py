@@ -281,6 +281,12 @@ class TestChannelFiles:
         with pytest.raises(InvalidChannelError, match=r"^operator entries must be \[re, im\] number"):
             load_channel(path)
 
+    def test_deeply_nested_file_is_an_invalid_channel(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 10**5 + "]" * 10**5)
+        with pytest.raises(InvalidChannelError, match="recursion"):
+            load_channel(path)
+
     def test_rejects_missing_key(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"operators": []}')

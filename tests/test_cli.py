@@ -595,6 +595,14 @@ class TestExitCodes:
         assert run_main_in(tmp_path, monkeypatch, argv) == 2
         assert "config error: cannot load channel file 'ch.json'" in capsys.readouterr().err
 
+    def test_deeply_nested_channel_file_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "deep.json").write_text("[" * 200000 + "]" * 200000)
+        argv = ["--channel", "custom-file", "--mode", "sequential", "--channel-file", "deep.json",
+                "--steps", "3", "--csv", "o.csv"]
+        assert run_main_in(tmp_path, monkeypatch, argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: cannot load channel file")
+
     def test_not_utf8_config_exits_2_alone_and_in_a_sweep(self, tmp_path, monkeypatch, capsys):
         (tmp_path / "bad.cfg").write_bytes("channel = d\xe9phasing\n".encode("latin-1"))
         assert run_main_in(tmp_path, monkeypatch, ["--config", "bad.cfg"]) == 2

@@ -100,7 +100,7 @@ def _steps():
             GateOp.reset("b"),
         ],
     )
-    # the live-wire walk's edge cases: which wires hold an axis, and when
+    # the walk's edge cases: which wires have an axis of length 1, and when
     steps["gate-after-reset"] = StepCircuit(
         "gate-after-reset", QUBITS3, ("q",),
         [
@@ -151,6 +151,16 @@ def _steps():
             GateOp.swap("a", "b"),
             GateOp("unitary-apply", ("b", "q"), matrix=_unitary(12, 9)),
             GateOp.reset("b"),
+        ],
+    )
+    steps["dim-1-wires"] = StepCircuit(  # s and t have one value, so an axis of length 1
+        "dim-1", (Wire("q"), Wire("s", 1), Wire("a"), Wire("t", 1)), ("q",),
+        [
+            GateOp("unitary-apply", ("q", "s"), matrix=_unitary(13, 2)),
+            GateOp.gate("CRy", ("q", "a"), 1.4),
+            GateOp.reset("s"),
+            GateOp.swap("s", "t"),
+            GateOp.reset("a"),
         ],
     )
     return steps
@@ -259,6 +269,11 @@ def test_a_reset_of_a_wire_in_zero_adds_no_operator():
     assert compile_step(step)[1].shape == (2, 2, 2)
     for a, b in zip(compile_step(step), compile_step(plain)):
         assert np.array_equal(a, b)
+
+
+def test_dim_1_wires_stay_carried_beside_the_system():
+    carried, kraus, *_ = compile_step(STEPS["dim-1-wires"])
+    assert carried == (0, 1) and kraus.shape == (2, 2, 2)
 
 
 def test_a_carried_wire_without_an_axis_gets_one_at_zero():

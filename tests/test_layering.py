@@ -118,3 +118,17 @@ def test_guard_catches_an_unused_private_name():
 def test_every_private_name_is_used_in_its_module():
     bad = {path.name: unused_privates(path.read_text(encoding="utf-8")) for path in MODULES}
     assert {name: hits for name, hits in bad.items() if hits} == {}
+
+
+def long_lines(source: str):
+    """(line, length) for each line longer than 100 characters."""
+    return [(n, len(line)) for n, line in enumerate(source.splitlines(), 1) if len(line) > 100]
+
+
+def test_guard_catches_a_long_line():
+    assert long_lines("x = 1\n" + "y" * 100 + "\n" + "z" * 101 + "\n") == [(3, 101)]
+
+
+def test_every_module_line_is_at_most_100_characters():
+    bad = {path.name: long_lines(path.read_text(encoding="utf-8")) for path in MODULES}
+    assert {name: hits for name, hits in bad.items() if hits} == {}
