@@ -2,7 +2,7 @@
 
 A channel is its ordered Kraus operators; this module builds no matrix
 form of it.  The package's one superoperator is the one
-:func:`oqsim.circuit.compile_step` builds, ``sum_K K (x) conj(K)`` on the
+:func:`oqsim.circuit.superoperator` builds, ``sum_K K (x) conj(K)`` on the
 row-major ``vec(rho)``.
 """
 

@@ -405,9 +405,8 @@ def compile_step(step: StepCircuit, full: bool = False):
     swaps two axes, a reset moves its wire's axis into the operator index and leaves length 1.
     The stack is compressed whenever r exceeds the rows times d_c, and at the end to
     r <= d_c^2.  ``kraus`` is K, ``(r, d_c, d_c)``; ``adjoints`` the K_j^dag stacked,
-    ``(r d_c, d_c)``; ``superop`` sum_j K_j (x) conj(K_j) on the row-major vec(rho) when
-    d_c <= r makes it the smaller product, else None.  A d_c too large to allocate raises
-    :class:`MemoryError`.
+    ``(r d_c, d_c)``; ``superop`` its :func:`superoperator` when d_c <= r makes that the
+    smaller product, else None.  A d_c too large to allocate raises :class:`MemoryError`.
     """
     dims = [w.dim for w in step.layout]
     fresh = () if full else _fresh(step)
@@ -433,10 +432,15 @@ def compile_step(step: StepCircuit, full: bool = False):
     acc = _compress(acc.reshape(dc, -1), dc)
     kraus = acc.reshape(dc, -1, dc).transpose(1, 0, 2).copy()
     adjoints = np.conj(kraus.transpose(0, 2, 1), order="C").reshape(-1, dc)
-    if dc > len(kraus):
-        return carried, kraus, adjoints, None
-    superop = np.einsum("rij,rkl->ikjl", kraus, kraus.conj())
-    return carried, kraus, adjoints, superop.reshape(dc * dc, -1)
+    return carried, kraus, adjoints, None if dc > len(kraus) else superoperator(kraus)
+
+
+def superoperator(kraus: np.ndarray) -> np.ndarray:
+    """sum_j K_j (x) conj(K_j) of an ``(r, d, d)`` Kraus stack, the map on the row-major
+    vec(rho): one ``(d^2 x r) (r x d^2)`` product, its axes (i, j, k, l) put as (i, k, j, l)."""
+    r, d, _ = kraus.shape
+    outer = kraus.reshape(r, -1).T @ kraus.conj().reshape(r, -1)
+    return outer.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, -1)
 
 
 def run_compiled(program, states: np.ndarray) -> np.ndarray:

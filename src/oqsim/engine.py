@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import StepCircuit, compile_step, run_compiled
+from .circuit import StepCircuit, compile_step, run_compiled, superoperator
 from .qmath import (
     DensityMatrix,
     DimensionMismatchError,
@@ -88,6 +88,17 @@ class Trajectory:
 
 
 _CHUNK_ENTRIES = 2**14  # complex entries of carried states that evolve reduces in one call
+_CALL_MACS = 2**16  # one kernel call (about 10 us at d_c = 8) priced as complex multiply-adds
+
+
+def _block(dc: int, slots: int) -> int:
+    """Block size B of evolve's dense loop: it doubles while one more squaring of S (d_c^6
+    complex multiply-adds, 42 us at d_c = 8) costs less than the kernel calls it saves in a chunk
+    of ``slots``, filled with log2(B) + (slots - 1) // B products for B < slots."""
+    b = 1
+    while 2 * b < slots and dc**6 < ((slots - 1) // b - (slots - 1) // (2 * b) - 1) * _CALL_MACS:
+        b *= 2
+    return b
 
 
 def _purities(m: np.ndarray) -> np.ndarray:
@@ -105,18 +116,22 @@ def evolve(step: StepCircuit, states, steps: int) -> np.ndarray:
 
     Each register starts as |0><0| (x) rho0 (x) |0><0|: the system wires must
     be contiguous, with the other wires before and after them in |0>.  One
-    compile to the carried register (dim d_c), then one kernel call per state
-    and step.
+    compile to the carried register (dim d_c).
 
     A state after n steps is W_n (I (x) X) W_n^dag: X is the block of rho0 on
     the m system basis states that the call's initial states occupy (a row or
     column not all zero), W_0 the ``(d_c, m)`` lift of those into the register
     and W_{n+1} = [K_1 W_n, .., K_r W_n].  While W has fewer than d_c columns
-    the kernel maps W, and the record is tr_env W (I (x) X) W^dag from the
-    system rows of W.  Then W (I (x) X) W^dag is formed once and the steps go
+    the kernel maps W, one call per state, and the record is
+    tr_env W (I (x) X) W^dag from the system rows of W.  Then W (I (x) X) W^dag
+    is formed once (rho0 itself when W_0 fills the register) and the steps go
     on densely, into a chunk buffer of at most ``2**14`` complex entries, or
     one step's ``(len(states), d_c, d_c)`` stack when that is larger, reduced
-    by one partial trace per full (or last) chunk.  Exact for any rho0.
+    by one partial trace per full (or last) chunk.  Its slot 0 is one kernel
+    call on the slot before; slots f .. f + w - 1 are S^w times the w before,
+    w the largest power of two <= min(f, B), in one product over all states.
+    S = sum_j K_j (x) conj(K_j) is squared once per run up to S^B, with B
+    from :func:`_block`; B = 1 (d_c >= 16) is one call per step.
 
     Returns the ``(steps + 1, len(states), s, s)`` stack after one
     :func:`check_states` in step order: an :class:`InvalidStateError` index
@@ -149,12 +164,10 @@ def evolve(step: StepCircuit, states, steps: int) -> np.ndarray:
         return out
     chunk = max(1, _CHUNK_ENTRIES // (len(states) * dc * dc))
     rho0 = np.reshape([rho.matrix for rho in states], (-1, s, s))
-    rows = rho0.any(axis=0).tolist()
-    occupied = [i for i, row in enumerate(rows) if any(row) or any(r[i] for r in rows)]
+    seen = rho0.any(axis=0)
+    occupied = np.flatnonzero((seen | seen.T).any(axis=0))  # a row or a column not all zero
     x = rho0.take(occupied, 1).take(occupied, 2)
-    lift = np.zeros((1, dc, len(occupied)), dtype=complex)  # W_0: |0> off the system
-    for column, i in enumerate(occupied):
-        lift[0, i * blocks[2], column] = 1
+    lift = np.eye(dc, dtype=complex)[np.newaxis, :, occupied * blocks[2]]  # W_0: |0> off the system
     factors = [lift] * len(states)
 
     def weighted(i, w):  # W (I (x) X) of state i, as a (d_c, .) matrix
@@ -172,14 +185,27 @@ def evolve(step: StepCircuit, states, steps: int) -> np.ndarray:
             v = weighted(i, w).reshape(blocks[0], s, -1)  # rows: (before, system, after)
             np.einsum("bik,bjk->ij", v, w.conj().reshape(blocks[0], s, -1), out=out[n, i])
     buffer = np.empty((min(chunk, steps + 1 - base), len(states), dc, dc), dtype=complex)
-    for i, w in enumerate(factors if base <= steps else ()):  # W (I (x) X) W^dag, formed once
+    if base == 0:  # W_0 = I fills the register: the carried states are rho0
+        buffer[0] = rho0
+    for i, w in enumerate(factors if 0 < base <= steps else ()):  # W (I (x) X) W^dag, once
         np.matmul(weighted(i, w), w[0].conj().T, out=buffer[0, i])
-    for n in range(base, steps + 1):  # dense steps
-        j = (n - base) % chunk  # slot j - 1 (the last one when j == 0) holds step n - 1
-        for i in range(len(states)) if n > base else ():  # one kernel call per state
-            buffer[j, i:i + 1] = run_compiled(program, buffer[j - 1, i:i + 1])
-        if j == chunk - 1 or n == steps:
-            out[n - j:n + 1] = partial_trace_matrix(buffer[:j + 1], blocks, 0, 2)
+    block = _block(dc, len(buffer))
+    powers = [superoperator(program[1]).T] if block > 1 else []  # S^T, (S^2)^T, .., (S^B)^T
+    for _ in range(block.bit_length() - 1):
+        powers.append(powers[-1] @ powers[-1])
+    n, vec = base, (-1, dc * dc)  # a slot's states as rows vec(rho)^T
+    while n <= steps:  # dense steps
+        j = (n - base) % len(buffer)  # slot j - 1 (the last one when j == 0) holds step n - 1
+        w = 1 << min(j or 1, block).bit_length() - 1
+        m = min(w, len(buffer) - j, steps + 1 - n)
+        if w > 1:  # slots j .. j + m - 1 are S^w of the slots w before them
+            src, dst = buffer[j - w:j - w + m].reshape(vec), buffer[j:j + m].reshape(vec)
+            np.matmul(src, powers[w.bit_length() - 1], out=dst)
+        elif n > base:  # one kernel call for all states
+            buffer[j] = run_compiled(program, buffer[j - 1])
+        n += m
+        if j + m == len(buffer) or n > steps:
+            out[n - j - m:n] = partial_trace_matrix(buffer[:j + m], blocks, 0, 2)
     check_states(out.reshape(-1, s, s), system)
     return out
 

@@ -162,13 +162,14 @@ class TestViolationContract:
         bad, invariant = BROKEN[case]
         with pytest.raises(InvalidStateError) as direct:
             DensityMatrix(bad, (Wire("q"),))
-        calls = []
+        reduce = eng.partial_trace_matrix
 
-        def breaking(program, states):  # the kernel's output turns bad at step 3
-            calls.append(None)
-            return np.array([bad], dtype=complex) if len(calls) >= 3 else states
+        def breaking(stack, *args):  # |+> fills the register: one chunk holds steps 0..6
+            reduced = reduce(stack, *args)
+            reduced[3:] = bad  # the reduced states turn bad at step 3
+            return reduced
 
-        monkeypatch.setattr(eng, "run_compiled", breaking)
+        monkeypatch.setattr(eng, "partial_trace_matrix", breaking)
         with pytest.raises(NumericalViolationError) as err:
             run(NOOP, qstate(proj(KETP)), 6, [P1])
         assert err.value.step == 3

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oqsim.engine as engine
 from oqsim.analysis import blp_witness
@@ -21,7 +23,13 @@ from oqsim.circuit import (
     run_compiled,
 )
 from oqsim.engine import evolve, projector_observable, run
-from oqsim.qmath import DensityMatrix, DimensionMismatchError, InvalidStateError, Wire
+from oqsim.qmath import (
+    DensityMatrix,
+    DimensionMismatchError,
+    InvalidStateError,
+    Wire,
+    partial_trace_matrix,
+)
 
 from conftest import (
     brute_partial_trace,
@@ -116,14 +124,14 @@ def _overshooting_step():
 FACTOR_STEPS = {"overshoot": _overshooting_step(), **BUILDERS}
 
 
-def _widths(step, steps):
-    """Columns of each kernel input: the factor's s r^n while below d_c, then d_c."""
+def _factor_widths(step, steps):
+    """Columns of each factor step's kernel input, s r^n while below d_c, within ``steps``."""
     _, kraus, *_ = compile_step(step)
     dc, m = kraus.shape[1], math.prod(w.dim for w in step.layout if w.label in step.system)
     widths = []
-    for _ in range(steps):
+    while m < dc and len(widths) < steps:
         widths.append(m)
-        m = min(m * len(kraus), dc)
+        m *= len(kraus)
     return widths
 
 
@@ -138,10 +146,11 @@ def _matches_oracle(step, states, got):
 def test_factor_start_matches_dense_oracle(monkeypatch, rng, name, purity):
     step = FACTOR_STEPS[name]
     rho0 = (_pure_state if purity == "pure" else _system_state)(step, rng)
-    widths = _widths(step, 8)
+    factor, dc = _factor_widths(step, 8), compile_step(step)[1].shape[1]
     kernels = _counting(monkeypatch, "run_compiled")
     got = evolve(step, [rho0], 8)
-    assert [states.shape[-1] for _, states in kernels] == widths
+    widths = [states.shape[-1] for _, states in kernels]
+    assert widths[:len(factor)] == factor and set(widths[len(factor):]) <= {dc}
     _matches_oracle(step, [rho0], got)
 
 
@@ -154,20 +163,26 @@ def test_steps_around_the_switch_to_dense_states(monkeypatch, rng, name, steps):
     kernels = _counting(monkeypatch, "run_compiled", lambda _, out: shapes.append(out.shape) or out)
     got = evolve(step, states, steps)
     assert got.shape == (steps + 1, 2, 2, 2)
-    assert [s.shape[-1] for _, s in kernels] == [w for w in _widths(step, steps) for _ in states]
+    # runs this short have B = 1: one call per factor step and state, then one per dense step
+    factor, dc = _factor_widths(step, steps), compile_step(step)[1].shape[1]
+    want = [(1, dc, w) for w in factor for _ in states] + [(2, dc, dc)] * (steps - len(factor))
+    assert [s.shape for _, s in kernels] == want
     if name == "overshoot":
         assert compile_step(step)[3] is not None
-        assert shapes == ([(1, 4, 8)] * 2 + [(1, 4, 4)] * 4)[:2 * steps]
+        assert shapes == ([(1, 4, 8)] * 2 + [(2, 4, 4)] * 2)[:steps + min(steps, 1)]
     _matches_oracle(step, states, got)
 
 
 @pytest.mark.parametrize("steps_per_chunk", [1, 2, 3])
 def test_factor_steps_across_chunk_boundaries(monkeypatch, rng, steps_per_chunk):
-    step = BUILDERS["memory-amplitude-damping-k4"]  # d_c = 16: three factor steps
+    step = BUILDERS["memory-amplitude-damping-k4"]  # d_c = 16: three factor steps, then B = 1
     states = [_pure_state(step, rng), _system_state(step, rng)]
-    whole = evolve(step, states, 7)
+    kernels = _counting(monkeypatch, "run_compiled")
+    whole = evolve(step, states, 40)
+    want = [(1, 16, w) for w in (2, 4, 8) for _ in states] + [(2, 16, 16)] * 37
+    assert [s.shape for _, s in kernels] == want  # one call per dense step, for both states
     _chunk_steps(monkeypatch, step, 2, steps_per_chunk)
-    got = evolve(step, states, 7)
+    got = evolve(step, states, 40)
     assert np.array_equal(got, whole)
     _matches_oracle(step, states, got)
 
@@ -245,10 +260,11 @@ def test_evolve_compiles_once_and_runs_each_state_once_per_step(monkeypatch, rng
     compiles = _counting(monkeypatch, "compile_step", lambda _, p: programs.append(p) or p)
     kernels = _counting(monkeypatch, "run_compiled")
     evolve(step, [_system_state(step, rng) for _ in range(3)], 5)
-    assert len(compiles) == 1 and len(kernels) == 3 * 5
+    assert len(compiles) == 1 and len(kernels) == 3 + 4
     assert all(program is programs[0] for program, _ in kernels)
-    # r = 16: one factor step takes each state's (8, 2) lift past d_c = 8
-    want = [(1, 8, 2)] * 3 + [(1, 8, 8)] * 12
+    # r = 16: one factor step takes each state's (8, 2) lift past d_c = 8; then B = 1 in a run
+    # this short, so each dense step is one call on all three states
+    want = [(1, 8, 2)] * 3 + [(3, 8, 8)] * 4
     assert [states.shape for _, states in kernels] == want
 
 
@@ -289,7 +305,7 @@ def test_a_call_from_zero_and_one_lifts_both_basis_states(monkeypatch):
     states = [_basis_state(step, 1.0), _basis_state(step, 0.0, 1.0)]
     kernels = _counting(monkeypatch, "run_compiled")
     got = evolve(step, states, 4)
-    assert [s.shape[-1] for _, s in kernels] == [2, 2, 4, 4, 8, 8, 8, 8]
+    assert [s.shape for _, s in kernels] == [(1, 8, 2)] * 2 + [(1, 8, 4)] * 2 + [(2, 8, 8)] * 2
     _matches_oracle(step, states, got)
 
 
@@ -300,7 +316,8 @@ def test_markovian_arm_from_one_takes_one_factor_step_then_the_superoperator(mon
     assert compile_step(step)[3] is not None
     kernels = _counting(monkeypatch, "run_compiled")
     got = evolve(step, [rho0], 5)
-    assert [s.shape for _, s in kernels] == [(1, 2, 1)] + [(1, 2, 2)] * 4
+    # B = 2 for the dense steps 1..5: step 2 is one call, steps 3..5 are S^2 of steps 1..3
+    assert [s.shape for _, s in kernels] == [(1, 2, 1), (1, 2, 2)]
     _matches_oracle(step, [rho0], got)
 
 
@@ -353,17 +370,95 @@ def test_a_run_that_ends_among_the_factor_steps_forms_no_carried_state(monkeypat
 
 @pytest.mark.parametrize("steps_per_chunk", [1, 2, 3, 6])
 def test_evolve_error_index_is_step_times_states_plus_state(monkeypatch, rng, steps_per_chunk):
-    step = BUILDERS["memory-dephasing-k2"]
+    step = BUILDERS["memory-dephasing-k2"]  # d_c = 4: step 1 fills it, steps 1..5 are reduced
     _chunk_steps(monkeypatch, step, 2, steps_per_chunk)
+    first = [1]  # the step of the next reduced slot
 
-    def break_state_1_from_step_3(call, result):
-        state, n = call % 2, call // 2 + 1
-        return 2 * result if state == 1 and n >= 3 else result
+    def break_state_1_from_step_3(_, reduced):
+        reduced[max(3 - first[0], 0):, 1] *= 2
+        first[0] += len(reduced)
+        return reduced
 
-    _counting(monkeypatch, "run_compiled", break_state_1_from_step_3)
+    _counting(monkeypatch, "partial_trace_matrix", break_state_1_from_step_3)
     with pytest.raises(InvalidStateError) as info:
         evolve(step, [_system_state(step, rng), _system_state(step, rng)], 5)
     assert info.value.invariant == "trace" and info.value.index == 7
+
+
+def _per_step(step, states, steps):
+    """The plain loop: |0><0| (x) rho0 (x) |0><0| on the carried register, one kernel call per
+    step on all states, and the system block of each step's states by a partial trace."""
+    program = compile_step(step)
+    kept = [step.layout[i] for i in program[0]]
+    at = [w.label for w in kept].index(step.system[0])
+    s = states[0].dim
+    before = math.prod(w.dim for w in kept[:at])
+    after = math.prod(w.dim for w in kept) // (before * s)
+    zero = [np.diag([1.0] + [0.0] * (d - 1)) for d in (before, after)]
+    rho = np.array([np.kron(np.kron(zero[0], r.matrix), zero[1]) for r in states])
+    stack = [rho]
+    for _ in range(steps):
+        stack.append(rho := run_compiled(program, rho))
+    return partial_trace_matrix(np.array(stack), (before, s, after), 0, 2)
+
+
+SMALL_STEPS = {  # d_c <= 9, where evolve's block size B can exceed 1
+    name: step
+    for name, step in {"qutrit": _qutrit_step(), **FACTOR_STEPS}.items()
+    if compile_step(step)[1].shape[1] <= 9
+}
+
+
+def _start(step, rng, kind):
+    """A mixed, pure or basis state on the system wires."""
+    if kind == "basis":
+        weights = [0.0] * (math.prod(w.dim for w in step.layout if w.label in step.system) - 1)
+        weights.insert(int(rng.integers(len(weights) + 1)), 1.0)
+        return _basis_state(step, *weights)
+    return (_pure_state if kind == "pure" else _system_state)(step, rng)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    name=st.sampled_from(sorted(SMALL_STEPS)),
+    kinds=st.lists(st.sampled_from(["mixed", "pure", "basis"]), min_size=1, max_size=3),
+    steps=st.integers(0, 600),
+    steps_per_chunk=st.sampled_from([1, 2, 3, 5, 37, None]),  # None: the default budget
+    seed=st.integers(0, 2**16),
+)
+def test_block_loop_matches_the_per_step_loop(name, kinds, steps, steps_per_chunk, seed):
+    step, rng = SMALL_STEPS[name], np.random.default_rng(seed)
+    states = [_start(step, rng, kind) for kind in kinds]
+    with pytest.MonkeyPatch.context() as patch:
+        if steps_per_chunk is not None:
+            _chunk_steps(patch, step, len(states), steps_per_chunk)
+        got = evolve(step, states, steps)
+    assert np.max(np.abs(got - _per_step(step, states, steps)), initial=0.0) <= 1e-12
+
+
+def test_fig7_memory_arm_over_3000_steps_matches_the_per_step_loop():
+    mem = MemorySpec(3, (math.pi / 5, math.pi / 4, math.pi / 2))  # the fig7 preset's angles
+    step = build_nonmarkovian_step("dephasing", mem)
+    plus = DensityMatrix(np.full((2, 2), 0.5, dtype=complex), (Wire("q"),))
+    got = evolve(step, [plus], 3000)
+    assert np.max(np.abs(got - _per_step(step, [plus], 3000))) <= 1e-12
+
+
+def test_block_size_doubles_only_where_the_squarings_pay():
+    assert engine._block(16, 64) == 1  # 64 slots: the largest chunk at d_c = 16
+    assert engine._block(128, 2) == 1
+    assert engine._block(8, 49) == 8  # a blp_grid pair's 49 dense steps
+    assert engine._block(2, 4096) == 2048
+    assert [engine._block(2, slots) for slots in (1, 2, 3)] == [1, 1, 1]
+
+
+def test_a_state_that_fills_the_register_starts_dense_from_itself(monkeypatch):
+    step = BUILDERS["markovian-dephasing"]  # d_c = s = 2: |+> occupies both basis states
+    plus = DensityMatrix(np.full((2, 2), 0.5, dtype=complex), (Wire("q"),))
+    kernels = _counting(monkeypatch, "run_compiled")
+    got = evolve(step, [plus], 1)
+    assert len(kernels) == 1 and np.array_equal(kernels[0][1], plus.matrix[np.newaxis])
+    _matches_oracle(step, [plus], got)
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
