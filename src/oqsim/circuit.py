@@ -394,8 +394,8 @@ def _compress(acc: np.ndarray, dc: int) -> np.ndarray:
 
 
 def compile_step(step: StepCircuit, full: bool = False):
-    """Compile a step into ``(carried, kraus, adjoints, superop)``, its Kraus map on the wires
-    that carry state, for :func:`run_compiled`.
+    """Compile a step into ``(carried, kraus, adjoints, superop, columns)``, its Kraus map on
+    the wires that carry state, for :func:`run_compiled`.
 
     Given |0> on the wires a step leaves in |0> (:func:`_fresh`), it maps a state rho on the
     others, the ``carried`` wire positions (all with ``full``), of dim d_c, to
@@ -403,10 +403,8 @@ def compile_step(step: StepCircuit, full: bool = False):
     per wire, in layout order, and r d_c columns, from the identity on the carried wires; the
     axis of a wire in |0> has length 1.  A gate gives its wires in |0> their full axis, a swap
     swaps two axes, a reset moves its wire's axis into the operator index and leaves length 1.
-    The stack is compressed whenever r exceeds the rows times d_c, and at the end to
-    r <= d_c^2.  ``kraus`` is K, ``(r, d_c, d_c)``; ``adjoints`` the K_j^dag stacked,
-    ``(r d_c, d_c)``; ``superop`` its :func:`superoperator` when d_c <= r makes that the
-    smaller product, else None.  A d_c too large to allocate raises :class:`MemoryError`.
+    The stack is compressed whenever r exceeds the rows times d_c, and at end to r <= d_c^2;
+    :func:`_kraus_form` stores it.  A d_c too large to allocate raises :class:`MemoryError`.
     """
     dims = [w.dim for w in step.layout]
     fresh = () if full else _fresh(step)
@@ -429,10 +427,30 @@ def compile_step(step: StepCircuit, full: bool = False):
     at_zero = [w for w in carried if acc.shape[w] < dims[w]]  # carried wires that end in |0>
     if at_zero:
         acc = _apply_rows(acc, np.eye(math.prod(dims[w] for w in at_zero)), at_zero, dims)
-    acc = _compress(acc.reshape(dc, -1), dc)
-    kraus = acc.reshape(dc, -1, dc).transpose(1, 0, 2).copy()
-    adjoints = np.conj(kraus.transpose(0, 2, 1), order="C").reshape(-1, dc)
-    return carried, kraus, adjoints, None if dc > len(kraus) else superoperator(kraus)
+    return (carried, *_kraus_form(_compress(acc.reshape(dc, -1), dc)))
+
+
+CALL_MACS = 2**16  # one kernel call (about 10 us at d_c = 8) priced as complex multiply-adds
+
+
+def _kraus_form(stack: np.ndarray):
+    """``(kraus, adjoints, superop, columns)`` of a ``(d, r d)`` stack [K_1 .. K_r].  Where that
+    saves more multiply-adds per step than :data:`CALL_MACS`, K_j keeps only its columns C_j
+    with a nonzero entry, padded with zero columns to a common count c, and ``columns`` holds
+    the C_j, ``(r, c)``; else it is None and c = d.  ``kraus`` is the ``(r, d, c)`` view of
+    [K_1[:, C_1] .. K_r[:, C_r]], ``adjoints`` the K_j[:, C_j]^dag, ``(r, c, d)``, and
+    ``superop`` the :func:`superoperator` when d <= r makes that the smaller product."""
+    d, r = stack.shape[0], stack.shape[1] // stack.shape[0]
+    superop = None if d > r else superoperator(stack.reshape(d, r, d).transpose(1, 0, 2))
+    columns = None
+    if superop is None and 2 * r * d**3 > CALL_MACS:  # else no gather can pay
+        nonzero = stack.reshape(d, r, d).any(axis=0)
+        c = int(nonzero.sum(axis=1).max())
+        if r * d * (2 * d * d - c * c - c * d) > CALL_MACS:
+            columns = np.argsort(~nonzero, axis=1, kind="stable")[:, :c]
+            stack = stack.take((columns + d * np.arange(r)[:, np.newaxis]).ravel(), axis=1)
+    stack = np.ascontiguousarray(stack).reshape(d, r, -1)
+    return stack.transpose(1, 0, 2), np.conj(stack.transpose(1, 2, 0), order="C"), superop, columns
 
 
 def superoperator(kraus: np.ndarray) -> np.ndarray:
@@ -443,21 +461,31 @@ def superoperator(kraus: np.ndarray) -> np.ndarray:
     return outer.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, -1)
 
 
-def run_compiled(program, states: np.ndarray) -> np.ndarray:
-    """One step on an ``(n, d_c, m)`` stack.  A square stack (m = d_c) holds carried states:
-    a batched product with the superoperator, or one ``(r d_c x d_c)`` product giving every
-    K_j rho, one transpose copy that sets them side by side and one ``(d_c x r d_c)`` product
-    with the adjoints.  A narrower stack (m < d_c) holds factors W of states W X W^dag: it
-    takes the first two of those three and returns the ``(n, d_c, r m)`` factors
-    [K_1 W, .., K_r W], exactly, since sum_j K_j W X W^dag K_j^dag is
-    [K_1 W, .., K_r W] (I_r (x) X) [K_1 W, .., K_r W]^dag."""
-    _, kraus, adjoints, superop = program
+def run_compiled(program, states: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """One step on an ``(n, d_c, m)`` stack.  A square stack (m = d_c) holds carried states: a
+    batched product with the superoperator, or [K_1[:, C_1] .. K_r[:, C_r]] times the stacked
+    rho[C_j, C_j] K_j[:, C_j]^dag, two products and no transpose copy, into ``out`` if given
+    (C-contiguous).  A narrower stack (m < d_c) holds factors W of states W X W^dag: it gives
+    the ``(n, d_c, r m)`` [K_1 W, .., K_r W], K_j W = K_j[:, C_j] W[C_j], exactly, since
+    sum_j K_j W X W^dag K_j^dag is [K_1 W, .., K_r W] (I_r (x) X) [K_1 W, .., K_r W]^dag."""
+    _, kraus, adjoints, superop, columns = program
     n, dc, m = states.shape
     if superop is not None and m == dc:
-        return (superop @ states.reshape(n, dc * dc, 1)).reshape(states.shape)
-    side = (kraus.reshape(-1, dc) @ states).reshape(n, -1, dc, m).transpose(0, 2, 1, 3)
-    side = side.reshape(n, dc, -1)
-    return side if m < dc else side @ adjoints
+        vec = (n, dc * dc, 1)
+        new = np.matmul(superop, states.reshape(vec), out=None if out is None else out.reshape(vec))
+        return new.reshape(states.shape)
+    if columns is None:
+        picked = states[:, np.newaxis]
+    elif m < dc:
+        picked = states.take(columns, axis=1)  # W[C_j]
+    else:
+        picked = states[:, columns[:, :, np.newaxis], columns[:, np.newaxis]]  # rho[C_j, C_j]
+    if m < dc:
+        wide = np.empty((n, dc, len(kraus), m), dtype=complex)
+        np.matmul(kraus, picked, out=wide.transpose(0, 2, 1, 3))
+        return wide.reshape(n, dc, -1)
+    side = (picked @ adjoints).reshape(n, -1, dc)
+    return np.matmul(kraus.transpose(1, 0, 2).reshape(dc, -1), side, out=out)
 
 
 def apply_step(step: StepCircuit, rho: DensityMatrix) -> DensityMatrix:

@@ -310,9 +310,9 @@ def _atomic_write(path, text: str):
 
 
 def write_csv(path, traj: engine.Trajectory):
-    lines = ["step,observable,value,trace,purity"]
+    lines, names = ["step,observable,value,trace,purity"], traj.observable_names
     for rec in traj.records:
-        for name in traj.observable_names:
+        for name in names:
             lines.append(
                 f"{rec.step},{name},{rec.values[name]!r},{rec.trace!r},{rec.purity!r}"
             )

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import StepCircuit, compile_step, run_compiled, superoperator
+from .circuit import CALL_MACS, StepCircuit, compile_step, run_compiled, superoperator
 from .qmath import (
     DensityMatrix,
     DimensionMismatchError,
@@ -88,7 +88,6 @@ class Trajectory:
 
 
 _CHUNK_ENTRIES = 2**14  # complex entries of carried states that evolve reduces in one call
-_CALL_MACS = 2**16  # one kernel call (about 10 us at d_c = 8) priced as complex multiply-adds
 
 
 def _block(dc: int, slots: int) -> int:
@@ -96,7 +95,7 @@ def _block(dc: int, slots: int) -> int:
     complex multiply-adds, 42 us at d_c = 8) costs less than the kernel calls it saves in a chunk
     of ``slots``, filled with log2(B) + (slots - 1) // B products for B < slots."""
     b = 1
-    while 2 * b < slots and dc**6 < ((slots - 1) // b - (slots - 1) // (2 * b) - 1) * _CALL_MACS:
+    while 2 * b < slots and dc**6 < ((slots - 1) // b - (slots - 1) // (2 * b) - 1) * CALL_MACS:
         b *= 2
     return b
 
@@ -128,8 +127,9 @@ def evolve(step: StepCircuit, states, steps: int) -> np.ndarray:
     on densely, into a chunk buffer of at most ``2**14`` complex entries, or
     one step's ``(len(states), d_c, d_c)`` stack when that is larger, reduced
     by one partial trace per full (or last) chunk.  Its slot 0 is one kernel
-    call on the slot before; slots f .. f + w - 1 are S^w times the w before,
-    w the largest power of two <= min(f, B), in one product over all states.
+    call on the slot before, written into the slot; slots f .. f + w - 1 are
+    S^w times the w before, w the largest power of two <= min(f, B), in one
+    product over all states.
     S = sum_j K_j (x) conj(K_j) is squared once per run up to S^B, with B
     from :func:`_block`; B = 1 (d_c >= 16) is one call per step.
 
@@ -202,7 +202,7 @@ def evolve(step: StepCircuit, states, steps: int) -> np.ndarray:
             src, dst = buffer[j - w:j - w + m].reshape(vec), buffer[j:j + m].reshape(vec)
             np.matmul(src, powers[w.bit_length() - 1], out=dst)
         elif n > base:  # one kernel call for all states
-            buffer[j] = run_compiled(program, buffer[j - 1])
+            run_compiled(program, buffer[j - 1], out=buffer[j])
         n += m
         if j + m == len(buffer) or n > steps:
             out[n - j - m:n] = partial_trace_matrix(buffer[:j + m], blocks, 0, 2)

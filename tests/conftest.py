@@ -42,6 +42,17 @@ def kraus_apply(ops, rho):
     return out
 
 
+def full_kraus(program):
+    """The ``(r, d, d)`` Kraus stack of a compiled program, each K_j[:, C_j] put back on C_j."""
+    _, kraus, _, _, columns = program
+    if columns is None:
+        return kraus
+    full = np.zeros(kraus.shape[:2] + kraus.shape[1:2], dtype=complex)
+    for k, gathered, picked in zip(full, kraus, columns):
+        k[:, picked] = gathered
+    return full
+
+
 def _digits(x, dims):
     ds = []
     for d in reversed(dims):

@@ -26,7 +26,7 @@ from oqsim.cli import (
     parse_initial,
     run_experiment,
 )
-from oqsim.engine import projector_observable
+from oqsim.engine import StepRecord, Trajectory, projector_observable
 
 from conftest import dense_trajectory
 
@@ -392,6 +392,20 @@ class TestPresetOutputs:
                 assert abs(float(value) - np.trace(projectors[name] @ red).real) <= 1e-12
                 assert abs(float(trace) - np.trace(red).real) <= 1e-12
                 assert abs(float(pur) - np.trace(red @ red).real) <= 1e-12
+
+
+    def test_a_csv_reads_the_observable_names_once(self, tmp_path, monkeypatch):
+        reads, names = [], Trajectory.observable_names
+        monkeypatch.setattr(
+            Trajectory, "observable_names", property(lambda t: reads.append(t) or names.fget(t))
+        )
+        rows = (StepRecord(n, {"p1": n / 4, "p+": 0.5}, 1.0, 0.75) for n in range(3))
+        cli.write_csv(tmp_path / "t.csv", Trajectory(records=tuple(rows)))
+        assert len(reads) == 1
+        assert (tmp_path / "t.csv").read_text() == (
+            "step,observable,value,trace,purity\n0,p1,0.0,1.0,0.75\n0,p+,0.5,1.0,0.75\n"
+            "1,p1,0.25,1.0,0.75\n1,p+,0.5,1.0,0.75\n2,p1,0.5,1.0,0.75\n2,p+,0.5,1.0,0.75\n"
+        )
 
 
 class TestSweep:

@@ -9,9 +9,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oqsim.circuit as circuit
 from oqsim.channels import KrausChannel, pauli_channel
 from oqsim.circuit import (
     GateOp,
@@ -25,6 +26,7 @@ from oqsim.circuit import (
     compile_step,
     run_compiled,
 )
+from oqsim.cli import PRESETS, parse_angle
 from oqsim.engine import evolve
 from oqsim.qmath import DensityMatrix, Wire
 
@@ -32,6 +34,8 @@ from conftest import (
     dense_apply,
     dense_maps,
     dense_trajectory,
+    full_kraus,
+    kraus_apply,
     random_channel_ops,
     random_density,
     sequential_with_storage,
@@ -289,16 +293,16 @@ def test_a_carried_wire_without_an_axis_gets_one_at_zero():
 @pytest.mark.parametrize("k", range(2, 6))
 def test_memory_step_carries_half_the_register_with_two_operators(kind, k):
     step = STEPS[f"memory-{kind}-k{k}"]
-    carried, kraus, _, superop = compile_step(step)
+    carried, kraus, _, superop, columns = compile_step(step)
     half = 2**k
     assert [step.wire_labels[i] for i in carried] == ["q"] + [f"e{i}" for i in range(1, k)]
-    assert kraus.shape == (2, half, half) and superop is None
+    assert kraus.shape == (2, half, half) and superop is None and columns is None
 
 
 def test_memory_step_program_shape():
-    carried, kraus, _, superop = compile_step(STEPS["memory-amplitude-damping-k5"])
+    carried, kraus, _, superop, columns = compile_step(STEPS["memory-amplitude-damping-k5"])
     assert carried == (0, 1, 2, 3, 4)
-    assert kraus.shape == (2, 32, 32) and superop is None
+    assert kraus.shape == (2, 32, 32) and superop is None and columns is None
 
 
 @pytest.mark.parametrize(
@@ -306,23 +310,24 @@ def test_memory_step_program_shape():
 )
 def test_markovian_and_sequential_steps_carry_only_the_system(name):
     step = STEPS[name]
-    carried, kraus, _, superop = compile_step(step)
+    carried, kraus, _, superop, columns = compile_step(step)
     assert [step.wire_labels[i] for i in carried] == ["q"]
-    assert kraus.shape[1:] == (2, 2) and superop.shape == (4, 4)
+    assert kraus.shape[1:] == (2, 2) and superop.shape == (4, 4) and columns is None
 
 
 def test_sequential_l64_step_compresses_to_at_most_dc_squared_operators():
     step = build_sequential_step(_mixed_unitary(7, 64))
     assert sum(op.kind == "trace-reset" for op in step.ops) == 65
-    carried, kraus, _, superop = compile_step(step)
+    carried, kraus, _, superop, columns = compile_step(step)
     assert len(carried) == 1 and kraus.shape[1:] == (2, 2) and len(kraus) <= 4
-    assert superop.shape == (4, 4)
+    assert superop.shape == (4, 4) and columns is None
 
 
 def test_step_without_reset_is_one_operator_on_the_whole_register():
     step = STEPS["no-reset"]
-    carried, kraus, _, superop = compile_step(step)
+    carried, kraus, _, superop, columns = compile_step(step)
     assert carried == (0, 1, 2) and kraus.shape == (1, 8, 8) and superop is None
+    assert columns is None
 
 
 def test_full_layout_carries_every_wire():
@@ -387,7 +392,7 @@ def circuits(draw):
 def test_random_circuits_match_oracle_and_keep_trace(step, seed):
     rng = np.random.default_rng(seed)
     dims = _dims(step)
-    carried, kraus, *_ = compile_step(step)
+    kraus = full_kraus(compile_step(step))
     _full_form_matches(step, random_density(rng, math.prod(dims)), ORACLE_STEPS)
     _carried_form_matches(step, random_density(rng, kraus.shape[1]), ORACLE_STEPS)
     completeness = np.einsum("rji,rjk->ik", kraus.conj(), kraus)
@@ -404,3 +409,123 @@ def test_random_circuits_evolve_like_the_oracle(step, seed):
     got = evolve(step, [rho0], 6)[:, 0]
     for n, want in enumerate(dense_trajectory(step, rho0, 6)):
         assert np.max(np.abs(got[n] - want)) <= 1e-12, f"step {n}"
+
+
+# -- the Kraus form: each K_j on its nonzero columns C_j only -----------------
+
+
+def _program(stack, gather):
+    """A program for an ``(r, d, d)`` Kraus stack; with ``gather`` every zero column is dropped
+    (the gather priced at 0 multiply-adds), else none is."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(circuit, "CALL_MACS", 0 if gather else math.inf)
+        return (None, *circuit._kraus_form(stack.transpose(1, 0, 2).reshape(stack.shape[1], -1)))
+
+
+def _masked(seed, masks):
+    """Random K_j, scaled to keep the images of order 1, that are exactly zero off their masks."""
+    rng, masks = np.random.default_rng(seed), np.array(masks, dtype=bool)
+    r, d = masks.shape
+    stack = rng.normal(size=(r, d, d)) + 1j * rng.normal(size=(r, d, d))
+    return stack * masks[:, np.newaxis] / math.sqrt(2 * r * d)
+
+
+@st.composite
+def masked_stacks(draw):
+    """r < d (so no superoperator) operators with unequal column masks."""
+    d = draw(st.integers(2, 7))
+    r = draw(st.integers(1, d - 1))
+    row = st.lists(st.booleans(), min_size=d, max_size=d)
+    return _masked(draw(st.integers(0, 2**16)), draw(st.lists(row, min_size=r, max_size=r)))
+
+
+C_IS_1 = _masked(1, [[0, 1, 0, 0], [0, 0, 0, 1]])
+ONE_ZERO_OPERATOR = _masked(2, [[1, 1, 0, 1, 0], [0, 0, 0, 0, 0], [0, 1, 1, 1, 1]])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(stack=masked_stacks(), n=st.integers(1, 3), seed=st.integers(0, 2**16))
+@example(stack=C_IS_1, n=2, seed=3)
+@example(stack=ONE_ZERO_OPERATOR, n=3, seed=4)
+def test_kraus_form_steps_states_like_the_kraus_sum(stack, n, seed):
+    rng = np.random.default_rng(seed)
+    r, d, _ = stack.shape
+    states = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))  # any matrix
+    want = np.array([kraus_apply(stack, rho) for rho in states])
+    c = int(stack.any(axis=1).sum(axis=1).max())
+    for gather in (False, True):
+        program = _program(stack, gather)
+        assert (program[4] is not None) == (gather and c < d)
+        assert program[1].shape == (r, d, c if program[4] is not None else d)
+        got = run_compiled(program, states)
+        assert np.max(np.abs(got - want)) <= 1e-12
+        for rho, one in zip(states, got):
+            assert np.array_equal(run_compiled(program, rho[np.newaxis])[0], one)
+        out = states.copy()
+        assert run_compiled(program, out, out=out) is out and np.array_equal(out, got)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(stack=masked_stacks(), n=st.integers(1, 3), width=st.integers(1, 6), seed=st.integers(0, 2**16))
+@example(stack=C_IS_1, n=2, width=3, seed=5)
+@example(stack=ONE_ZERO_OPERATOR, n=1, width=2, seed=6)
+def test_kraus_form_steps_factors_like_the_kraus_sum(stack, n, width, seed):
+    """W' = [K_1 W, .., K_r W], and W' (I_r (x) X) W'^dag = sum_j K_j W X W^dag K_j^dag."""
+    rng = np.random.default_rng(seed)
+    r, d, _ = stack.shape
+    m = min(width, d - 1)
+    factors = (rng.normal(size=(n, d, m)) + 1j * rng.normal(size=(n, d, m))) / math.sqrt(d)
+    x = random_density(rng, m)
+    for gather in (False, True):
+        program = _program(stack, gather)
+        got = run_compiled(program, factors)
+        assert got.shape == (n, d, r * m)
+        side_by_side = (stack @ factors[:, np.newaxis]).transpose(0, 2, 1, 3).reshape(got.shape)
+        assert np.max(np.abs(got - side_by_side)) <= 1e-12
+        for w, wide in zip(factors, got):
+            state = wide @ np.kron(np.eye(r), x) @ wide.conj().T
+            assert np.max(np.abs(state - kraus_apply(stack, w @ x @ w.conj().T))) <= 1e-12
+            assert np.array_equal(run_compiled(program, w[np.newaxis])[0], wide)
+
+
+def _memory_step(kind, k):
+    return build_nonmarkovian_step(kind, MemorySpec(k, tuple(0.3 + 0.7 * i for i in range(k))))
+
+
+@pytest.mark.parametrize("k", [6, 7, 8])
+def test_amplitude_damping_memory_steps_from_k6_keep_three_quarters_of_the_columns(k):
+    """|q e_1> = |0 1-j> never reaches the reset value j: a quarter of each K_j's columns is 0."""
+    program = compile_step(_memory_step("amplitude-damping", k))
+    _, kraus, adjoints, superop, columns = program
+    dc, c = 2**k, 3 * 2**k // 4
+    assert kraus.shape == (2, dc, c) and adjoints.shape == (2, c, dc) and columns.shape == (2, c)
+    assert superop is None
+    full = full_kraus(program)
+    assert [np.flatnonzero(op.any(axis=0)).tolist() for op in full] == columns.tolist()
+    assert np.array_equal(adjoints, kraus.conj().transpose(0, 2, 1))
+
+
+def _arms():
+    steps = {}
+    for fig, cfg in PRESETS.items():
+        thetas = tuple(parse_angle(t) for t in cfg["thetas"].split(","))
+        steps[f"{fig}-markovian"] = build_markovian_step(cfg["channel"], parse_angle(cfg["theta"]))
+        steps[f"{fig}-memory"] = build_nonmarkovian_step(
+            cfg["channel"], MemorySpec(int(cfg["k"]), thetas)
+        )
+    rng = np.random.default_rng(7)
+    for kind in KINDS:  # a blp_grid point: a k=3 step with random angles
+        steps[f"grid-{kind}"] = build_nonmarkovian_step(
+            kind, MemorySpec(3, tuple(rng.uniform(0.0, 2.0 * math.pi, 3)))
+        )
+        steps[f"markovian-{kind}"] = build_markovian_step(kind, 1.1)
+    steps["sequential"] = build_sequential_step(pauli_channel(0.05, 0.1, 0.15))
+    steps["sequential-l64"] = build_sequential_step(_mixed_unitary(7, 64))
+    steps.update({f"dephasing-k{k}": _memory_step("dephasing", k) for k in range(2, 10)})
+    return steps
+
+
+@pytest.mark.parametrize("name", sorted(_arms()))
+def test_preset_grid_markovian_sequential_and_dephasing_steps_keep_every_column(name):
+    _, kraus, adjoints, _, columns = compile_step(_arms()[name])
+    assert columns is None and kraus.shape[1] == kraus.shape[2] == adjoints.shape[1]

@@ -178,7 +178,10 @@ class TestViolationContract:
         assert str(err.value) == f"step 3: {invariant} violated ({direct.value})"
 
     def test_blp_witness_raises_for_the_first_bad_state(self, monkeypatch):
-        monkeypatch.setattr(eng, "run_compiled", lambda program, states: states * 1.01)
+        def scaled(program, states, out=None):  # a kernel that writes 1.01 rho, into out if given
+            return np.multiply(states, 1.01, out=out)
+
+        monkeypatch.setattr(eng, "run_compiled", scaled)
         rho_a, rho_b = qstate(proj(KET0)), qstate(proj(KET1))
         with pytest.raises(InvalidStateError) as direct:
             DensityMatrix(rho_a.matrix * 1.01, rho_a.layout)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oqsim.circuit as circuit
 import oqsim.engine as engine
 from oqsim.analysis import blp_witness
 from oqsim.channels import KrausChannel, pauli_channel
@@ -205,9 +206,9 @@ def _counting(monkeypatch, name, replace=None):
     """Wrap ``engine.<name>`` to record its calls; ``replace(index, result)`` may alter a result."""
     calls, original = [], getattr(engine, name)
 
-    def wrapper(*args):
+    def wrapper(*args, **kwargs):  # records the positional arguments only
         calls.append(args)
-        result = original(*args)
+        result = original(*args, **kwargs)
         return result if replace is None else replace(len(calls) - 1, result)
 
     monkeypatch.setattr(engine, name, wrapper)
@@ -442,6 +443,20 @@ def test_fig7_memory_arm_over_3000_steps_matches_the_per_step_loop():
     plus = DensityMatrix(np.full((2, 2), 0.5, dtype=complex), (Wire("q"),))
     got = evolve(step, [plus], 3000)
     assert np.max(np.abs(got - _per_step(step, [plus], 3000))) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("k", [6, 7, 8])
+def test_wide_memory_steps_match_the_per_step_loop(monkeypatch, rng, kind, k):
+    """Factor steps from |1>, then dense steps, with the amplitude-damping K_j on their nonzero
+    columns only; with no column dropped the run is the same within 1e-12."""
+    step = build_nonmarkovian_step(kind, MemorySpec(k, tuple(0.3 + 0.7 * i for i in range(k))))
+    states = [_basis_state(step, 0.0, 1.0), _system_state(step, rng)]
+    got = evolve(step, states, k + 3)
+    assert np.max(np.abs(got - _per_step(step, states, k + 3))) <= 1e-12
+    monkeypatch.setattr(circuit, "CALL_MACS", math.inf)  # no gather
+    assert compile_step(step)[4] is None
+    assert np.max(np.abs(got - evolve(step, states, k + 3))) <= 1e-12
 
 
 def test_block_size_doubles_only_where_the_squarings_pay():

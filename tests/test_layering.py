@@ -1,6 +1,7 @@
-"""Package modules use only each other's public names."""
+"""Package modules use only each other's public names, and no runtime dependency but numpy."""
 
 import ast
+import sys
 from pathlib import Path
 
 import oqsim
@@ -131,4 +132,34 @@ def test_guard_catches_a_long_line():
 
 def test_every_module_line_is_at_most_100_characters():
     bad = {path.name: long_lines(path.read_text(encoding="utf-8")) for path in MODULES}
+    assert {name: hits for name, hits in bad.items() if hits} == {}
+
+
+RUNTIME = set(sys.stdlib_module_names) | {"numpy", "oqsim"}  # numpy: the one runtime dependency
+
+
+def foreign_imports(source: str):
+    """(line, module) for each absolute import of a module outside :data:`RUNTIME`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [(node.lineno, m) for m in modules if m.split(".")[0] not in RUNTIME]
+    return found
+
+
+def test_guard_catches_a_foreign_import():
+    text = (
+        "import math\nimport numpy as np\nfrom scipy.linalg import blas\nfrom . import circuit\n"
+        "from oqsim.qmath import Wire\nfrom numpy.linalg import qr\nimport os, pandas\n"
+    )
+    assert foreign_imports(text) == [(3, "scipy.linalg"), (7, "pandas")]
+
+
+def test_every_module_imports_only_the_standard_library_numpy_and_siblings():
+    bad = {path.name: foreign_imports(path.read_text(encoding="utf-8")) for path in MODULES}
     assert {name: hits for name, hits in bad.items() if hits} == {}
