@@ -440,16 +440,16 @@ def _kraus_form(stack: np.ndarray):
     the C_j, ``(r, c)``; else it is None and c = d.  ``kraus`` is the ``(r, d, c)`` view of
     [K_1[:, C_1] .. K_r[:, C_r]], ``adjoints`` the K_j[:, C_j]^dag, ``(r, c, d)``, and
     ``superop`` the :func:`superoperator` when d <= r makes that the smaller product."""
-    d, r = stack.shape[0], stack.shape[1] // stack.shape[0]
-    superop = None if d > r else superoperator(stack.reshape(d, r, d).transpose(1, 0, 2))
-    columns = None
+    d = len(stack)
+    r, ops = stack.shape[1] // d, stack.reshape(d, -1, d)
+    superop, columns = None if d > r else superoperator(ops.transpose(1, 0, 2)), None
     if superop is None and 2 * r * d**3 > CALL_MACS:  # else no gather can pay
-        nonzero = stack.reshape(d, r, d).any(axis=0)
+        nonzero = ops.any(axis=0)
         c = int(nonzero.sum(axis=1).max())
         if r * d * (2 * d * d - c * c - c * d) > CALL_MACS:
             columns = np.argsort(~nonzero, axis=1, kind="stable")[:, :c]
             stack = stack.take((columns + d * np.arange(r)[:, np.newaxis]).ravel(), axis=1)
-    stack = np.ascontiguousarray(stack).reshape(d, r, -1)
+    stack = stack.reshape(d, r, -1)  # a view, as both branches leave it C-contiguous
     return stack.transpose(1, 0, 2), np.conj(stack.transpose(1, 2, 0), order="C"), superop, columns
 
 

@@ -499,7 +499,7 @@ def test_amplitude_damping_memory_steps_from_k6_keep_three_quarters_of_the_colum
     _, kraus, adjoints, superop, columns = program
     dc, c = 2**k, 3 * 2**k // 4
     assert kraus.shape == (2, dc, c) and adjoints.shape == (2, c, dc) and columns.shape == (2, c)
-    assert superop is None
+    assert superop is None and kraus.transpose(1, 0, 2).flags.c_contiguous
     full = full_kraus(program)
     assert [np.flatnonzero(op.any(axis=0)).tolist() for op in full] == columns.tolist()
     assert np.array_equal(adjoints, kraus.conj().transpose(0, 2, 1))
@@ -529,3 +529,4 @@ def _arms():
 def test_preset_grid_markovian_sequential_and_dephasing_steps_keep_every_column(name):
     _, kraus, adjoints, _, columns = compile_step(_arms()[name])
     assert columns is None and kraus.shape[1] == kraus.shape[2] == adjoints.shape[1]
+    assert kraus.transpose(1, 0, 2).flags.c_contiguous  # K~ is one (d_c, r d_c) array
