@@ -393,7 +393,6 @@ class TestPresetOutputs:
                 assert abs(float(trace) - np.trace(red).real) <= 1e-12
                 assert abs(float(pur) - np.trace(red @ red).real) <= 1e-12
 
-
     def test_a_csv_reads_the_observable_names_once(self, tmp_path, monkeypatch):
         reads, names = [], Trajectory.observable_names
         monkeypatch.setattr(

@@ -466,7 +466,9 @@ def test_kraus_form_steps_states_like_the_kraus_sum(stack, n, seed):
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(stack=masked_stacks(), n=st.integers(1, 3), width=st.integers(1, 6), seed=st.integers(0, 2**16))
+@given(
+    stack=masked_stacks(), n=st.integers(1, 3), width=st.integers(1, 6), seed=st.integers(0, 2**16)
+)
 @example(stack=C_IS_1, n=2, width=3, seed=5)
 @example(stack=ONE_ZERO_OPERATOR, n=1, width=2, seed=6)
 def test_kraus_form_steps_factors_like_the_kraus_sum(stack, n, width, seed):
