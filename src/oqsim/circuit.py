@@ -404,21 +404,23 @@ def compile_step(step: StepCircuit, full: bool = False):
     axis of a wire in |0> has length 1.  A gate gives its wires in |0> their full axis, a swap
     swaps two axes, a reset moves its wire's axis into the operator index and leaves length 1.
     The stack is compressed whenever r exceeds the rows times d_c, and at end to r <= d_c^2;
-    :func:`_kraus_form` stores it.  A d_c too large to allocate raises :class:`MemoryError`.
+    :func:`_kraus_form` stores it.  It is float64 when no gate has a nonzero imaginary part,
+    else complex128.  A d_c too large to allocate raises :class:`MemoryError`.
     """
     dims = [w.dim for w in step.layout]
     fresh = () if full else _fresh(step)
     carried = tuple(i for i in range(len(dims)) if i not in fresh)
     dc = math.prod(dims[i] for i in carried)
     rows = [1 if i in fresh else d for i, d in enumerate(dims)]
+    real = not any(op.matrix.imag.any() for op in step.ops if op.kind == "unitary-apply")
     try:
-        acc = np.eye(dc, dtype=complex).reshape(rows + [dc])
+        acc = np.eye(dc, dtype=float if real else complex).reshape(rows + [dc])
     except ValueError as exc:  # a shape beyond numpy's index range
         raise MemoryError(str(exc)) from None
     for op in step.ops:
         positions = [wire_index(step.layout, w) for w in op.wires]
         if op.kind == "unitary-apply":
-            acc = _apply_rows(acc, op.matrix, positions, dims)
+            acc = _apply_rows(acc, op.matrix.real if real else op.matrix, positions, dims)
         elif op.kind == "swap":
             acc = acc.swapaxes(*positions)
         elif acc.shape[a := positions[0]] > 1:  # its axis goes next to the columns, then into them
@@ -430,7 +432,7 @@ def compile_step(step: StepCircuit, full: bool = False):
     return (carried, *_kraus_form(_compress(acc.reshape(dc, -1), dc)))
 
 
-CALL_MACS = 2**16  # one kernel call (about 10 us at d_c = 8) priced as complex multiply-adds
+CALL_MACS = 2**16  # one kernel call (about 10 us at d_c = 8) priced as multiply-adds
 
 
 def _kraus_form(stack: np.ndarray):
@@ -467,7 +469,8 @@ def run_compiled(program, states: np.ndarray, out: np.ndarray | None = None) -> 
     rho[C_j, C_j] K_j[:, C_j]^dag, two products and no transpose copy, into ``out`` if given
     (C-contiguous).  A narrower stack (m < d_c) holds factors W of states W X W^dag: it gives
     the ``(n, d_c, r m)`` [K_1 W, .., K_r W], K_j W = K_j[:, C_j] W[C_j], exactly, since
-    sum_j K_j W X W^dag K_j^dag is [K_1 W, .., K_r W] (I_r (x) X) [K_1 W, .., K_r W]^dag."""
+    sum_j K_j W X W^dag K_j^dag is [K_1 W, .., K_r W] (I_r (x) X) [K_1 W, .., K_r W]^dag.
+    The result is real only when the program and the states are."""
     _, kraus, adjoints, superop, columns = program
     n, dc, m = states.shape
     if superop is not None and m == dc:
@@ -481,7 +484,7 @@ def run_compiled(program, states: np.ndarray, out: np.ndarray | None = None) -> 
     else:
         picked = states[:, columns[:, :, np.newaxis], columns[:, np.newaxis]]  # rho[C_j, C_j]
     if m < dc:
-        wide = np.empty((n, dc, len(kraus), m), dtype=complex)
+        wide = np.empty((n, dc, len(kraus), m), dtype=np.result_type(kraus, states))
         np.matmul(kraus, picked, out=wide.transpose(0, 2, 1, 3))
         return wide.reshape(n, dc, -1)
     side = (picked @ adjoints).reshape(n, -1, dc)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,8 +56,9 @@ _NAMED_KETS = {
 }
 
 
+@functools.cache
 def projector_observable(name: str) -> Observable:
-    """One of the builtin single-qubit population observables p0/p1/p+/p-."""
+    """One of the builtin single-qubit population observables p0/p1/p+/p-, built once."""
     if name not in _NAMED_KETS:
         raise ValueError(f"unknown observable {name!r}; expected one of {sorted(_NAMED_KETS)}")
     v = _NAMED_KETS[name]
@@ -87,13 +89,13 @@ class Trajectory:
         return tuple(self.records[0].values)
 
 
-_CHUNK_ENTRIES = 2**14  # complex entries of carried states that evolve reduces in one call
+_CHUNK_ENTRIES = 2**14  # entries of carried states that evolve reduces in one call
 
 
 def _block(dc: int, slots: int) -> int:
     """Block size B of evolve's dense loop: it doubles while one more squaring of S (d_c^6
-    complex multiply-adds, 42 us at d_c = 8) costs less than the kernel calls it saves in a chunk
-    of ``slots``, filled with log2(B) + (slots - 1) // B products for B < slots."""
+    multiply-adds, 42 us complex and 11.5 us real at d_c = 8) costs less than the kernel calls it
+    saves in a chunk of ``slots``, filled with log2(B) + (slots - 1) // B products for B < slots."""
     b = 1
     while 2 * b < slots and dc**6 < ((slots - 1) // b - (slots - 1) // (2 * b) - 1) * CALL_MACS:
         b *= 2
@@ -124,16 +126,18 @@ def evolve(step: StepCircuit, states, steps: int) -> np.ndarray:
     the kernel maps W, one call per state, and the record is
     tr_env W (I (x) X) W^dag from the system rows of W.  Then W (I (x) X) W^dag
     is formed once (rho0 itself when W_0 fills the register) and the steps go
-    on densely, into a chunk buffer of at most ``2**14`` complex entries, or
+    on densely, into a chunk buffer of at most ``2**14`` entries, or
     one step's ``(len(states), d_c, d_c)`` stack when that is larger, reduced
     by one partial trace per full (or last) chunk.  Its slot 0 is one kernel
     call on the slot before, written into the slot; slots f .. f + w - 1 are
     S^w times the w before, w the largest power of two <= min(f, B), in one
     product over all states.
     S = sum_j K_j (x) conj(K_j) is squared once per run up to S^B, with B
-    from :func:`_block`; B = 1 (d_c >= 16) is one call per step.
+    from :func:`_block`; B = 1 (d_c >= 16) is one call per step.  W, X and
+    the buffer are float64 when the program and every rho0 have no imaginary
+    part, else complex128; S is in the program's dtype.
 
-    Returns the ``(steps + 1, len(states), s, s)`` stack after one
+    Returns the ``(steps + 1, len(states), s, s)`` stack, complex128 as the states, after one
     :func:`check_states` in step order: an :class:`InvalidStateError` index
     is ``step * len(states) + state``.  A negative ``steps`` raises
     :class:`ValueError`, a stack too large to allocate :class:`MemoryError`;
@@ -156,18 +160,22 @@ def evolve(step: StepCircuit, states, steps: int) -> np.ndarray:
     at = kept.index(system[0])
     blocks = (layout_dim(kept[:at]), layout_dim(system), layout_dim(kept[at + len(system):]))
     s, dc = blocks[1], layout_dim(kept)
+    rho0 = np.reshape([rho.matrix for rho in states], (-1, s, s))
     try:
-        out = np.empty((steps + 1, len(states), s, s), dtype=complex)
+        out = np.empty((steps + 1, *rho0.shape), dtype=rho0.dtype)
     except ValueError as exc:  # a shape beyond numpy's index range
         raise MemoryError(str(exc)) from None
     if not len(states):
         return out
+    if not rho0.imag.any():
+        rho0 = rho0.real
+    dtype = np.result_type(program[1], rho0)
     chunk = max(1, _CHUNK_ENTRIES // (len(states) * dc * dc))
-    rho0 = np.reshape([rho.matrix for rho in states], (-1, s, s))
     seen = rho0.any(axis=0)
     occupied = np.flatnonzero((seen | seen.T).any(axis=0))  # a row or a column not all zero
     x = rho0.take(occupied, 1).take(occupied, 2)
-    lift = np.eye(dc, dtype=complex)[np.newaxis, :, occupied * blocks[2]]  # W_0: |0> off the system
+    lift = np.zeros((1, dc, len(occupied)), dtype=dtype)  # W_0: |0> off the system
+    lift[0, occupied * blocks[2], range(len(occupied))] = 1
     factors = [lift] * len(states)
 
     def weighted(i, w):  # W (I (x) X) of state i, as a (d_c, .) matrix
@@ -183,8 +191,8 @@ def evolve(step: StepCircuit, states, steps: int) -> np.ndarray:
             break
         for i, w in enumerate(factors if n else ()):  # tr_env W (I (x) X) W^dag
             v = weighted(i, w).reshape(blocks[0], s, -1)  # rows: (before, system, after)
-            np.einsum("bik,bjk->ij", v, w.conj().reshape(blocks[0], s, -1), out=out[n, i])
-    buffer = np.empty((min(chunk, steps + 1 - base), len(states), dc, dc), dtype=complex)
+            out[n, i] = np.einsum("bik,bjk->ij", v, w.conj().reshape(blocks[0], s, -1))
+    buffer = np.empty((min(chunk, steps + 1 - base), len(states), dc, dc), dtype=dtype)
     if base == 0:  # W_0 = I fills the register: the carried states are rho0
         buffer[0] = rho0
     for i, w in enumerate(factors if 0 < base <= steps else ()):  # W (I (x) X) W^dag, once

@@ -1,8 +1,8 @@
-"""Dense complex linear algebra for small qubit registers.
+"""Dense linear algebra for small qubit registers.
 
-Everything operates on plain ``numpy`` arrays (``complex128``) or on
-:class:`DensityMatrix` values, which tag a matrix with an ordered wire
-layout.
+Everything operates on plain ``numpy`` arrays, ``float64`` where the data
+are real and ``complex128`` otherwise, or on :class:`DensityMatrix` values,
+which tag a ``complex128`` matrix with an ordered wire layout.
 
 Ordering convention: the first wire of a layout is the most significant
 index block, i.e. a layout ``(a, b)`` enumerates the basis as ``|a b>``
@@ -181,9 +181,9 @@ def partial_trace_matrix(mat, dims, *axes: int) -> np.ndarray:
 
     ``dims`` lists the factor dimensions in layout order; the remaining
     factors keep their relative order (no axes: the matrix; all: its 1x1 trace).
-    A stack of matrices, with leading axes, reduces in the same call.
+    A stack of matrices, with leading axes, reduces in the same call, in its own dtype.
     """
-    mat = np.asarray(mat, dtype=complex)
+    mat = np.asarray(mat)
     dims = list(dims)
     m, lead = len(dims), mat.shape[:-2]
     if mat.shape[-2:] != (math.prod(dims),) * 2:

@@ -532,3 +532,55 @@ def test_preset_grid_markovian_sequential_and_dephasing_steps_keep_every_column(
     _, kraus, adjoints, _, columns = compile_step(_arms()[name])
     assert columns is None and kraus.shape[1] == kraus.shape[2] == adjoints.shape[1]
     assert kraus.transpose(1, 0, 2).flags.c_contiguous  # K~ is one (d_c, r d_c) array
+
+
+# -- real circuits compile to real programs -----------------------------------
+
+
+def _paper_steps():
+    """The paper's circuits: Markovian, both memory kinds at k = 2..9, blp_grid points (k = 3)."""
+    steps = {f"markovian-{kind}": build_markovian_step(kind, 1.1) for kind in KINDS}
+    rng = np.random.default_rng(7)
+    for kind in KINDS:
+        steps.update({f"memory-{kind}-k{k}": _memory_step(kind, k) for k in range(2, 10)})
+        steps[f"grid-{kind}"] = build_nonmarkovian_step(
+            kind, MemorySpec(3, tuple(rng.uniform(0.0, 2.0 * math.pi, 3)))
+        )
+    return steps
+
+
+PAPER_STEPS = _paper_steps()
+
+
+def _with_gate(op):
+    """The Markovian damping step with ``op`` on q after its coupling, before the reset."""
+    step = build_markovian_step("amplitude-damping", 1.1)
+    return StepCircuit("with-gate", step.layout, step.system, [*step.ops[:-1], op, step.ops[-1]])
+
+
+COMPLEX_STEPS = {
+    "sequential-l64": build_sequential_step(_mixed_unitary(7, 64)),  # Haar factors
+    "pauli-y": _with_gate(GateOp.gate("Y", ("q",))),
+    "imaginary-1e-300": _with_gate(
+        GateOp("unitary-apply", ("q",), matrix=np.diag([1.0, 1.0 + 1e-300j]))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAPER_STEPS))
+def test_paper_steps_compile_to_float64(name):
+    _, kraus, adjoints, superop, _ = compile_step(PAPER_STEPS[name])
+    assert kraus.dtype == adjoints.dtype == np.float64
+    assert superop is None or superop.dtype == np.float64
+
+
+@pytest.mark.parametrize("name", sorted(COMPLEX_STEPS))
+def test_a_gate_with_any_imaginary_part_keeps_the_program_complex(name, rng):
+    step = COMPLEX_STEPS[name]
+    _, kraus, adjoints, superop, _ = program = compile_step(step)
+    assert kraus.dtype == adjoints.dtype == np.complex128
+    assert superop is None or superop.dtype == np.complex128
+    rho = random_density(rng, 2)
+    want = dense_trajectory(step, DensityMatrix(rho, (Wire("q"),)), 1)[1]
+    got = run_compiled(program, rho[np.newaxis])[0]
+    assert np.max(np.abs(got - want)) <= 1e-12

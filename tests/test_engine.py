@@ -33,6 +33,11 @@ class TestObservable:
         with pytest.raises(ValueError):
             projector_observable("p2")
 
+    def test_each_builtin_is_built_once(self):
+        for name in ("p0", "p1", "p+", "p-"):
+            assert projector_observable(name) is projector_observable(name)
+        assert not projector_observable("p1").projector.flags.writeable
+
     def test_non_idempotent_rejected(self):
         with pytest.raises(ValueError, match="idempotent"):
             Observable("half", np.eye(2) / 2)
@@ -165,7 +170,7 @@ class TestViolationContract:
         reduce = eng.partial_trace_matrix
 
         def breaking(stack, *args):  # |+> fills the register: one chunk holds steps 0..6
-            reduced = reduce(stack, *args)
+            reduced = reduce(stack, *args).astype(complex)  # a real run reduces to real states
             reduced[3:] = bad  # the reduced states turn bad at step 3
             return reduced
 

@@ -487,15 +487,79 @@ def test_run_records_the_oracle_states(name, rng):
         assert abs(rec.purity - np.trace(want @ want).real) <= 1e-12
 
 
+def _oracle_revival_sum(step, rho_a, rho_b):
+    a = dense_trajectory(step, rho_a, STEPS)
+    b = dense_trajectory(step, rho_b, STEPS)
+    dist = [0.5 * np.abs(np.linalg.eigvalsh(x - y)).sum() for x, y in zip(a, b)]
+    return sum(max(cur - prev, 0.0) for prev, cur in zip(dist, dist[1:]))
+
+
 @pytest.mark.parametrize("name", ["memory-amplitude-damping-k3", "sequential-memory-k3"])
 def test_blp_witness_is_the_oracle_revival_sum(name, rng):
     step = BUILDERS[name]
     rho_a, rho_b = _system_state(step, rng), _system_state(step, rng)
-    a = dense_trajectory(step, rho_a, STEPS)
-    b = dense_trajectory(step, rho_b, STEPS)
-    dist = [0.5 * np.abs(np.linalg.eigvalsh(x - y)).sum() for x, y in zip(a, b)]
-    want = sum(max(cur - prev, 0.0) for prev, cur in zip(dist, dist[1:]))
+    want = _oracle_revival_sum(step, rho_a, rho_b)
     assert abs(blp_witness(step, rho_a, rho_b, STEPS) - want) <= 1e-12
+
+
+# -- the run's dtype follows its data -----------------------------------------
+
+QUBIT_STARTS = {
+    "|0>": np.diag([1.0, 0.0]),
+    "|1>": np.diag([0.0, 1.0]),
+    "|+>": np.full((2, 2), 0.5),
+    "|+i>": np.array([[0.5, -0.5j], [0.5j, 0.5]]),  # the one named start off the real axis
+}
+
+
+def _qubits(rng, *names):
+    """Named starts, or ``real`` / ``complex`` for a random mixed state of that kind."""
+    mixed = {"real": random_density(rng).real, "complex": random_density(rng)}
+    return [DensityMatrix({**QUBIT_STARTS, **mixed}[n], (Wire("q"),)) for n in names]
+
+
+def _kernel_dtypes(monkeypatch):
+    """Wrap ``engine.run_compiled`` to record the dtypes of its states and its ``out``."""
+    seen, original = [], engine.run_compiled
+
+    def wrapper(program, states, out=None):
+        seen.append(states.dtype)
+        seen.extend([] if out is None else [out.dtype])
+        return original(program, states, out=out)
+
+    monkeypatch.setattr(engine, "run_compiled", wrapper)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "starts", [("|1>",), ("|0>", "|+>", "real"), ("|+i>",), ("|1>", "|+i>"), ("complex",)]
+)
+@pytest.mark.parametrize(
+    "name",
+    ["markovian-amplitude-damping", "memory-dephasing-k3", "memory-amplitude-damping-k4",
+     "sequential", "overshoot"],
+)
+def test_kernel_inputs_are_real_only_when_the_program_and_every_state_are(
+    monkeypatch, rng, name, starts
+):
+    step, states = FACTOR_STEPS[name], _qubits(rng, *starts)
+    program_real = compile_step(step)[1].dtype == np.float64
+    assert program_real == (name not in ("sequential", "overshoot"))  # Y and Haar gates
+    real = program_real and not any(rho.matrix.imag.any() for rho in states)
+    seen = _kernel_dtypes(monkeypatch)
+    got = evolve(step, states, 12)
+    assert got.dtype == np.complex128
+    assert seen and set(seen) == {np.dtype(np.float64 if real else np.complex128)}
+    assert np.max(np.abs(got - _per_step(step, states, 12))) <= 1e-12
+    _matches_oracle(step, states, got)
+
+
+@pytest.mark.parametrize("name", ["memory-amplitude-damping-k3", "sequential-memory-k3"])
+def test_blp_witness_of_a_real_and_a_complex_state_is_the_oracle_revival_sum(name, rng):
+    step = BUILDERS[name]
+    for rho_a, rho_b in [_qubits(rng, "|1>", "|+i>"), _qubits(rng, "real", "complex")]:
+        want = _oracle_revival_sum(step, rho_a, rho_b)
+        assert abs(blp_witness(step, rho_a, rho_b, STEPS) - want) <= 1e-12
 
 
 def test_negative_step_count_rejected(rng):

@@ -1,10 +1,12 @@
 """Package modules use only each other's public names, and no runtime dependency but numpy."""
 
 import ast
+import inspect
 import sys
 from pathlib import Path
 
 import oqsim
+from oqsim import circuit, engine, qmath
 
 MODULES = sorted(Path(oqsim.__file__).parent.glob("*.py"))
 SIBLINGS = {path.stem for path in MODULES}
@@ -162,4 +164,38 @@ def test_guard_catches_a_foreign_import():
 
 def test_every_module_imports_only_the_standard_library_numpy_and_siblings():
     bad = {path.name: foreign_imports(path.read_text(encoding="utf-8")) for path in MODULES}
+    assert {name: hits for name, hits in bad.items() if hits} == {}
+
+
+COMPLEX_NAMES = {"complex", "complex128", "cdouble"}
+
+
+def forced_complex(source: str):
+    """(line, name) for each ``dtype=`` keyword or ``astype`` argument naming a complex type."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.keyword) and node.arg == "dtype":
+            values = [node.value]
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "astype":
+            values = node.args[:1]
+        else:
+            continue
+        names = [getattr(v, "id", None) or getattr(v, "attr", None) for v in values]
+        found += [(node.lineno, n) for n in names if n in COMPLEX_NAMES]
+    return sorted(found)
+
+
+def test_guard_catches_a_forced_complex_dtype():
+    text = (
+        "a = np.eye(n, dtype=complex)\nb = np.empty(n, dtype=np.complex128)\n"
+        "c = a.astype(np.cdouble)\nd = np.zeros(n, dtype=float if real else complex)\n"
+        "e = np.empty(n, dtype=a.dtype).astype(float)\n"
+    )
+    assert forced_complex(text) == [(1, "complex"), (2, "complex128"), (3, "cdouble")]
+
+
+def test_the_run_path_takes_its_dtype_from_its_data():
+    """A real program and real states run in float64: no step of the run path forces complex."""
+    run_path = (circuit.compile_step, circuit.run_compiled, engine.evolve, qmath.partial_trace_matrix)
+    bad = {f.__name__: forced_complex(inspect.getsource(f)) for f in run_path}
     assert {name: hits for name, hits in bad.items() if hits} == {}
