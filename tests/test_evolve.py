@@ -523,8 +523,7 @@ def _kernel_dtypes(monkeypatch):
     seen, original = [], engine.run_compiled
 
     def wrapper(program, states, out=None):
-        seen.append(states.dtype)
-        seen.extend([] if out is None else [out.dtype])
+        seen.extend(a.dtype for a in (states, out) if a is not None)
         return original(program, states, out=out)
 
     monkeypatch.setattr(engine, "run_compiled", wrapper)
