@@ -25,7 +25,6 @@ from .qmath import (
     as_complex_matrix,
     complex_pairs,
     is_unitary,
-    wire_index,
 )
 
 
@@ -80,13 +79,15 @@ def standard_gate(name: str, theta: float | None = None) -> np.ndarray:
 
     ``Ry(theta)`` is ``[[cos t/2, -sin t/2], [sin t/2, cos t/2]]`` so that
     ``<1|Ry(theta)|0> = sin(theta/2)``.  Controlled gates put the control
-    on the first (more significant) wire.
+    on the first (more significant) wire.  A non-finite theta raises :class:`BuilderError`.
     """
     canon = _canonical_name(name)
     if canon in _ROTATION_GATES:
         if theta is None:
             raise BuilderError(f"gate {canon} requires theta")
-        return _ROTATION_GATES[canon](float(theta))
+        if not math.isfinite(theta := float(theta)):
+            raise BuilderError(f"gate {canon} angle {theta} is not finite")
+        return _ROTATION_GATES[canon](theta)
     if theta is not None:
         raise BuilderError(f"gate {canon} takes no theta")
     return _FIXED_GATES[canon].copy()
@@ -122,8 +123,8 @@ class GateOp:
             raise BuilderError("unitary-apply needs a matrix")
         else:
             matrix = as_complex_matrix(matrix).copy()
-            if not is_unitary(matrix):
-                raise BuilderError(f"gate {name or '<anonymous>'} is not unitary")
+            if name is None and not is_unitary(matrix):  # a library matrix is unitary as built
+                raise BuilderError("gate <anonymous> is not unitary")
             matrix.flags.writeable = False
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "wires", wires)
@@ -375,19 +376,31 @@ def _fresh(step: StepCircuit) -> list[int]:
 
 
 def _apply_rows(t: np.ndarray, gate: np.ndarray, wires, dims) -> np.ndarray:
-    """``gate`` on ``wires`` of an operator tensor with one row axis per wire, touching those
-    axes only.  A wire in |0> has an axis of length 1: only the gate's columns for its value 0
-    act, and the wire leaves with its full axis."""
-    m = len(wires)
-    g = gate.reshape([dims[w] for w in wires] * 2)[(..., *(slice(t.shape[w]) for w in wires))]
-    return np.moveaxis(np.tensordot(g, t, axes=(range(m, 2 * m), wires)), range(m), wires)
+    """``gate`` on ``wires`` of an operator tensor with one row axis per wire: their axes go to
+    the front (a view), one ``(g_out x g_in) @ (g_in x rest)`` product, and back by the inverse
+    permutation.  A wire in |0> has an axis of length 1: only the gate's columns for its value
+    0 act, and the wire leaves with its full axis."""
+    order = [*wires, *(i for i in range(t.ndim) if i not in wires)]
+    ins, outs = [t.shape[w] for w in wires], [dims[w] for w in wires]
+    if ins != outs:
+        gate = gate.reshape(outs * 2)[(..., *map(slice, ins))].reshape(len(gate), -1)
+    front = t.transpose(order)
+    out = gate @ front.reshape(gate.shape[1], -1)
+    return out.reshape(outs + list(front.shape[len(wires):])).transpose(
+        sorted(range(t.ndim), key=order.__getitem__)
+    )
 
 
-def _compress(acc: np.ndarray, dc: int) -> np.ndarray:
-    """At most ``rows * dc`` operators for the map of an operator tensor with ``rows`` row entries:
-    the map is fixed by sum_j vec(K_j) vec(K_j)^dag, which R of a QR of the rows vec(K_j) keeps."""
+def _compress(acc: np.ndarray, dc: int, final: bool = False) -> np.ndarray:
+    """At most n = ``rows * dc`` operators for the map of an operator tensor with ``rows`` row
+    entries: the map is fixed by sum_j vec(K_j) vec(K_j)^dag, which R of a QR of the rows
+    vec(K_j) keeps.  A QR is a call, so the walk's waits while its r operators, priced as a
+    step on n dimensions at 2 r n^3 multiply-adds (as :func:`_kraus_form` prices one), cost no
+    more than a call, :data:`CALL_MACS`: at n = 8 it runs at every fourth qubit reset.  A
+    ``final`` one runs whenever r > n."""
     rows, r = math.prod(acc.shape[:-1]), acc.shape[-1] // dc
-    if r <= rows * dc:
+    n = rows * dc
+    if r <= n or not final and 2 * r * n**3 <= CALL_MACS:
         return acc
     kept = np.linalg.qr(acc.reshape(rows, r, dc).transpose(1, 0, 2).reshape(r, -1), mode="r")
     return kept.reshape(-1, rows, dc).transpose(1, 0, 2).reshape(acc.shape[:-1] + (-1,))
@@ -401,9 +414,10 @@ def compile_step(step: StepCircuit, full: bool = False):
     others, the ``carried`` wire positions (all with ``full``), of dim d_c, to
     sum_j K_j rho K_j^dag.  One walk of the ops builds the K_j as a tensor with one row axis
     per wire, in layout order, and r d_c columns, from the identity on the carried wires; the
-    axis of a wire in |0> has length 1.  A gate gives its wires in |0> their full axis, a swap
-    swaps two axes, a reset moves its wire's axis into the operator index and leaves length 1.
-    The stack is compressed whenever r exceeds the rows times d_c, and at end to r <= d_c^2;
+    axis of a wire in |0> has length 1.  A gate is one product on its wires' axes and gives
+    those in |0> their full axis, a swap swaps two axes, a reset moves its wire's axis into the
+    operator index and leaves length 1.  After a reset the stack is compressed once r is past
+    the rows times d_c by :func:`_compress`'s priced margin, and at end to r <= d_c^2;
     :func:`_kraus_form` stores it.  It is float64 when no gate has a nonzero imaginary part,
     else complex128.  A d_c too large to allocate raises :class:`MemoryError`.
     """
@@ -417,8 +431,9 @@ def compile_step(step: StepCircuit, full: bool = False):
         acc = np.eye(dc, dtype=float if real else complex).reshape(rows + [dc])
     except ValueError as exc:  # a shape beyond numpy's index range
         raise MemoryError(str(exc)) from None
+    where = {w.label: i for i, w in enumerate(step.layout)}
     for op in step.ops:
-        positions = [wire_index(step.layout, w) for w in op.wires]
+        positions = [where[w] for w in op.wires]
         if op.kind == "unitary-apply":
             acc = _apply_rows(acc, op.matrix.real if real else op.matrix, positions, dims)
         elif op.kind == "swap":
@@ -429,7 +444,7 @@ def compile_step(step: StepCircuit, full: bool = False):
     at_zero = [w for w in carried if acc.shape[w] < dims[w]]  # carried wires that end in |0>
     if at_zero:
         acc = _apply_rows(acc, np.eye(math.prod(dims[w] for w in at_zero)), at_zero, dims)
-    return (carried, *_kraus_form(_compress(acc.reshape(dc, -1), dc)))
+    return (carried, *_kraus_form(_compress(acc.reshape(dc, -1), dc, final=True)))
 
 
 CALL_MACS = 2**16  # one kernel call (about 10 us at d_c = 8) priced as multiply-adds

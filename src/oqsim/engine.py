@@ -178,7 +178,9 @@ def evolve(step: StepCircuit, states, steps: int) -> np.ndarray:
     lift[0, occupied * blocks[2], range(len(occupied))] = 1
     factors = [lift] * len(states)
 
-    def weighted(i, w):  # W (I (x) X) of state i, as a (d_c, .) matrix
+    def weighted(i, w):  # W (I (x) X) of state i, as a (d_c, .) matrix; X is a scalar at m = 1
+        if len(occupied) == 1:
+            return (w * x[i, 0, 0]).reshape(dc, -1)
         return (w.reshape(-1, len(occupied)) @ x[i]).reshape(dc, -1)
 
     out[0] = rho0  # tr_env W_0 (I (x) X) W_0^dag, as rho0 is 0 off the occupied states

@@ -109,17 +109,27 @@ class TestStandardGate:
         with pytest.raises(BuilderError):
             standard_gate("X", 0.4)
 
-    def test_all_named_gates_unitary(self):
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(theta=st.floats(-1e6, 1e6))
+    def test_all_named_gates_unitary(self, theta):
+        """At any finite angle: what lets a named GateOp skip its unitarity check."""
         from oqsim.qmath import is_unitary
 
         for name in ("X", "Y", "Z", "H", "CNOT", "CY", "CZ", "SWAP"):
             assert is_unitary(standard_gate(name))
         for name in ("Ry", "CRy"):
-            assert is_unitary(standard_gate(name, 1.1))
+            assert is_unitary(standard_gate(name, theta))
 
     def test_aliases(self):
         assert np.array_equal(standard_gate("CX"), standard_gate("CNOT"))
         assert np.array_equal(standard_gate("RY", 0.5), standard_gate("Ry", 0.5))
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["Ry", "CRy"])
+    def test_a_non_finite_angle_is_refused_by_name(self, name, theta):
+        wires = ("c", "q") if name == "CRy" else ("q",)
+        with pytest.raises(BuilderError, match=f"^gate {name} angle {theta} is not finite$"):
+            GateOp.gate(name, wires, theta)
 
 
 class TestStepCircuitInvariants:
@@ -715,6 +725,13 @@ class TestSerialization:
         entry = ["UNITARY", ["q"], [pair, [0, 0], [0, 0], [1, 0]]]
         with pytest.raises(CircuitFormatError, match="^op 0: unitary entries must be"):
             parse_circuit(_dump_text([["q", 2]], ["q"], [entry]))
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_angle_rejected(self, theta):
+        text = _dump_text([["q", 2]], ["q"], [["GATE", "Ry", ["q"], theta]])
+        assert json.dumps(theta) in text  # the JSON tokens NaN, Infinity, -Infinity
+        with pytest.raises(CircuitFormatError, match=f"^op 0: gate Ry angle {theta} is not finite$"):
+            parse_circuit(text)
 
     def test_unitary_of_huge_entries_rejected_without_a_warning(self):
         entry = ["UNITARY", ["q"], [[1e308, 0]] * 4]

@@ -411,6 +411,68 @@ def test_random_circuits_evolve_like_the_oracle(step, seed):
         assert np.max(np.abs(got[n] - want)) <= 1e-12, f"step {n}"
 
 
+# -- the walk: one product per gate, a QR once per few resets -----------------
+
+
+@st.composite
+def reset_heavy_steps(draw):
+    """Long steps with many resets and SWAPs onto wires in |0>, over qubit, qutrit and dim-1
+    wires; or a sequential step of up to l = 96 operators."""
+    if draw(st.booleans()):
+        seed, l = draw(st.integers(0, 2**16)), draw(st.integers(1, 96))
+        return build_sequential_step(_mixed_unitary(seed, l))
+    n = draw(st.integers(2, 4))
+    dims = [draw(st.sampled_from([2, 3]))]
+    dims += draw(st.lists(st.sampled_from([1, 2, 2, 3]), min_size=n - 1, max_size=n - 1))
+    labels = [f"w{i}" for i in range(n)]
+    ops = []
+    for _ in range(draw(st.integers(1, 40))):
+        kind = draw(st.sampled_from(["gate", "gate", "named", "reset", "reset", "swap"]))
+        if kind == "reset":
+            ops.append(GateOp.reset(labels[draw(st.integers(1, n - 1))]))
+        elif kind == "swap":
+            a = draw(st.integers(0, n - 1))
+            partners = [b for b in range(n) if b != a and dims[b] == dims[a]]
+            if partners:
+                ops.append(GateOp.swap(labels[a], labels[draw(st.sampled_from(partners))]))
+        elif kind == "named":  # real gates, so some steps compile to float64
+            qubits = [w for w in range(n) if dims[w] == 2]
+            if len(qubits) >= 2:
+                a, b = draw(st.lists(st.sampled_from(qubits), min_size=2, max_size=2, unique=True))
+                ops.append(GateOp.gate("CNOT", (labels[a], labels[b])))
+            elif qubits:
+                ops.append(GateOp.gate("Ry", (labels[qubits[0]],), draw(st.floats(0.0, 6.0))))
+        else:
+            wires = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True))
+            u = _unitary(draw(st.integers(0, 2**16)), math.prod(dims[w] for w in wires))
+            ops.append(GateOp("unitary-apply", [labels[w] for w in wires], matrix=u))
+    layout = tuple(Wire(lab, d) for lab, d in zip(labels, dims))
+    return StepCircuit("reset-heavy", layout, (labels[0],), ops)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(step=reset_heavy_steps(), seed=st.integers(0, 2**16))
+def test_reset_heavy_steps_compile_to_the_oracles_map_with_at_most_dc_squared_operators(
+    step, seed
+):
+    rng = np.random.default_rng(seed)
+    carried, full = (compile_step(step, full)[1] for full in (False, True))
+    for kraus in carried, full:
+        assert len(kraus) <= kraus.shape[1] ** 2
+    _carried_form_matches(step, random_density(rng, carried.shape[1]), 3)
+    _full_form_matches(step, random_density(rng, full.shape[1]), 3)
+
+
+def test_sequential_l64_compile_runs_a_qr_at_every_fourth_reset(monkeypatch):
+    """64 operators give 65 resets at n = rows d_c = 8: r doubles from 8 to 128 before each QR
+    in the walk (2 r n^3 > CALL_MACS), then one final QR to r <= d_c^2 = 4."""
+    step = build_sequential_step(_mixed_unitary(7, 64))
+    shapes, qr = [], np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a, mode: shapes.append(a.shape) or qr(a, mode=mode))
+    kraus = compile_step(step)[1]
+    assert shapes[:-1] == [(128, 8)] * 15 and shapes[-1][1] == 4 and len(kraus) <= 4
+
+
 # -- the Kraus form: each K_j on its nonzero columns C_j only -----------------
 
 
