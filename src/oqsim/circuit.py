@@ -371,7 +371,8 @@ def _fresh(step: StepCircuit) -> list[int]:
             a, b = op.wires
             zero[a], zero[b] = zero[b], zero[a]
         else:
-            zero.update(dict.fromkeys(op.wires, op.kind == "trace-reset"))
+            for w in op.wires:
+                zero[w] = op.kind == "trace-reset"
     return [i for i, w in enumerate(step.wire_labels) if zero[w] and w not in step.system]
 
 
@@ -439,8 +440,9 @@ def compile_step(step: StepCircuit, full: bool = False):
         elif op.kind == "swap":
             acc = acc.swapaxes(*positions)
         elif acc.shape[a := positions[0]] > 1:  # its axis goes next to the columns, then into them
+            order = [*range(a), *range(a + 1, acc.ndim - 1), a, acc.ndim - 1]
             shape = [*acc.shape[:a], 1, *acc.shape[a + 1:-1], -1]
-            acc = _compress(np.moveaxis(acc, a, -2).reshape(shape), dc)
+            acc = _compress(acc.transpose(order).reshape(shape), dc)
     at_zero = [w for w in carried if acc.shape[w] < dims[w]]  # carried wires that end in |0>
     if at_zero:
         acc = _apply_rows(acc, np.eye(math.prod(dims[w] for w in at_zero)), at_zero, dims)
@@ -496,8 +498,10 @@ def run_compiled(program, states: np.ndarray, out: np.ndarray | None = None) -> 
         picked = states[:, np.newaxis]
     elif m < dc:
         picked = states.take(columns, axis=1)  # W[C_j]
-    else:
-        picked = states[:, columns[:, :, np.newaxis], columns[:, np.newaxis]]  # rho[C_j, C_j]
+    else:  # rho[C_j, C_j], one axis at a time ("clip" writes to ``out`` unbuffered)
+        picked = np.empty((n, *columns.shape, columns.shape[1]), dtype=states.dtype)
+        for j, c in enumerate(columns):
+            states.take(c, axis=1).take(c, axis=2, out=picked[:, j], mode="clip")
     if m < dc:
         wide = np.empty((n, dc, len(kraus), m), dtype=np.result_type(kraus, states))
         np.matmul(kraus, picked, out=wide.transpose(0, 2, 1, 3))

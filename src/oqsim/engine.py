@@ -127,15 +127,18 @@ def evolve(step: StepCircuit, states, steps: int) -> np.ndarray:
     tr_env W (I (x) X) W^dag from the system rows of W.  Then W (I (x) X) W^dag
     is formed once (rho0 itself when W_0 fills the register) and the steps go
     on densely, into a chunk buffer of at most ``2**14`` entries, or
-    one step's ``(len(states), d_c, d_c)`` stack when that is larger, reduced
+    one step's stack of carried states when that is larger, reduced
     by one partial trace per full (or last) chunk.  Its slot 0 is one kernel
     call on the slot before, written into the slot; slots f .. f + w - 1 are
     S^w times the w before, w the largest power of two <= min(f, B), in one
     product over all states.
     S = sum_j K_j (x) conj(K_j) is squared once per run up to S^B, with B
-    from :func:`_block`; B = 1 (d_c >= 16) is one call per step.  W, X and
-    the buffer are float64 when the program and every rho0 have no imaginary
-    part, else complex128; S is in the program's dtype.
+    from :func:`_block`; B = 1 (d_c >= 16) is one call per step.  W, S and
+    the buffer are in the program's dtype; X is float64 when every rho0 is
+    real.  A float64 program carries complex starts in its buffer as 2n real
+    states, [Re rho_1 .. Re rho_n, Im rho_1 .. Im rho_n] for n = len(states):
+    a real map sends Re rho and Im rho to the real and imaginary parts of its
+    image, so each reduced chunk is written as re + 1j im.
 
     Returns the ``(steps + 1, len(states), s, s)`` stack, complex128 as the states, after one
     :func:`check_states` in step order: an :class:`InvalidStateError` index
@@ -169,8 +172,14 @@ def evolve(step: StepCircuit, states, steps: int) -> np.ndarray:
         return out
     if not rho0.imag.any():
         rho0 = rho0.real
-    dtype = np.result_type(program[1], rho0)
-    chunk = max(1, _CHUNK_ENTRIES // (len(states) * dc * dc))
+    dtype = program[1].dtype
+    split = dtype == np.float64 and rho0.dtype == np.complex128
+    width = (1 + split) * len(states)  # states per buffer slot
+
+    def halves(a):  # a stack of n as the buffer holds it: [Re a, Im a] when split
+        return np.concatenate([a.real, a.imag]) if split else a
+
+    chunk = max(1, _CHUNK_ENTRIES // (width * dc * dc))
     seen = rho0.any(axis=0)
     occupied = np.flatnonzero((seen | seen.T).any(axis=0))  # a row or a column not all zero
     x = rho0.take(occupied, 1).take(occupied, 2)
@@ -178,10 +187,10 @@ def evolve(step: StepCircuit, states, steps: int) -> np.ndarray:
     lift[0, occupied * blocks[2], range(len(occupied))] = 1
     factors = [lift] * len(states)
 
-    def weighted(i, w):  # W (I (x) X) of state i, as a (d_c, .) matrix; X is a scalar at m = 1
+    def weighted(xi, w):  # W (I (x) X) as a (d_c, .) matrix; X is a scalar at m = 1
         if len(occupied) == 1:
-            return (w * x[i, 0, 0]).reshape(dc, -1)
-        return (w.reshape(-1, len(occupied)) @ x[i]).reshape(dc, -1)
+            return (w * xi[0, 0]).reshape(dc, -1)
+        return (w.reshape(-1, len(occupied)) @ xi).reshape(dc, -1)
 
     out[0] = rho0  # tr_env W_0 (I (x) X) W_0^dag, as rho0 is 0 off the occupied states
     base = steps + 1  # the first dense step; none if the run ends among the factor steps
@@ -192,13 +201,14 @@ def evolve(step: StepCircuit, states, steps: int) -> np.ndarray:
             base = n
             break
         for i, w in enumerate(factors if n else ()):  # tr_env W (I (x) X) W^dag
-            v = weighted(i, w).reshape(blocks[0], s, -1)  # rows: (before, system, after)
+            v = weighted(x[i], w).reshape(blocks[0], s, -1)  # rows: (before, system, after)
             out[n, i] = np.einsum("bik,bjk->ij", v, w.conj().reshape(blocks[0], s, -1))
-    buffer = np.empty((min(chunk, steps + 1 - base), len(states), dc, dc), dtype=dtype)
+    buffer = np.empty((min(chunk, steps + 1 - base), width, dc, dc), dtype=dtype)
     if base == 0:  # W_0 = I fills the register: the carried states are rho0
-        buffer[0] = rho0
-    for i, w in enumerate(factors if 0 < base <= steps else ()):  # W (I (x) X) W^dag, once
-        np.matmul(weighted(i, w), w[0].conj().T, out=buffer[0, i])
+        buffer[0] = halves(rho0)
+    for i, xi in enumerate(halves(x) if 0 < base <= steps else ()):  # W (I (x) X) W^dag, once
+        w = factors[i % len(states)]
+        np.matmul(weighted(xi, w), w[0].conj().T, out=buffer[0, i])
     block = _block(dc, len(buffer))
     powers = [superoperator(program[1]).T] if block > 1 else []  # S^T, (S^2)^T, .., (S^B)^T
     for _ in range(block.bit_length() - 1):
@@ -215,7 +225,10 @@ def evolve(step: StepCircuit, states, steps: int) -> np.ndarray:
             run_compiled(program, buffer[j - 1], out=buffer[j])
         n += m
         if j + m == len(buffer) or n > steps:
-            out[n - j - m:n] = partial_trace_matrix(buffer[:j + m], blocks, 0, 2)
+            reduced = partial_trace_matrix(buffer[:j + m], blocks, 0, 2)
+            if split:
+                reduced = reduced[:, :len(states)] + 1j * reduced[:, len(states):]
+            out[n - j - m:n] = reduced
     check_states(out.reshape(-1, s, s), system)
     return out
 

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oqsim.circuit as circuit
@@ -164,9 +164,11 @@ def test_steps_around_the_switch_to_dense_states(monkeypatch, rng, name, steps):
     kernels = _counting(monkeypatch, "run_compiled", lambda _, out: shapes.append(out.shape) or out)
     got = evolve(step, states, steps)
     assert got.shape == (steps + 1, 2, 2, 2)
-    # runs this short have B = 1: one call per factor step and state, then one per dense step
+    # runs this short have B = 1: one call per factor step and state, then one per dense step;
+    # memory k=3 is real, so its dense steps carry the pair as Re and Im of both, 4 real states
     factor, dc = _factor_widths(step, steps), compile_step(step)[1].shape[1]
-    want = [(1, dc, w) for w in factor for _ in states] + [(2, dc, dc)] * (steps - len(factor))
+    rows = 2 if name == "overshoot" else 4
+    want = [(1, dc, w) for w in factor for _ in states] + [(rows, dc, dc)] * (steps - len(factor))
     assert [s.shape for _, s in kernels] == want
     if name == "overshoot":
         assert compile_step(step)[3] is not None
@@ -177,12 +179,12 @@ def test_steps_around_the_switch_to_dense_states(monkeypatch, rng, name, steps):
 @pytest.mark.parametrize("steps_per_chunk", [1, 2, 3])
 def test_factor_steps_across_chunk_boundaries(monkeypatch, rng, steps_per_chunk):
     step = BUILDERS["memory-amplitude-damping-k4"]  # d_c = 16: three factor steps, then B = 1
-    states = [_pure_state(step, rng), _system_state(step, rng)]
+    states = [_pure_state(step, rng), _system_state(step, rng)]  # a real and a complex state
     kernels = _counting(monkeypatch, "run_compiled")
     whole = evolve(step, states, 40)
-    want = [(1, 16, w) for w in (2, 4, 8) for _ in states] + [(2, 16, 16)] * 37
+    want = [(1, 16, w) for w in (2, 4, 8) for _ in states] + [(4, 16, 16)] * 37
     assert [s.shape for _, s in kernels] == want  # one call per dense step, for both states
-    _chunk_steps(monkeypatch, step, 2, steps_per_chunk)
+    _chunk_steps(monkeypatch, step, 4, steps_per_chunk)  # 2 states as 4 real ones
     got = evolve(step, states, 40)
     assert np.array_equal(got, whole)
     _matches_oracle(step, states, got)
@@ -246,10 +248,10 @@ def test_chunk_budget_below_one_step_gives_one_step_chunks(monkeypatch, rng):
 
 
 def test_chunk_buffer_holds_at_most_the_budget(monkeypatch, rng):
-    step = BUILDERS["markovian-dephasing"]  # d_c = 2: 4096 steps fill the 2**14 entries
-    reductions = _counting(monkeypatch, "partial_trace_matrix")
+    step = BUILDERS["markovian-dephasing"]  # d_c = 2: 2048 steps of Re rho and Im rho fill
+    reductions = _counting(monkeypatch, "partial_trace_matrix")  # the 2**14 entries
     evolve(step, [_system_state(step, rng)], 9000)
-    assert [len(stack) for stack, *_ in reductions] == [4096, 4096, 809]
+    assert [len(stack) for stack, *_ in reductions] == [2048] * 4 + [809]
     assert all(stack.size <= 2**14 for stack, *_ in reductions)
 
 
@@ -275,7 +277,7 @@ def test_k7_factor_doubles_until_it_fills_the_carried_register(monkeypatch, rng)
     rho0 = _system_state(step, rng)
     kernels = _counting(monkeypatch, "run_compiled")
     got = evolve(step, [rho0], 8)
-    want = [(1, 128, 2**n) for n in range(1, 7)] + [(1, 128, 128)] * 2
+    want = [(1, 128, 2**n) for n in range(1, 7)] + [(2, 128, 128)] * 2  # Re rho and Im rho
     assert [states.shape for _, states in kernels] == want
     _matches_oracle(step, [rho0], got)
 
@@ -519,14 +521,19 @@ def _qubits(rng, *names):
 
 
 def _kernel_dtypes(monkeypatch):
-    """Wrap ``engine.run_compiled`` to record the dtypes of its states and its ``out``."""
-    seen, original = [], engine.run_compiled
+    """Wrap ``engine.run_compiled`` and ``engine.superoperator`` to record the dtypes of their
+    array arguments, ``out`` and results: the kernel's states, and S, which the S^w products
+    read."""
+    seen = []
+    for name in ("run_compiled", "superoperator"):
 
-    def wrapper(program, states, out=None):
-        seen.extend(a.dtype for a in (states, out) if a is not None)
-        return original(program, states, out=out)
+        def wrapper(*args, original=getattr(engine, name), **kwargs):
+            result = original(*args, **kwargs)
+            arrays = (*args, kwargs.get("out"), result)
+            seen.extend(a.dtype for a in arrays if isinstance(a, np.ndarray))
+            return result
 
-    monkeypatch.setattr(engine, "run_compiled", wrapper)
+        monkeypatch.setattr(engine, name, wrapper)
     return seen
 
 
@@ -538,13 +545,10 @@ def _kernel_dtypes(monkeypatch):
     ["markovian-amplitude-damping", "memory-dephasing-k3", "memory-amplitude-damping-k4",
      "sequential", "overshoot"],
 )
-def test_kernel_inputs_are_real_only_when_the_program_and_every_state_are(
-    monkeypatch, rng, name, starts
-):
+def test_kernel_inputs_are_real_exactly_when_the_program_is(monkeypatch, rng, name, starts):
     step, states = FACTOR_STEPS[name], _qubits(rng, *starts)
-    program_real = compile_step(step)[1].dtype == np.float64
-    assert program_real == (name not in ("sequential", "overshoot"))  # Y and Haar gates
-    real = program_real and not any(rho.matrix.imag.any() for rho in states)
+    real = compile_step(step)[1].dtype == np.float64
+    assert real == (name not in ("sequential", "overshoot"))  # Y and Haar gates
     seen = _kernel_dtypes(monkeypatch)
     got = evolve(step, states, 12)
     assert got.dtype == np.complex128
@@ -559,6 +563,73 @@ def test_blp_witness_of_a_real_and_a_complex_state_is_the_oracle_revival_sum(nam
     for rho_a, rho_b in [_qubits(rng, "|1>", "|+i>"), _qubits(rng, "real", "complex")]:
         want = _oracle_revival_sum(step, rho_a, rho_b)
         assert abs(blp_witness(step, rho_a, rho_b, STEPS) - want) <= 1e-12
+
+
+REAL_PROGRAMS = {
+    **{f"markovian-{kind}": BUILDERS[f"markovian-{kind}"] for kind in KINDS},
+    **{
+        f"memory-{kind}-k{k}": build_nonmarkovian_step(kind, MemorySpec(k, (*THETAS, 1.1)[:k]))
+        for kind in KINDS
+        for k in range(2, 6)
+    },
+}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    name=st.sampled_from(sorted(REAL_PROGRAMS)),
+    starts=st.lists(st.sampled_from(["|+i>", "complex", "real", "|1>", "|+>"]), min_size=1,
+                    max_size=3).filter(lambda s: "|+i>" in s or "complex" in s),
+    steps=st.integers(0, 40),
+    steps_per_chunk=st.sampled_from([1, 2, 3, 5, None]),  # None: the default budget
+    seed=st.integers(0, 2**16),
+)
+@example(name="markovian-dephasing", starts=["|+i>"], steps=9, steps_per_chunk=None, seed=0)
+@example(name="memory-dephasing-k4", starts=["|+i>"], steps=2, steps_per_chunk=None, seed=0)
+@example(name="memory-dephasing-k3", starts=["|1>", "|+i>"], steps=0, steps_per_chunk=1, seed=0)
+@example(name="memory-amplitude-damping-k5", starts=["real", "complex"], steps=12,
+         steps_per_chunk=2, seed=1)
+def test_complex_starts_of_a_real_program_match_the_dense_oracle(
+    name, starts, steps, steps_per_chunk, seed
+):
+    """The dense phase of a float64 program carries Re rho and Im rho as real states: the
+    Markovian arms' W_0 fills the register (its first dense slot is rho0), memory k = 4 from
+    |+i> at 2 steps ends among the factor steps, and short runs cross the switch to dense."""
+    step, rng = REAL_PROGRAMS[name], np.random.default_rng(seed)
+    mixed = {"complex": lambda: random_density(rng), "real": lambda: random_density(rng).real}
+    states = [
+        DensityMatrix(mixed[n]() if n in mixed else QUBIT_STARTS[n], (Wire("q"),)) for n in starts
+    ]
+    assert compile_step(step)[1].dtype == np.float64
+    with pytest.MonkeyPatch.context() as patch:
+        if steps_per_chunk is not None:  # 2 n real states per step
+            _chunk_steps(patch, step, 2 * len(states), steps_per_chunk)
+        seen, reductions = _kernel_dtypes(patch), _counting(patch, "partial_trace_matrix")
+        got = evolve(step, states, steps)
+        budget = engine._CHUNK_ENTRIES
+    assert got.dtype == np.complex128 and got.shape == (steps + 1, len(states), 2, 2)
+    buffers = [stack for stack, *_ in reductions]  # the dense buffer, which S^w products write
+    assert set(seen + [b.dtype for b in buffers]) <= {np.dtype(np.float64)}
+    assert all(b.shape[1] == 2 * len(states) for b in buffers)
+    assert all(b.size <= max(budget, b[0].size) for b in buffers)
+    _matches_oracle(step, states, got)
+
+
+@pytest.mark.parametrize("half", [0, 1])  # the real or the imaginary part of state 1
+def test_error_index_of_a_complex_pair_is_step_times_states_plus_state(monkeypatch, rng, half):
+    step = BUILDERS["memory-dephasing-k2"]  # real, d_c = 4: step 1 fills it, 1..5 are reduced
+    _chunk_steps(monkeypatch, step, 4, 2)
+    first = [1]  # the step of the next reduced slot
+
+    def break_state_1_from_step_3(_, reduced):  # rows Re rho_0, Re rho_1, Im rho_0, Im rho_1
+        reduced[max(3 - first[0], 0):, 1 + 2 * half] += np.eye(2)
+        first[0] += len(reduced)
+        return reduced
+
+    _counting(monkeypatch, "partial_trace_matrix", break_state_1_from_step_3)
+    with pytest.raises(InvalidStateError) as info:
+        evolve(step, [_system_state(step, rng), _system_state(step, rng)], 5)
+    assert info.value.invariant == "trace" and info.value.index == 7
 
 
 def test_negative_step_count_rejected(rng):
