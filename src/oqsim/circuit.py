@@ -61,17 +61,14 @@ _FIXED_GATES = {
     ),
 }
 _ROTATION_GATES = {"Ry": _ry, "CRy": lambda t: _controlled(_ry(t))}
-_ALIASES = {"CX": "CNOT", "RY": "Ry", "CRY": "CRy"}
+_CANONICAL = {n.upper(): n for n in (*_FIXED_GATES, *_ROTATION_GATES)} | {"CX": "CNOT"}
 
 
 def _canonical_name(name: str) -> str:
-    up = name.upper()
-    if up in _ALIASES:
-        return _ALIASES[up]
-    for known in list(_FIXED_GATES) + list(_ROTATION_GATES):
-        if known.upper() == up:
-            return known
-    raise BuilderError(f"unknown gate name {name!r}")
+    canon = _CANONICAL.get(name.upper())
+    if canon is None:
+        raise BuilderError(f"unknown gate name {name!r}")
+    return canon
 
 
 def standard_gate(name: str, theta: float | None = None) -> np.ndarray:
@@ -122,9 +119,10 @@ class GateOp:
         elif matrix is None:
             raise BuilderError("unitary-apply needs a matrix")
         else:
-            matrix = as_complex_matrix(matrix).copy()
-            if name is None and not is_unitary(matrix):  # a library matrix is unitary as built
-                raise BuilderError("gate <anonymous> is not unitary")
+            if name is None:  # a library matrix is fresh, complex and unitary as built
+                matrix = as_complex_matrix(matrix).copy()
+                if not is_unitary(matrix):
+                    raise BuilderError("gate <anonymous> is not unitary")
             matrix.flags.writeable = False
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "wires", wires)

@@ -155,6 +155,7 @@ def evolve(step: StepCircuit, states, steps: int) -> np.ndarray:
     system = step.layout[start:stop]
     if step.wire_labels[start:stop] != step.system:
         raise DimensionMismatchError(f"system wires {step.system} are not contiguous in the layout")
+    states = tuple(states)  # a one-shot iterable is read once
     for rho in states:
         if rho.layout != system:
             raise DimensionMismatchError(f"initial state layout {rho.layout} is not {system}")

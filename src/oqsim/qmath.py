@@ -95,6 +95,24 @@ def wire_index(layout, label: str) -> int:
     raise UnknownWireError(f"wire {label!r} not in layout {[w.label for w in layout]}")
 
 
+def _eigvalsh(stack) -> np.ndarray:
+    """Ascending eigenvalues of a stack of Hermitian matrices, read from their lower triangles.
+
+    A 2x2 matrix ``[[a, .], [b, c]]`` takes the closed form
+    (a + c)/2 -+ hypot((a - c)/2, |b|) on the real diagonal, without a
+    LAPACK call per matrix; any other shape goes to ``np.linalg.eigvalsh``.
+    """
+    stack = np.asarray(stack)
+    if stack.shape[-2:] != (2, 2):
+        return np.linalg.eigvalsh(stack)
+    a, c = stack[..., 0, 0].real, stack[..., 1, 1].real
+    mid, r = 0.5 * (a + c), np.hypot(0.5 * (a - c), np.abs(stack[..., 1, 0]))
+    out = np.empty((*r.shape, 2), r.dtype)  # written in place: np.stack costs more at n = 1
+    np.subtract(mid, r, out=out[..., 0])
+    np.add(mid, r, out=out[..., 1])
+    return out
+
+
 def check_states(stack: np.ndarray, layout) -> None:
     """Check every matrix of an ``(n, d, d)`` stack against the density-matrix invariants.
 
@@ -104,7 +122,8 @@ def check_states(stack: np.ndarray, layout) -> None:
     minimum eigenvalue is >= -1e-9.  Raises
     :class:`InvalidStateError` for the first state that fails, with its
     index; eigenvalues are computed only for the states before the first
-    trace or hermiticity failure.
+    trace or hermiticity failure, in closed form for a qubit (d = 2) and by
+    ``np.linalg.eigvalsh`` otherwise.
     """
     n, d = len(stack), stack.shape[-1]
     if layout_dim(layout) != d:
@@ -112,15 +131,15 @@ def check_states(stack: np.ndarray, layout) -> None:
             "layout", f"layout dims {[w.dim for w in layout]} do not multiply to {d}"
         )
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf and huge entries
-        traces = np.trace(stack, axis1=1, axis2=2)
+        traces = np.einsum("nii->n", stack)
         bad_trace = np.abs(traces - 1.0) > VALIDITY_ATOL
         skew = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-    bad = np.flatnonzero(bad_trace | ~(skew <= VALIDITY_ATOL))
-    first = int(bad[0]) if bad.size else n
-    lows = np.linalg.eigvalsh(stack[:first]).min(axis=1)
-    negative = np.flatnonzero(lows < -RECON_ATOL)
-    if negative.size:
-        i = int(negative[0])
+    bad = bad_trace | ~(skew <= VALIDITY_ATOL)
+    first = int(bad.argmax()) if bad.any() else n
+    lows = _eigvalsh(stack[:first])[:, 0]
+    negative = lows < -RECON_ATOL
+    if negative.any():
+        i = int(negative.argmax())
         raise InvalidStateError("psd", f"minimum eigenvalue {lows[i]} below -1e-9", i)
     if first == n:
         return
@@ -212,9 +231,10 @@ def trace_distance_matrix(a, b):
     """Half the trace norm of the Hermitian difference ``a - b``.
 
     Works over the last two axes, so two ``(n, d, d)`` stacks give the
-    ``n`` pairwise distances in one call.
+    ``n`` pairwise distances in one call; qubit (2x2) differences take their
+    eigenvalues in closed form, larger ones from ``np.linalg.eigvalsh``.
     """
-    eigs = np.linalg.eigvalsh(np.asarray(a) - np.asarray(b))
+    eigs = _eigvalsh(np.asarray(a) - np.asarray(b))
     return 0.5 * np.abs(eigs).sum(axis=-1)
 
 

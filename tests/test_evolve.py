@@ -645,6 +645,12 @@ def test_evolve_of_no_states_is_an_empty_stack():
     assert evolve(BUILDERS["memory-dephasing-k2"], [], 4).shape == (5, 0, 2, 2)
 
 
+def test_evolve_reads_a_one_shot_iterable_of_states_once(rng):
+    step = BUILDERS["memory-dephasing-k2"]
+    rho = _system_state(step, rng)
+    assert np.array_equal(evolve(step, (r for r in [rho]), 3), evolve(step, [rho], 3))
+
+
 def test_blp_witness_of_zero_steps_is_zero(rng):
     step = BUILDERS["memory-dephasing-k2"]
     w = blp_witness(step, _system_state(step, rng), _system_state(step, rng), 0)
