@@ -53,13 +53,12 @@ def test_qubit_eigenvalues_of_a_real_stack_match_lapack(rng):
 
 
 def test_other_sizes_go_to_lapack(monkeypatch, rng):
-    calls = []
+    calls, eigvalsh = [], np.linalg.eigvalsh
 
     def spy(a):
         calls.append(np.shape(a))
         return eigvalsh(a)
 
-    eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
     check_states(np.array([random_density(rng, 4) for _ in range(3)]), (Wire("a"), Wire("b")))
     check_states(np.array([random_density(rng) for _ in range(3)]), (Wire("q"),))
