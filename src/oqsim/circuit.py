@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -374,20 +375,33 @@ def _fresh(step: StepCircuit) -> list[int]:
     return [i for i, w in enumerate(step.wire_labels) if zero[w] and w not in step.system]
 
 
-def _apply_rows(t: np.ndarray, gate: np.ndarray, wires, dims) -> np.ndarray:
-    """``gate`` on ``wires`` of an operator tensor with one row axis per wire: their axes go to
-    the front (a view), one ``(g_out x g_in) @ (g_in x rest)`` product, and back by the inverse
-    permutation.  A wire in |0> has an axis of length 1: only the gate's columns for its value
-    0 act, and the wire leaves with its full axis."""
-    order = [*wires, *(i for i in range(t.ndim) if i not in wires)]
-    ins, outs = [t.shape[w] for w in wires], [dims[w] for w in wires]
-    if ins != outs:
+def _plan(wires: list, dims) -> tuple:
+    """Bookkeeping of a gate on the row axes ``wires`` of an operator tensor with one row axis
+    per wire and a column axis last, which depends on the wires alone:
+    ``(wires, pick, full, order, inverse, outs)``.  ``pick`` reads the wires' entries of a
+    shape and ``full`` is ``pick(dims)``, ``order`` brings their axes to the front and
+    ``inverse`` takes them back, and ``outs`` is the gate's output dims."""
+    order = [*wires, *[i for i in range(len(dims) + 1) if i not in wires]]
+    inverse = [0] * len(order)
+    for i, axis in enumerate(order):
+        inverse[axis] = i
+    pick = operator.itemgetter(*wires)
+    return wires, pick, pick(dims), order, inverse, tuple([dims[w] for w in wires])
+
+
+def _apply_rows(t: np.ndarray, gate: np.ndarray, plan: tuple) -> np.ndarray:
+    """``gate`` on the wires of ``plan`` (:func:`_plan`) in an operator tensor with one row axis
+    per wire: their axes go to the front (a view), one ``(g_out x g_in) @ (g_in x rest)``
+    product, and back by the inverse permutation.  A wire in |0> has an axis of length 1: only
+    the gate's columns for its value 0 act, and the wire leaves with its full axis.  Which
+    wires are in |0>, and so the slice of the gate, is read from ``t`` at every call."""
+    wires, pick, full, order, inverse, outs = plan
+    if pick(t.shape) != full:
+        ins = [t.shape[w] for w in wires]
         gate = gate.reshape(outs * 2)[(..., *map(slice, ins))].reshape(len(gate), -1)
     front = t.transpose(order)
     out = gate @ front.reshape(gate.shape[1], -1)
-    return out.reshape(outs + list(front.shape[len(wires):])).transpose(
-        sorted(range(t.ndim), key=order.__getitem__)
-    )
+    return out.reshape(outs + front.shape[len(wires):]).transpose(inverse)
 
 
 def _compress(acc: np.ndarray, dc: int, final: bool = False) -> np.ndarray:
@@ -419,6 +433,12 @@ def compile_step(step: StepCircuit, full: bool = False):
     the rows times d_c by :func:`_compress`'s priced margin, and at end to r <= d_c^2;
     :func:`_kraus_form` stores it.  It is float64 when no gate has a nonzero imaginary part,
     else complex128.  A d_c too large to allocate raises :class:`MemoryError`.
+
+    The walk plans each wire tuple once per call (:func:`_plan`, and a reset's axis order per
+    axis), in dicts that live only for the call; what can change between two uses of a tuple
+    (which wires are in |0>, the sliced gate, r and the QR) is read per op.  Repeated tuples
+    pay: a sequential step's ops fall on 5 tuples for any l (253 of 258 ops repeat one at
+    l = 64), while Markovian and memory steps repeat none.
     """
     dims = [w.dim for w in step.layout]
     fresh = () if full else _fresh(step)
@@ -431,19 +451,22 @@ def compile_step(step: StepCircuit, full: bool = False):
     except ValueError as exc:  # a shape beyond numpy's index range
         raise MemoryError(str(exc)) from None
     where = {w.label: i for i, w in enumerate(step.layout)}
+    plans, resets = {}, {}  # op.wires -> _plan and axis -> its reset order, for this call only
     for op in step.ops:
-        positions = [where[w] for w in op.wires]
         if op.kind == "unitary-apply":
-            acc = _apply_rows(acc, op.matrix.real if real else op.matrix, positions, dims)
+            if (plan := plans.get(op.wires)) is None:
+                plan = plans[op.wires] = _plan([where[w] for w in op.wires], dims)
+            acc = _apply_rows(acc, op.matrix.real if real else op.matrix, plan)
         elif op.kind == "swap":
-            acc = acc.swapaxes(*positions)
-        elif acc.shape[a := positions[0]] > 1:  # its axis goes next to the columns, then into them
-            order = [*range(a), *range(a + 1, acc.ndim - 1), a, acc.ndim - 1]
+            acc = acc.swapaxes(where[op.wires[0]], where[op.wires[1]])
+        elif acc.shape[a := where[op.wires[0]]] > 1:  # its axis goes into the operator index
+            if (order := resets.get(a)) is None:
+                order = resets[a] = [*range(a), *range(a + 1, len(dims)), a, len(dims)]
             shape = [*acc.shape[:a], 1, *acc.shape[a + 1:-1], -1]
             acc = _compress(acc.transpose(order).reshape(shape), dc)
     at_zero = [w for w in carried if acc.shape[w] < dims[w]]  # carried wires that end in |0>
     if at_zero:
-        acc = _apply_rows(acc, np.eye(math.prod(dims[w] for w in at_zero)), at_zero, dims)
+        acc = _apply_rows(acc, np.eye(math.prod(dims[w] for w in at_zero)), _plan(at_zero, dims))
     return (carried, *_kraus_form(_compress(acc.reshape(dc, -1), dc, final=True)))
 
 

@@ -450,8 +450,38 @@ def reset_heavy_steps(draw):
     return StepCircuit("reset-heavy", layout, (labels[0],), ops)
 
 
+def _recurring(*ops):
+    """A step on qubits w0 (the system), w1 and w2 from op tuples ``("U", wires)``, each a
+    different random unitary, ``("RESET", w)`` or ``("SWAP", a, b)``."""
+    made = [
+        GateOp("unitary-apply", op[1], matrix=_unitary(i, 2 ** len(op[1]))) if op[0] == "U"
+        else GateOp.reset(op[1]) if op[0] == "RESET" else GateOp.swap(*op[1:])
+        for i, op in enumerate(ops)
+    ]
+    return StepCircuit("recurring", (Wire("w0"), Wire("w1"), Wire("w2")), ("w0",), made)
+
+
+# The wire tuple (w0, w1) recurs with w1 in other states: the walk plans a tuple once, but
+# which of its wires are in |0>, and so each gate's sliced columns, must be read at each use.
+W1_AT_ZERO_THEN_FULL_AFTER_A_GATE = _recurring(
+    ("U", ("w0", "w1")), ("U", ("w0", "w1")), ("RESET", "w1"), ("U", ("w0", "w1")),
+    ("RESET", "w1"),
+)
+W1_FULL_THEN_AT_ZERO_AFTER_A_RESET = _recurring(
+    ("U", ("w0", "w1")), ("RESET", "w1"), ("U", ("w0", "w1")), ("RESET", "w1"),
+    ("U", ("w0", "w1")),
+)
+W1_AT_ZERO_THEN_FULL_AFTER_A_RESET_AND_A_SWAP = _recurring(
+    ("U", ("w2",)), ("U", ("w0", "w1")), ("RESET", "w1"), ("SWAP", "w1", "w2"),
+    ("U", ("w0", "w1")), ("RESET", "w1"), ("U", ("w0", "w1")), ("RESET", "w1"),
+)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(step=reset_heavy_steps(), seed=st.integers(0, 2**16))
+@example(step=W1_AT_ZERO_THEN_FULL_AFTER_A_GATE, seed=11)
+@example(step=W1_FULL_THEN_AT_ZERO_AFTER_A_RESET, seed=12)
+@example(step=W1_AT_ZERO_THEN_FULL_AFTER_A_RESET_AND_A_SWAP, seed=13)
 def test_reset_heavy_steps_compile_to_the_oracles_map_with_at_most_dc_squared_operators(
     step, seed
 ):

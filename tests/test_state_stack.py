@@ -91,6 +91,37 @@ def test_nan_state_fails_as_hermitian():
     assert (err.value.index, err.value.invariant) == (1, "hermitian")
 
 
+def _nan_at_0_1(m):
+    m[0, 1] = np.nan
+
+
+def _imaginary_diagonal(m):
+    m[1, 1] += 1e-9j
+    m[0, 0] -= 1e-9j  # keeps the trace at 1, so that only the hermiticity check fails
+
+
+def _skew_2e_10(m):
+    m[1, 0] = np.conj(m[0, 1]) + 2e-10
+
+
+def _nan_real_1_1(m):
+    m[1, 1] = complex(np.nan, 0.0)
+
+
+@pytest.mark.parametrize(
+    "index, defect",
+    [(1, _nan_at_0_1), (2, _imaginary_diagonal), (3, _skew_2e_10), (0, _nan_real_1_1)],
+)
+def test_each_qubit_hermiticity_defect_fails_as_hermitian_at_its_index(rng, index, defect):
+    stack = np.array([random_density(rng) for _ in range(5)])
+    check_states(stack, (Wire("q"),))
+    defect(stack[index])
+    with pytest.raises(InvalidStateError) as err:
+        check_states(stack, (Wire("q"),))
+    assert (err.value.index, err.value.invariant) == (index, "hermitian")
+    assert str(err.value) == "matrix is not Hermitian within 1e-10"
+
+
 THETAS = (math.pi / 10, 2 * math.pi / 3, 5 * math.pi / 6)
 BUILDERS = {
     "markovian": build_markovian_step("amplitude-damping", math.pi / 7),
