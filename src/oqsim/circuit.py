@@ -434,11 +434,11 @@ def compile_step(step: StepCircuit, full: bool = False):
     :func:`_kraus_form` stores it.  It is float64 when no gate has a nonzero imaginary part,
     else complex128.  A d_c too large to allocate raises :class:`MemoryError`.
 
-    The walk plans each wire tuple once per call (:func:`_plan`, and a reset's axis order per
-    axis), in dicts that live only for the call; what can change between two uses of a tuple
-    (which wires are in |0>, the sliced gate, r and the QR) is read per op.  Repeated tuples
-    pay: a sequential step's ops fall on 5 tuples for any l (253 of 258 ops repeat one at
-    l = 64), while Markovian and memory steps repeat none.
+    The walk plans each gate's wire tuple once per call (:func:`_plan`), in a dict that lives
+    only for the call; what can change between two uses of a tuple (which wires are in |0>,
+    the sliced gate, r and the QR) is read per op.  Repeated tuples pay: a sequential step's
+    gates fall on 4 tuples for any l (189 of 193 gates repeat one at l = 64), while
+    Markovian and memory steps repeat none.
     """
     dims = [w.dim for w in step.layout]
     fresh = () if full else _fresh(step)
@@ -451,7 +451,7 @@ def compile_step(step: StepCircuit, full: bool = False):
     except ValueError as exc:  # a shape beyond numpy's index range
         raise MemoryError(str(exc)) from None
     where = {w.label: i for i, w in enumerate(step.layout)}
-    plans, resets = {}, {}  # op.wires -> _plan and axis -> its reset order, for this call only
+    plans = {}  # op.wires -> its _plan, for this call only
     for op in step.ops:
         if op.kind == "unitary-apply":
             if (plan := plans.get(op.wires)) is None:
@@ -460,8 +460,7 @@ def compile_step(step: StepCircuit, full: bool = False):
         elif op.kind == "swap":
             acc = acc.swapaxes(where[op.wires[0]], where[op.wires[1]])
         elif acc.shape[a := where[op.wires[0]]] > 1:  # its axis goes into the operator index
-            if (order := resets.get(a)) is None:
-                order = resets[a] = [*range(a), *range(a + 1, len(dims)), a, len(dims)]
+            order = [*range(a), *range(a + 1, acc.ndim - 1), a, acc.ndim - 1]
             shape = [*acc.shape[:a], 1, *acc.shape[a + 1:-1], -1]
             acc = _compress(acc.transpose(order).reshape(shape), dc)
     at_zero = [w for w in carried if acc.shape[w] < dims[w]]  # carried wires that end in |0>

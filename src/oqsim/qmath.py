@@ -113,18 +113,13 @@ def _eigvalsh(stack) -> np.ndarray:
     return out
 
 
-# flat entries [1, 0], [0, 0], [1, 1] of a 2x2 matrix over the entries they must conjugate
-_QUBIT_PAIRS = np.array([[2, 0, 3], [1, 0, 3]])
-
-
 def check_states(stack: np.ndarray, layout) -> None:
     """Check every matrix of an ``(n, d, d)`` stack against the density-matrix invariants.
 
     Per state, in this order: the wire dimensions multiply to d, the trace
     is 1 within 1e-10, the matrix is Hermitian within 1e-10 (a NaN fails
-    here, an infinity here or at the trace, with no numpy warning; a qubit
-    compares [1, 0] with conj([0, 1]) and each diagonal entry with its
-    conjugate) and its minimum eigenvalue is >= -1e-9.  Raises
+    here, an infinity here or at the trace, with no numpy warning) and its
+    minimum eigenvalue is >= -1e-9.  Raises
     :class:`InvalidStateError` for the first state that fails, with its
     index; eigenvalues are computed only for the states before the first
     trace or hermiticity failure, in closed form for a qubit (d = 2) and by
@@ -138,11 +133,7 @@ def check_states(stack: np.ndarray, layout) -> None:
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf and huge entries
         traces = np.einsum("nii->n", stack)
         bad_trace = np.abs(traces - 1.0) > VALIDITY_ATOL
-        if d == 2:  # each off-diagonal pair compared once
-            pairs = stack.reshape(n, 4)[:, _QUBIT_PAIRS]
-            skew = np.abs(pairs[:, 0] - pairs[:, 1].conj()).max(axis=1)
-        else:
-            skew = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+        skew = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
     bad = bad_trace | ~(skew <= VALIDITY_ATOL)
     first = int(bad.argmax()) if bad.any() else n
     lows = _eigvalsh(stack[:first])[:, 0]

@@ -1,5 +1,6 @@
 """The summary of tools/bench_pairs.py on fixed runs: medians, linear quartiles, ratios and
-pairs won, with a tie won by neither side.  No benchmark process is started."""
+pairs won out of every pair run, with a tie or a crashed run won by neither side.  No
+benchmark process is started."""
 
 import importlib.util
 from pathlib import Path
@@ -32,7 +33,7 @@ def test_summary_counts_strict_wins_and_takes_linear_quartiles():
 
     steps = summary["steps_per_s"]
     # pair 1 ties at 110: a win for neither side
-    assert steps["pairs_won"] == 2 and steps["pairs"] == 4
+    assert (steps["pairs_won"], steps["pairs"], steps["pairs_compared"]) == (2, 4, 4)
     # linear quartiles of 100, 110, 120, 130: 107.5, 115, 122.5
     assert (steps["parent_q1"], steps["parent_median"], steps["parent_q3"]) == (107.5, 115, 122.5)
     # 90, 110, 150, 200: 105, 130, 162.5
@@ -47,19 +48,29 @@ def test_summary_counts_strict_wins_and_takes_linear_quartiles():
     assert summary["peak_rss_mib"]["pairs_won"] == 1  # only 41 < 42
     assert summary["failed"] == {
         "parent": 0, "change": 2, "attempted_parent": 400, "attempted_change": 400,
+        "crashed_parent": 0, "crashed_change": 0,
     }
     assert [row["parent"] for row in summary["per_pair_peak_rss_mib"]] == [40, 41, 42, 43]
     assert [row["seed"] for row in summary["per_pair_peak_rss_mib"]] == [10, 11, 12, 13]
 
 
-def test_a_pair_with_a_failed_run_is_left_out():
+def test_a_crashed_run_is_a_pair_run_and_not_won():
     runs = [_run(0, "parent", 100.0, 2.0, 40.0), _run(0, "change", 120.0, 1.0, 40.0),
             _run(1, "parent", 100.0, 2.0, 40.0), {**_run(1, "change", 0, 0, 0), "result": None}]
     summary = bench_pairs.summarize(runs, DIRECTIONS)
-    assert summary["steps_per_s"]["pairs"] == 1 and summary["steps_per_s"]["pairs_won"] == 1
-    assert bench_pairs.summarize(runs[2:], DIRECTIONS)["pairs"] == 0
+    steps = summary["steps_per_s"]
+    assert (steps["pairs_won"], steps["pairs_compared"], steps["pairs"]) == (1, 1, 2)
+    assert (summary["pairs"], summary["pairs_compared"]) == (2, 1)
+    assert summary["failed"] == {
+        "parent": 0, "change": 0, "attempted_parent": 200, "attempted_change": 100,
+        "crashed_parent": 0, "crashed_change": 1,
+    }
+    alone = bench_pairs.summarize(runs[2:], DIRECTIONS)
+    assert (alone["pairs"], alone["pairs_compared"], alone["failed"]["crashed_change"]) == (1, 0, 1)
+    assert "steps_per_s" not in alone
 
 
-def test_directions_come_from_the_benchmark_declaration():
-    directions = bench_pairs.end_to_end_metrics(SCRIPT.parents[1] / "BENCHMARK.json")
+def test_directions_and_run_length_come_from_the_benchmark_declaration():
+    directions, seconds = bench_pairs.read_benchmark(SCRIPT.parents[1] / "BENCHMARK.json")
     assert directions["steps_per_s"] == "higher" and directions["peak_rss_mib"] == "lower"
+    assert seconds == 30

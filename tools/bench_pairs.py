@@ -1,20 +1,23 @@
 """Alternating before/after pairs of the benchmark, summarized as a BENCH_<n>.json file.
 
     python3 tools/bench_pairs.py PARENT CHANGE --pairs sequential_l64=10 --pairs presets=5 \\
-        --seed 3300 --seconds 30 --what "one line on the change" --out BENCH_n.json
+        --seed 3300 --what "one line on the change" --out BENCH_n.json
 
 PARENT and CHANGE are git revisions of this repository.  Each is unpacked with
 ``git archive`` into its own directory (no ``.git``, so ``env.git_commit`` reads
 null), and every run is ``python3 perfbench/run.py --workload W --seed S --seconds T``
-from that directory with ``PYTHONDONTWRITEBYTECODE=1``.  Pair i runs the parent first
+from that directory with ``PYTHONDONTWRITEBYTECODE=1``, T being BENCHMARK.json's
+``run_seconds``.  Pair i runs the parent first
 when i is even and the change first when it is odd; the seeds count up from ``--seed``
 over the workloads in the order given, one seed per pair.  Runs go one at a time.
 
 Per workload and end-to-end metric (names and directions from BENCHMARK.json) the
 summary holds both sides' medians and quartiles (``numpy.percentile``, linear), the
-change's ratio to the parent's median, and the pairs the change won: a pair counts
-only when the change is strictly better, so a tie counts for neither side.  Every
-run, with its environment line, is kept under ``runs``.
+change's ratio to the parent's median, and the pairs the change won out of every pair
+run: a pair counts only when both runs gave a result and the change is strictly better,
+so a tie, or a pair with a crashed run, counts for neither side.  Each side's crashed
+runs are counted beside its failed operations.  Every run, with its environment line,
+is kept under ``runs``.
 """
 
 from __future__ import annotations
@@ -33,10 +36,12 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
 
 
-def end_to_end_metrics(benchmark_path: str) -> dict:
-    """name -> "higher" or "lower", from the benchmark declaration."""
+def read_benchmark(benchmark_path: str) -> tuple[dict, float]:
+    """From the benchmark declaration: end-to-end metric name -> "higher" or "lower", and the
+    seconds of one run."""
     with open(benchmark_path, encoding="utf-8") as f:
-        return {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
+        declared = json.load(f)
+    return {m["name"]: m["better"] for m in declared["end_to_end"]}, declared["run_seconds"]
 
 
 def better(a: float, b: float, direction: str) -> bool:
@@ -59,44 +64,44 @@ def metric_summary(parent: list, change: list, direction: str) -> dict:
         "change_q3": float(c_q3),
         "ratio": float(c_med / p_med),
         "pairs_won": sum(better(b, a, direction) for a, b in zip(parent, change)),
-        "pairs": len(p),
     }
 
 
 def summarize(runs: list, directions: dict) -> dict:
-    """Summary of one workload's runs; a pair counts only when both of its runs succeeded."""
+    """Summary of one workload's runs.  The metrics compare the pairs in which both runs gave a
+    result, but ``pairs`` counts every pair run, so a pair with a crashed run is one the change
+    did not win; ``failed`` counts each side's crashed runs and its failed operations."""
     by_pair = {}
     for run in runs:
         by_pair.setdefault(run["pair"], {})[run["side"]] = run
-    pairs = [
-        (sides["parent"], sides["change"])
-        for _, sides in sorted(by_pair.items())
-        if all(sides.get(side, {}).get("result") for side in SIDES)
-    ]
-    summary = {"pairs": 0} if not pairs else {
-        name: metric_summary(
-            [p["result"]["metrics"][name]["value"] for p, _ in pairs],
-            [c["result"]["metrics"][name]["value"] for _, c in pairs],
-            direction,
-        )
-        for name, direction in directions.items()
-    }
-    summary["failed"] = {
-        "parent": sum(p["result"]["failed"] for p, _ in pairs),
-        "change": sum(c["result"]["failed"] for _, c in pairs),
-        "attempted_parent": sum(p["result"]["attempted"] for p, _ in pairs),
-        "attempted_change": sum(c["result"]["attempted"] for _, c in pairs),
-    }
+    sides = [[(pair.get(side) or {}).get("result") for side in SIDES]
+             for _, pair in sorted(by_pair.items())]
+    both = [(pair, p, c) for pair, (p, c) in zip(sorted(by_pair), sides) if p and c]
+    counts = {"pairs": len(by_pair), "pairs_compared": len(both)}
+    summary = dict(counts)
+    for name, direction in directions.items():
+        if both:
+            summary[name] = {
+                **metric_summary([p["metrics"][name]["value"] for _, p, _ in both],
+                                 [c["metrics"][name]["value"] for _, _, c in both], direction),
+                **counts,
+            }
+    summary["failed"] = {}
+    for i, side in enumerate(SIDES):
+        results = [r[i] for r in sides if r[i]]
+        summary["failed"][side] = sum(r["failed"] for r in results)
+        summary["failed"][f"attempted_{side}"] = sum(r["attempted"] for r in results)
+        summary["failed"][f"crashed_{side}"] = len(sides) - len(results)
     summary["per_pair_peak_rss_mib"] = [
         {
-            "pair": p["pair"],
-            "seed": p["seed"],
-            "parent": p["result"]["metrics"]["peak_rss_mib"]["value"],
-            "change": c["result"]["metrics"]["peak_rss_mib"]["value"],
-            "attempted_parent": p["result"]["attempted"],
-            "attempted_change": c["result"]["attempted"],
+            "pair": pair,
+            "seed": by_pair[pair]["parent"]["seed"],
+            "parent": p["metrics"]["peak_rss_mib"]["value"],
+            "change": c["metrics"]["peak_rss_mib"]["value"],
+            "attempted_parent": p["attempted"],
+            "attempted_change": c["attempted"],
         }
-        for p, c in pairs
+        for pair, p, c in both
     ]
     return summary
 
@@ -141,7 +146,6 @@ def main(argv=None) -> int:
     p.add_argument("--pairs", action="append", required=True, metavar="WORKLOAD=N",
                    help="pairs to run on a workload; repeat for more workloads")
     p.add_argument("--seed", type=int, required=True, help="seed of the first pair")
-    p.add_argument("--seconds", type=float, default=30.0)
     p.add_argument("--what", default="", help="one line saying what the change does")
     p.add_argument("--out", required=True, help="JSON file to write")
     args = p.parse_args(argv)
@@ -151,7 +155,7 @@ def main(argv=None) -> int:
         workload, _, count = item.partition("=")
         plan.append((workload, list(range(seed, seed + int(count)))))
         seed += int(count)
-    directions = end_to_end_metrics(os.path.join(ROOT, "BENCHMARK.json"))
+    directions, seconds = read_benchmark(os.path.join(ROOT, "BENCHMARK.json"))
     revisions = {
         side: subprocess.run(["git", "-C", ROOT, "rev-parse", rev], capture_output=True,
                              text=True, check=True).stdout.strip()
@@ -166,7 +170,7 @@ def main(argv=None) -> int:
             for pair, seed in enumerate(seeds):
                 order = SIDES if pair % 2 == 0 else SIDES[::-1]
                 for side in order:
-                    run = run_one(trees[side], workload, seed, args.seconds)
+                    run = run_one(trees[side], workload, seed, seconds)
                     runs.append({"workload": workload, "seed": seed, "pair": pair, "side": side,
                                  "first": order[0], **run})
                     value = (run["result"] or {}).get("metrics", {}).get("steps_per_s", {})
@@ -176,7 +180,7 @@ def main(argv=None) -> int:
         "what": args.what,
         "parent": revisions["parent"],
         "change": revisions["change"],
-        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g}",
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g}",
         "method": (
             "alternating pairs, parent and change each in its own copy of the tree made with "
             "git archive (no .git, so env.git_commit is null), PYTHONDONTWRITEBYTECODE=1; pair i "
