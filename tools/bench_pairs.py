@@ -7,9 +7,9 @@ PARENT and CHANGE are git revisions of this repository.  Each is unpacked with
 ``git archive`` into its own directory (no ``.git``, so ``env.git_commit`` reads
 null), and every run is ``python3 perfbench/run.py --workload W --seed S --seconds T``
 from that directory with ``PYTHONDONTWRITEBYTECODE=1``, T being BENCHMARK.json's
-``run_seconds``.  Pair i runs the parent first
-when i is even and the change first when it is odd; the seeds count up from ``--seed``
-over the workloads in the order given, one seed per pair.  Runs go one at a time.
+``run_seconds``.  Pair i runs the parent first when i is even and the change first
+when it is odd; the seeds count up from ``--seed`` over the workloads in the order
+given, one seed per pair.  Runs go one at a time.
 
 Per workload and end-to-end metric (names and directions from BENCHMARK.json) the
 summary holds both sides' medians and quartiles (``numpy.percentile``, linear), the
