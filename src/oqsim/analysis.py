@@ -32,16 +32,16 @@ class MonotonicityVerdict:
 
 
 def monotonicity_check(traj: Trajectory, observable: str) -> MonotonicityVerdict:
-    series = traj.series(observable)
-    first = None
-    max_rev = -math.inf
-    for i in range(1, len(series)):
-        diff = series[i] - series[i - 1]
-        max_rev = max(max_rev, diff)
-        if diff > MONOTONE_ATOL and first is None:
-            first = i
+    return series_monotonicity(traj.series(observable))
+
+
+def series_monotonicity(series: list[float]) -> MonotonicityVerdict:
+    rises = np.diff(series)
+    over = np.flatnonzero(rises > MONOTONE_ATOL)
     return MonotonicityVerdict(
-        monotone=first is None, first_violation=first, max_revival=max_rev
+        monotone=not len(over),
+        first_violation=int(over[0]) + 1 if len(over) else None,
+        max_revival=float(rises.max(initial=-math.inf)),
     )
 
 

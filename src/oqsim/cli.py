@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import os
 import re
@@ -309,13 +310,15 @@ def _atomic_write(path, text: str):
         raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def write_csv(path, traj: engine.Trajectory):
-    lines, names = ["step,observable,value,trace,purity"], traj.observable_names
-    for rec in traj.records:
-        for name in names:
-            lines.append(
-                f"{rec.step},{name},{rec.values[name]!r},{rec.trace!r},{rec.purity!r}"
-            )
+def write_csv(path, values: dict, traces: list, purities: list):
+    """One row per step and observable, floats as their repr, from the columns that
+    :func:`engine.measure` returns."""
+    steps = range(len(traces))
+    columns = [
+        [f"{n},{name},{v!r},{t!r},{p!r}" for n, v, t, p in zip(steps, column, traces, purities)]
+        for name, column in values.items()
+    ]
+    lines = ["step,observable,value,trace,purity", *itertools.chain.from_iterable(zip(*columns))]
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -326,11 +329,8 @@ def write_svg(path, series: dict, steps: int, title: str):
     """Static line plot: one polyline per labelled series, values in [0, 1]."""
     width, height, margin = 640, 440, 56
 
-    def x(n):
-        return margin + (width - 2 * margin) * (n / max(steps, 1))
-
-    def y(v):
-        return height - margin - (height - 2 * margin) * min(max(v, 0.0), 1.0)
+    def y(v):  # elementwise, v clamped to [0, 1]
+        return height - margin - (height - 2 * margin) * np.clip(v, 0.0, 1.0)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
@@ -347,7 +347,9 @@ def write_svg(path, series: dict, steps: int, title: str):
         )
     for i, (name, values) in enumerate(series.items()):
         color = _SVG_COLORS[i % len(_SVG_COLORS)]
-        points = " ".join(f"{x(n):.2f},{y(v):.2f}" for n, v in enumerate(values))
+        x = margin + (width - 2 * margin) * (np.arange(len(values)) / max(steps, 1))
+        xy = np.column_stack([x, y(values)]).ravel().tolist()
+        points = " ".join(["%.2f,%.2f"] * len(values)) % tuple(xy)
         parts.append(f'<polyline fill="none" stroke="{color}" points="{points}"/>')
         parts.append(
             f'<text x="{width - margin - 4}" y="{margin + 14 * (i + 1)}" '
@@ -421,20 +423,20 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     all_series = {}
     for arm, step, method, k, l in arms:
         try:
-            traj = engine.run(step, cfg.initial, cfg.steps, observables)
+            values, traces, purities = engine.measure(step, cfg.initial, cfg.steps, observables)
         except MemoryError:
             raise ConfigError(
                 f"the {arm} run (register dimension {layout_dim(step.layout)}, "
                 f"{cfg.steps} steps) does not fit in memory"
             ) from None
-        write_csv(paths["csv", arm], traj)
+        write_csv(paths["csv", arm], values, traces, purities)
         print(f"[{cfg.label}/{arm}] wrote {paths['csv', arm]}")
         if ("circuit", arm) in paths:
             _atomic_write(paths["circuit", arm], circuit.dump_circuit(step))
             print(f"[{cfg.label}/{arm}] wrote {paths['circuit', arm]}")
         print(f"method = {method}\nk = {k}\nl = {l}")
         print(analysis.resource_count(step, cfg.steps).as_text(), end="")
-        verdict = analysis.monotonicity_check(traj, cfg.observables[0])
+        verdict = analysis.series_monotonicity(values[cfg.observables[0]])
         print(
             f"[{cfg.label}/{arm}] {cfg.observables[0]} monotone: {verdict.monotone}"
             + (
@@ -445,7 +447,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
             )
         )
         for name in cfg.observables:
-            all_series[f"{arm}:{name}"] = traj.series(name)
+            all_series[f"{arm}:{name}"] = values[name]
     if ("svg", None) in paths:
         write_svg(paths["svg", None], all_series, cfg.steps, cfg.label)
         print(f"[{cfg.label}] wrote {paths['svg', None]}")

@@ -1,4 +1,4 @@
-"""Trajectory engine: repeated step application with per-step records."""
+"""Trajectory engine: repeated step application, measured as columns or per-step records."""
 
 from __future__ import annotations
 
@@ -83,10 +83,6 @@ class Trajectory:
         if name not in self.records[0].values:
             raise KeyError(f"unknown observable {name!r}")
         return [r.values[name] for r in self.records]
-
-    @property
-    def observable_names(self) -> tuple[str, ...]:
-        return tuple(self.records[0].values)
 
 
 _CHUNK_ENTRIES = 2**14  # entries of carried states that evolve reduces in one call
@@ -234,20 +230,21 @@ def evolve(step: StepCircuit, states, steps: int) -> np.ndarray:
     return out
 
 
-def run(
+def measure(
     step: StepCircuit,
     rho0_system: DensityMatrix,
     steps: int,
     observables: list[Observable],
-) -> Trajectory:
-    """Apply ``step`` repeatedly, recording observables on the reduced system.
+) -> tuple[dict[str, list[float]], list[float], list[float]]:
+    """Apply ``step`` repeatedly; the observables, traces and purities of the reduced system.
 
-    Environment and control wires start in |0><0|.  Record 0 is the
-    initial state.  The trajectory is the checked stack :func:`evolve`
-    returns for the one initial state, measured in one pass; the first
-    state that breaks an invariant raises :class:`NumericalViolationError`
-    with its step, so that long runs cannot silently drift.  Two observables
-    with one name raise :class:`ValueError`.
+    Environment and control wires start in |0><0|.  Returns
+    ``({name: values}, traces, purities)``, each a list of ``steps + 1``
+    floats whose entry 0 is the initial state.  The states are the checked
+    stack :func:`evolve` returns for the one initial state, measured with
+    one ``einsum`` each; the first state that breaks an invariant raises
+    :class:`NumericalViolationError` with its step, so that long runs cannot
+    silently drift.  Two observables with one name raise :class:`ValueError`.
     """
     if steps < 1:
         raise ValueError(f"step count {steps} must be >= 1")
@@ -266,11 +263,21 @@ def run(
     except InvalidStateError as exc:
         raise NumericalViolationError(exc.index, exc.invariant, str(exc)) from exc
     projectors = np.array([obs.projector for obs in observables]).reshape(-1, sys_dim, sys_dim)
-    values = np.einsum("oij,nji->no", projectors, states).real.tolist()
+    values = np.einsum("oij,nji->no", projectors, states).real.T.tolist()
     traces = np.einsum("nii->n", states).real.tolist()
-    purities = _purities(states).tolist()
+    return dict(zip(names, values)), traces, _purities(states).tolist()
+
+
+def run(
+    step: StepCircuit,
+    rho0_system: DensityMatrix,
+    steps: int,
+    observables: list[Observable],
+) -> Trajectory:
+    """:func:`measure` as one :class:`StepRecord` per step, record 0 the initial state."""
+    values, traces, purities = measure(step, rho0_system, steps, observables)
     records = tuple(
-        StepRecord(step=n, values=dict(zip(names, row)), trace=tr, purity=pu)
-        for n, (row, tr, pu) in enumerate(zip(values, traces, purities))
+        StepRecord(step=n, values={name: v[n] for name, v in values.items()}, trace=tr, purity=pu)
+        for n, (tr, pu) in enumerate(zip(traces, purities))
     )
     return Trajectory(records=records)

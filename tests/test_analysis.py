@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oqsim.analysis import (
+    MONOTONE_ATOL,
     MonotonicityVerdict,
     blp_witness,
     monotonicity_check,
     resource_count,
+    series_monotonicity,
 )
 from oqsim.channels import KrausChannel, PAULI_X, PAULI_Y, PAULI_Z, pauli_channel
 from oqsim.circuit import (
@@ -73,6 +77,17 @@ class TestMonotonicityCheck:
     def test_unknown_observable(self):
         with pytest.raises(KeyError):
             monotonicity_check(fake_traj([1.0, 0.9]), "p9")
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(-2, 2) | st.sampled_from([0.5, 0.5 + 1e-9, 0.5 + 2e-9]), max_size=12))
+    def test_the_series_verdict_is_the_step_loop(self, series):
+        first, max_rev = None, -math.inf
+        for i in range(1, len(series)):
+            diff = series[i] - series[i - 1]
+            max_rev = max(max_rev, diff)
+            if diff > MONOTONE_ATOL and first is None:
+                first = i
+        assert series_monotonicity(series) == MonotonicityVerdict(first is None, first, max_rev)
 
 
 class TestBlpWitness:

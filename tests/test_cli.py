@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -26,7 +27,7 @@ from oqsim.cli import (
     parse_initial,
     run_experiment,
 )
-from oqsim.engine import StepRecord, Trajectory, projector_observable
+from oqsim.engine import StepRecord, projector_observable, run
 
 from conftest import dense_trajectory
 
@@ -393,18 +394,61 @@ class TestPresetOutputs:
                 assert abs(float(trace) - np.trace(red).real) <= 1e-12
                 assert abs(float(pur) - np.trace(red @ red).real) <= 1e-12
 
-    def test_a_csv_reads_the_observable_names_once(self, tmp_path, monkeypatch):
-        reads, names = [], Trajectory.observable_names
-        monkeypatch.setattr(
-            Trajectory, "observable_names", property(lambda t: reads.append(t) or names.fget(t))
-        )
-        rows = (StepRecord(n, {"p1": n / 4, "p+": 0.5}, 1.0, 0.75) for n in range(3))
-        cli.write_csv(tmp_path / "t.csv", Trajectory(records=tuple(rows)))
-        assert len(reads) == 1
-        assert (tmp_path / "t.csv").read_text() == (
-            "step,observable,value,trace,purity\n0,p1,0.0,1.0,0.75\n0,p+,0.5,1.0,0.75\n"
-            "1,p1,0.25,1.0,0.75\n1,p+,0.5,1.0,0.75\n2,p1,0.5,1.0,0.75\n2,p+,0.5,1.0,0.75\n"
-        )
+    @staticmethod
+    def per_record_csv(records):
+        """The CSV as written one f-string per record and observable."""
+        lines = ["step,observable,value,trace,purity"] + [
+            f"{r.step},{name},{v!r},{r.trace!r},{r.purity!r}"
+            for r in records for name, v in r.values.items()
+        ]
+        return "\n".join(lines) + "\n"
+
+    def test_a_two_observable_run_writes_the_per_record_csv(self, tmp_path, monkeypatch):
+        argv = ["--channel", "amplitude-damping", "--mode", "markovian", "--theta", "pi/7",
+                "--initial", "|+>", "--observables", "p+,p0", "--steps", "20", "--csv", "two.csv"]
+        assert run_main_in(tmp_path, monkeypatch, argv) == 0
+        traj = run(build_markovian_step("amplitude-damping", math.pi / 7), parse_initial("|+>"),
+                   20, [projector_observable(n) for n in ("p+", "p0")])
+        assert (tmp_path / "two.csv").read_text() == self.per_record_csv(traj.records)
+
+    def test_the_columnar_csv_keeps_each_repr(self, tmp_path):
+        rows = [(0.0, 1.0), (-0.0, 1e-05), (1e-05, 0.9999999999999998), (2.5e-17, 1e16)]
+        records = [
+            StepRecord(n, {"p+": v, "p0": 1.0 - v}, t, 0.75) for n, (v, t) in enumerate(rows)
+        ]
+        columns = {"p+": [v for v, _ in rows], "p0": [1.0 - v for v, _ in rows]}
+        cli.write_csv(tmp_path / "edge.csv", columns, [t for _, t in rows], [0.75] * len(rows))
+        text = (tmp_path / "edge.csv").read_text()
+        assert text == self.per_record_csv(records)
+        assert "\n0,p+,0.0,1.0,0.75\n" in text and "\n1,p+,-0.0,1e-05,0.75\n" in text
+
+    def test_svg_points_are_the_scalar_formula(self, tmp_path):
+        series = {"a:p1": [0.0, 1.0, -1e-3, 1.5, 1e-05, 0.123456, 0.5], "b:p+": [0.875, 2.0, -0.0]}
+        cli.write_svg(tmp_path / "p.svg", series, 6, "plot")
+        svg = (tmp_path / "p.svg").read_text()
+
+        def x(n):
+            return 56 + 528 * (n / 6)
+
+        def y(v):
+            return 440 - 56 - 328 * min(max(v, 0.0), 1.0)
+
+        assert re.findall(r'points="([^"]*)"', svg) == [
+            " ".join(f"{x(n):.2f},{y(v):.2f}" for n, v in enumerate(values))
+            for values in series.values()
+        ]
+        assert re.findall(r'<text x="48" y="([^"]*)"', svg) == [
+            f"{y(tick / 10.0) + 4:.1f}" for tick in range(0, 11, 2)
+        ]
+        assert "56.00,384.00 144.00,56.00 232.00,384.00 320.00,56.00" in svg  # clamped
+
+    def test_a_preset_run_builds_no_step_record(self, tmp_path, monkeypatch):
+        def no_records(*args, **kwargs):
+            raise AssertionError("the CLI built a StepRecord")
+
+        monkeypatch.setattr(cli.engine, "StepRecord", no_records)
+        assert run_main_in(tmp_path, monkeypatch, ["--preset", "fig7", "--svg", "p.svg"]) == 0
+        assert (tmp_path / "p.svg").exists()
 
 
 class TestSweep:
@@ -647,7 +691,7 @@ class TestExitCodes:
         def too_large(step, rho0, steps, observables):
             raise MemoryError
 
-        monkeypatch.setattr(cli.engine, "run", too_large)
+        monkeypatch.setattr(cli.engine, "measure", too_large)
         code = run_main_in(tmp_path, monkeypatch, ["--preset", "fig6", "--mode", "non-markovian"])
         assert code == 2
         assert capsys.readouterr().err == (
@@ -683,7 +727,7 @@ class TestExitCodes:
         def exploding(step, rho0, steps, observables):
             raise NumericalViolationError(7, "trace", "trace drifted")
 
-        monkeypatch.setattr(cli.engine, "run", exploding)
+        monkeypatch.setattr(cli.engine, "measure", exploding)
         code = run_main_in(tmp_path, monkeypatch, ["--preset", "fig6"])
         assert code == 3
         err = capsys.readouterr().err

@@ -1,11 +1,11 @@
-"""The stack checker and ``run``'s batched records against one
+"""The stack checker, and ``run``'s records and ``measure``'s columns, against one
 ``DensityMatrix`` (and one ``np.trace``) per state."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oqsim.channels import pauli_channel
@@ -15,7 +15,7 @@ from oqsim.circuit import (
     build_nonmarkovian_step,
     build_sequential_step,
 )
-from oqsim.engine import evolve, projector_observable, purity, run
+from oqsim.engine import evolve, measure, projector_observable, purity, run
 from oqsim.qmath import DensityMatrix, InvalidStateError, Wire, check_states
 
 from conftest import random_density
@@ -137,11 +137,17 @@ NAMES = ("p0", "p1", "p+", "p-")
     seed=st.integers(0, 2**16),
     names=st.lists(st.sampled_from(NAMES), max_size=4, unique=True),
 )
+@example(name="memory-k3", seed=0, names=[])
+@example(name="markovian", seed=1, names=["p+", "p0"])
 def test_run_records_what_each_state_gives(name, seed, names):
     step = BUILDERS[name]
     observables = [projector_observable(n) for n in names]
     rho0 = DensityMatrix(random_density(np.random.default_rng(seed)), (Wire("q"),))
     traj = run(step, rho0, 12, observables)
+    values, traces, purities = measure(step, rho0, 12, observables)
+    assert list(values) == names
+    assert [r.values for r in traj.records] == [{n: values[n][i] for n in names} for i in range(13)]
+    assert [(r.trace, r.purity) for r in traj.records] == list(zip(traces, purities))
     states = evolve(step, [rho0], 12)[:, 0]
     assert len(traj.records) == len(states) == 13
     for n, (rec, red) in enumerate(zip(traj.records, states)):
