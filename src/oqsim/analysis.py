@@ -66,7 +66,7 @@ class ResourceReport:
 
     ``gates_per_step`` counts every directive (trace-reset and SWAP are one
     each); ``unitary_gates_per_step`` excludes resets: for a sequential step,
-    one X on c plus three gates per operator that is not the identity.
+    one X on c plus two gates per operator.
     """
 
     qubit_count: int

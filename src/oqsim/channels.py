@@ -175,23 +175,6 @@ def stinespring_dilate(ch: KrausChannel) -> np.ndarray:
     return u
 
 
-def scaled_unitary_part(op) -> tuple[float, np.ndarray] | None:
-    """Split ``op = w U`` with ``U`` unitary, or ``None`` if not of that form.
-
-    ``U`` is ``op / w`` and keeps any global phase of ``op``; callers that
-    name ``U`` as a Pauli gate match it up to that phase.
-    """
-    a = as_complex_matrix(op)
-    gram = a.conj().T @ a
-    w2 = float(np.real(np.trace(gram))) / a.shape[0]
-    if w2 <= 0.0:
-        return 0.0, np.eye(a.shape[0], dtype=complex)
-    if np.max(np.abs(gram - w2 * np.eye(a.shape[0]))) > 1e-10:
-        return None
-    w = math.sqrt(min(w2, 1.0))
-    return w, a / math.sqrt(w2)
-
-
 def save_channel(ch: KrausChannel, path) -> None:
     """Write the channel spec file: dim, label, row-major [re, im] pairs."""
     payload = {

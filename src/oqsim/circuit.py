@@ -275,63 +275,33 @@ def build_nonmarkovian_step(kind: str, mem: MemorySpec) -> StepCircuit:
     return _coin_step(kind, mem.thetas, f"nonmarkovian-{kind}-k{mem.k}")
 
 
-_PAULI_NAMES = (("X", ch_mod.PAULI_X), ("Y", ch_mod.PAULI_Y), ("Z", ch_mod.PAULI_Z))
-
-
-def _coupling_op(unitary: np.ndarray, wires) -> GateOp | None:
-    """Controlled application of a factor's unitary part, named when a Pauli.
-
-    A global phase on the unitary part is irrelevant once the branch
-    decoheres, so it is folded away before matching.
-    """
-    for name, pauli in (("I", ch_mod.PAULI_I),) + _PAULI_NAMES:
-        overlap = np.trace(pauli.conj().T @ unitary) / 2.0
-        if abs(abs(overlap) - 1.0) < 1e-10 and np.allclose(
-            unitary, overlap * pauli, atol=1e-10
-        ):
-            if name == "I":
-                return None
-            return GateOp.gate("C" + name if name != "X" else "CNOT", wires)
-    return GateOp(
-        "unitary-apply", wires, name=None, matrix=_controlled(unitary), theta=None
-    )
-
-
 def build_sequential_step(ch: ch_mod.KrausChannel) -> StepCircuit:
     """Apply a channel's Kraus operators one at a time on wires {c, q, e}.
 
-    Each operator must be a scaled unitary ``w U``.  Per factor: a rotation
-    on e conditioned on the live flag c prepares amplitude w / sqrt(live),
-    the unitary part is applied to q controlled on e, and e flips c out of
-    the live branch before its reset, so later factors act only where no
-    earlier operator fired.  The live branch holds live = 1 - sum of the
-    earlier w^2, so every operator fires with weight exactly w.  Factors
-    whose unitary part is the identity emit no gates and take what is left
-    on the live branch.  c starts each step raised by an X and is traced
-    out at the end; the ancilla count stays at 2 however many operators the
-    channel has.
+    One backward QR sweep factors the operators: from G_l = 0, for i = l .. 1,
+    [G_i; K_i] = Q_i R_i and G_{i-1} = R_i, the first R's diagonal made real
+    and positive so that G_0 = I for a complete set.  Factor i applies, on the
+    live branch c = 1, the unitary on (e, q) whose |0>_e columns are Q_i (a
+    complete QR gives it whole); e then flips c out of the live branch before
+    its reset.  With Q_i^0 and Q_i^1 the e = 0 and e = 1 rows of Q_i, the products
+    telescope to Q_i^1 Q_{i-1}^0 .. Q_1^0 = K_i, so operator i fires exactly once,
+    where no earlier one fired, for any complete set (Q_i is an isometry even
+    when [G_i; K_i] is rank-deficient).
+    c starts each step raised by an X and is traced out at the end: 3 l + 2
+    ops on 3 qubits however many operators the channel has.
     """
     if ch.dim != 2:
         raise BuilderError("sequential steps support single-qubit channels only")
-    parts = []
-    for i, op in enumerate(ch.operators):
-        split = ch_mod.scaled_unitary_part(op)
-        if split is None:
-            raise BuilderError(
-                f"operator {i} of {ch.label!r} is not a scaled unitary; "
-                "use stinespring_dilate for general channels"
-            )
-        parts.append(split)
+    factors, g = [], np.zeros((2, 2), dtype=complex)
+    for op in reversed(ch.operators):
+        q, r = np.linalg.qr(np.vstack([g, op]), mode="complete")
+        factors.append(q)
+        g = r[:2]
+    phase = np.diagonal(g) / np.abs(np.diagonal(g))
+    factors[-1][:, :2] *= phase  # G_0 = diag(conj(phase)) R_1 is I within rounding
     ops = [GateOp.gate("X", ("c",))]
-    live = 1.0  # squared amplitude left on the branch where no factor has fired
-    for w, unitary in parts:
-        coupling = _coupling_op(unitary, ("e", "q"))
-        if coupling is None:
-            continue
-        theta = 2.0 * math.asin(min(w / math.sqrt(live), 1.0) if live > 0.0 else 1.0)
-        live -= w * w
-        ops.append(GateOp.gate("CRy", ("c", "e"), theta))
-        ops.append(coupling)
+    for q in reversed(factors):
+        ops.append(GateOp("unitary-apply", ("c", "e", "q"), matrix=_controlled(q)))
         ops.append(GateOp.gate("CNOT", ("e", "c")))
         ops.append(GateOp.reset("e"))
     ops.append(GateOp.reset("c"))
@@ -437,7 +407,7 @@ def compile_step(step: StepCircuit, full: bool = False):
     The walk plans each gate's wire tuple once per call (:func:`_plan`), in a dict that lives
     only for the call; what can change between two uses of a tuple (which wires are in |0>,
     the sliced gate, r and the QR) is read per op.  Repeated tuples pay: a sequential step's
-    gates fall on 4 tuples for any l (189 of 193 gates repeat one at l = 64), while
+    gates fall on 3 tuples for any l (126 of 129 gates repeat one at l = 64), while
     Markovian and memory steps repeat none.
     """
     dims = [w.dim for w in step.layout]

@@ -251,8 +251,10 @@ def _build_config(raw: dict, path=None) -> ExperimentConfig:
             except (ConfigError, ValueError) as exc:
                 fail(key, str(exc))
 
-    if "markovian" in modes and "theta" not in values:
-        fail("theta", "mode markovian requires 'theta'")
+    for mode in modes:
+        if mode == "markovian" or mode == "sequential" and channel not in ("pauli", "custom-file"):
+            if "theta" not in values:
+                fail("theta", f"mode {mode} requires 'theta'")
     if "non-markovian" in modes:
         if "thetas" not in values:
             fail("thetas", "mode non-markovian requires 'thetas'")
@@ -262,8 +264,6 @@ def _build_config(raw: dict, path=None) -> ExperimentConfig:
             fail("k", f"mode non-markovian requires k >= 2, got {k}")
         if len(thetas) != k:
             fail("thetas", f"'thetas' has {len(thetas)} angles but k = {k}")
-    if "sequential" in modes and channel not in ("pauli", "custom-file"):
-        fail("mode", "mode sequential requires channel pauli or custom-file")
     if channel in ("pauli", "custom-file") and modes != ("sequential",):
         fail("channel", f"channel {channel} requires mode sequential")
     if channel == "custom-file" and "channel_file" not in raw:
@@ -360,6 +360,16 @@ def write_svg(path, series: dict, steps: int, title: str):
 
 
 def _sequential_channel(cfg: ExperimentConfig) -> channels.KrausChannel:
+    """The channel a sequential arm applies; damping and dephasing at gamma = sin(theta/2),
+    the strength of the Markovian arm's circuit at theta."""
+    if cfg.channel in ("amplitude-damping", "dephasing"):
+        # sin(13 / 2) > 0 is a valid gamma: the angle is refused as the Markovian arm does
+        if not 0.0 <= cfg.theta < 2.0 * math.pi:
+            raise circuit.BuilderError(f"theta {cfg.theta} outside [0, 2*pi)")
+        gamma = math.sin(cfg.theta / 2.0)
+        if cfg.channel == "dephasing":
+            return channels.dephasing(gamma)
+        return channels.amplitude_damping(gamma)
     if cfg.channel == "pauli":
         return channels.pauli_channel(cfg.px, cfg.py, cfg.pz)
     try:

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oqsim.channels import (
@@ -398,9 +398,15 @@ class TestSequentialStep:
             dil = build_dilation_step(ch)
             assert len(dil.layout) == 1 + math.ceil(math.log2(l))
 
-    def test_non_unitary_kraus_rejected(self):
-        with pytest.raises(BuilderError, match="stinespring"):
-            build_sequential_step(amplitude_damping(0.3))
+    def test_amplitude_damping_builds_an_exact_step(self, rng):
+        ch = amplitude_damping(0.3)
+        step = build_sequential_step(ch)
+        assert step.wire_labels == ("c", "q", "e") and len(step.ops) == 3 * len(ch) + 2
+        for _ in range(10):
+            rho = random_density(rng)
+            red = reduced_system(apply_step(step, full_state(rho, step)), step)
+            want = apply_channel(ch, qstate(rho))
+            assert np.max(np.abs(red.matrix - want.matrix)) <= 1e-12
 
     def test_non_pauli_unitary_part_exact(self, rng):
         # a single jump factor makes the sequential step reproduce a
@@ -425,6 +431,61 @@ class TestSequentialStep:
         u = np.eye(3, dtype=complex)
         with pytest.raises(BuilderError):
             build_sequential_step(KrausChannel(3, [u]))
+
+
+@st.composite
+def _kraus_sets(draw):
+    """Complete qubit Kraus sets of l = 1..16 operators in a random or the computational basis:
+    the blocks of an isometry V whose column j is zero on the operators that see only the
+    other input, so each operator is full rank, rank 1 on one of the set's two inputs, or
+    zero; or a projective measurement, each projector split into weighted copies, among
+    zero operators.  In the computational basis a tail of rank-1 operators on one input
+    leaves exactly zero columns for the sweep's QRs."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    l = draw(st.integers(1, 16))
+    basis = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+    if draw(st.booleans()):
+        basis = np.eye(2)
+    if draw(st.booleans()):
+        sees = draw(st.lists(st.sampled_from(["01", "0", "1", ""]), min_size=l, max_size=l))
+        for j in "01":  # each input reaches some operator
+            if not any(j in s for s in sees):
+                sees[draw(st.integers(0, l - 1))] += j
+        v = rng.normal(size=(l, 2, 2)) + 1j * rng.normal(size=(l, 2, 2))  # K_i = v[i]
+        for j in (0, 1):
+            v[[str(j) not in s for s in sees], :, j] = 0.0
+        shared = v[..., 0] * np.array([[1.0] if "1" in s else [0.0] for s in sees])
+        if shared.any():  # column 1 orthogonal to column 0, changed only where both are nonzero
+            v[..., 1] -= np.vdot(shared, v[..., 1]) / np.vdot(shared, shared) * shared
+        v /= np.linalg.norm(v, axis=(0, 1))
+        return KrausChannel(2, list(v @ basis.conj().T), label="isometry")
+    kinds = draw(st.lists(st.sampled_from([0, 1, None]), min_size=max(l, 2), max_size=max(l, 2)))
+    kinds[:2] = [0, 1]  # both projectors appear; the order is shuffled below
+    ops = []
+    for k in kinds:
+        if k is None:
+            ops.append(np.zeros((2, 2)))
+        else:
+            ops.append(np.sqrt(rng.uniform(0.1, 1.0)) * np.outer(basis[:, k], basis[:, k].conj()))
+    for k in (0, 1):  # the copies of each projector carry weights summing to 1
+        share = sum(np.linalg.norm(a) ** 2 for a, j in zip(ops, kinds) if j == k)
+        ops = [a / np.sqrt(share) if j == k else a for a, j in zip(ops, kinds)]
+    order = rng.permutation(len(ops))
+    return KrausChannel(2, [ops[i] for i in order], label="measurement")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(ch=_kraus_sets(), seed=st.integers(0, 2**32 - 1))
+@example(ch=amplitude_damping(0.3), seed=0)
+@example(ch=dephasing(0.6), seed=0)
+def test_sequential_step_applies_every_complete_kraus_set(ch, seed):
+    step = build_sequential_step(ch)
+    assert step.wire_labels == ("c", "q", "e") and len(step.ops) == 3 * len(ch) + 2
+    rng = np.random.default_rng(seed)
+    for rho in (random_density(rng), random_density(rng)):
+        red = reduced_system(apply_step(step, full_state(rho, step)), step)
+        want = apply_channel(ch, qstate(rho))
+        assert np.max(np.abs(red.matrix - want.matrix)) <= 1e-12
 
 
 class TestDilationStep:

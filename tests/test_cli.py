@@ -158,10 +158,10 @@ class TestParseConfig:
         )
         assert os.listdir(tmp_path) == ["exp.cfg"]
 
-    def test_sequential_requires_pauli_or_custom(self, tmp_path):
+    def test_sequential_dephasing_requires_theta(self, tmp_path):
         path = tmp_path / "exp.cfg"
-        path.write_text("channel = dephasing\nmode = sequential\ntheta = pi/5\n")
-        with pytest.raises(ConfigError, match="sequential"):
+        path.write_text("channel = dephasing\nmode = sequential\n")
+        with pytest.raises(ConfigError, match="exp.cfg: mode sequential requires 'theta'$"):
             parse_config(path)
 
     def test_nonmarkovian_requires_k_at_least_two(self, tmp_path):
@@ -254,7 +254,7 @@ class TestMainRuns:
         assert run_main_in(tmp_path, monkeypatch, argv) == 0
         assert capsys.readouterr().err == ""
         text = (tmp_path / "x").read_text()
-        assert '\n["UNITARY", ["e", "q"], ' in text
+        assert '\n["UNITARY", ["c", "e", "q"], ' in text
         assert same_circuit(parse_circuit(text), build_sequential_step(ch))
 
     def test_dump_of_a_channel_whose_label_holds_a_line_break_round_trips(
@@ -268,7 +268,7 @@ class TestMainRuns:
         assert run_main_in(tmp_path, monkeypatch, argv) == 0
         back = parse_circuit((tmp_path / "o.circuit").read_text())
         ran = build_sequential_step(ch)
-        assert len(ran.ops) == 6 and same_circuit(back, ran)
+        assert len(ran.ops) == 8 and same_circuit(back, ran)
 
     def test_svg_written(self, tmp_path, monkeypatch):
         code = run_main_in(
@@ -311,6 +311,35 @@ class TestMainRuns:
         assert code == 0
         rows = (tmp_path / "seq.csv").read_text().splitlines()
         assert len(rows) == 12
+
+    @pytest.mark.parametrize("channel", ["amplitude-damping", "dephasing"])
+    @pytest.mark.parametrize("theta", ["0", "pi/10", "2pi/3", "6.2"])
+    def test_sequential_arm_matches_the_markovian_arm(self, tmp_path, monkeypatch, channel, theta):
+        # two independent circuits of one channel: the coin step and the QR-swept factors
+        base = ["--channel", channel, "--theta", theta, "--steps", "300"]
+        for mode in ("markovian", "sequential"):
+            argv = [*base, "--mode", mode, "--csv", f"{mode}.csv"]
+            assert run_main_in(tmp_path, monkeypatch, argv) == 0
+        rows = [[line.split(",") for line in (tmp_path / f"{mode}.csv").read_text().splitlines()]
+                for mode in ("markovian", "sequential")]
+        assert len(rows[0]) == len(rows[1]) == 302
+        for want, got in zip(*rows):
+            assert want[:2] == got[:2]
+            if want[0] != "step":
+                assert max(abs(float(a) - float(b)) for a, b in zip(want[2:], got[2:])) <= 1e-12
+
+    @pytest.mark.parametrize("channel", ["amplitude-damping", "dephasing"])
+    def test_sequential_theta_out_of_range_exits_2_as_markovian(
+        self, tmp_path, monkeypatch, capsys, channel
+    ):
+        # sin(13 / 2) > 0 is a valid gamma: the angle itself is refused
+        errs = []
+        for mode in ("markovian", "sequential"):
+            argv = ["--channel", channel, "--mode", mode, "--theta", "13", "--steps", "2"]
+            assert run_main_in(tmp_path, monkeypatch, argv) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs == ["config error: theta 13.0 outside [0, 2*pi)\n"] * 2
+        assert os.listdir(tmp_path) == []
 
     def test_sequential_pauli_nan_probability_exits_2(self, tmp_path, monkeypatch, capsys):
         argv = ["--channel", "pauli", "--mode", "sequential", "--px", "nan", "--csv", "seq.csv"]
@@ -798,6 +827,8 @@ class TestExitCodes:
         (["--config", "dup.cfg"], "dup.cfg:4: duplicate key 'theta'"),
         (["--channel", "dephasing"], "missing required key 'mode'"),
         (["--channel", "dephasing", "--mode", "markovian"], "mode markovian requires 'theta'"),
+        (["--channel", "amplitude-damping", "--mode", "sequential"],
+         "mode sequential requires 'theta'"),
         (["--channel", "pauli", "--mode", "markovian", "--theta", "pi/5"],
          "channel pauli requires mode sequential"),
         (["--channel", "custom-file", "--mode", "sequential"],
