@@ -283,12 +283,12 @@ def build_sequential_step(ch: ch_mod.KrausChannel) -> StepCircuit:
     and positive so that G_0 = I for a complete set.  Factor i applies, on the
     live branch c = 1, the unitary on (e, q) whose |0>_e columns are Q_i (a
     complete QR gives it whole); e then flips c out of the live branch before
-    its reset.  With Q_i^0 and Q_i^1 the e = 0 and e = 1 rows of Q_i, the products
-    telescope to Q_i^1 Q_{i-1}^0 .. Q_1^0 = K_i, so operator i fires exactly once,
-    where no earlier one fired, for any complete set (Q_i is an isometry even
-    when [G_i; K_i] is rank-deficient).
-    c starts each step raised by an X and is traced out at the end: 3 l + 2
-    ops on 3 qubits however many operators the channel has.
+    its reset.  With Q_i^0 and Q_i^1 the e = 0 and e = 1 rows of those columns,
+    the products telescope to Q_i^1 Q_{i-1}^0 .. Q_1^0 = K_i, so operator i
+    fires exactly once, where no earlier one fired, for any complete set (Q_i
+    is an isometry even when [G_i; K_i] is rank-deficient).  c starts each step
+    raised by an X and is traced out at the end: 3l + 2 ops on 3 qubits however
+    many operators the channel has.
     """
     if ch.dim != 2:
         raise BuilderError("sequential steps support single-qubit channels only")
