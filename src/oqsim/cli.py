@@ -13,8 +13,8 @@ import itertools
 import math
 import os
 import re
+import stat
 import sys
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -289,19 +289,28 @@ class OutputError(Exception):
     """An output file could not be written."""
 
 
-# mkstemp creates files with mode 0600; outputs get the mode open() would give.
-_UMASK = os.umask(0o022)
-os.umask(_UMASK)
-
-
 def _atomic_write(path, text: str):
-    """Write via a unique temp file beside ``path`` (no race between writers), then rename."""
+    """Write ``text`` to ``path`` through a temp file beside it: created exclusively under a
+    random name (a writer never shares one, however long ``path``'s name), written in one
+    ``os.write`` as UTF-8, closed, then renamed over ``path``.  The mode is the one open()
+    gives under the current umask; a failure removes the temp file."""
+    data = memoryview(text.encode("utf-8"))
+    folder = os.path.dirname(os.path.abspath(path))
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+        for attempt in range(100):  # a name taken by another writer is drawn again
+            tmp = os.path.join(folder, f"tmp{os.urandom(6).hex()}.tmp")
+            try:
+                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                break
+            except FileExistsError:
+                if attempt == 99:
+                    raise
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                os.fchmod(fh.fileno(), 0o666 & ~_UMASK)
-                fh.write(text)
+            try:
+                while data:
+                    data = data[os.write(fd, data):]
+            finally:
+                os.close(fd)
             os.replace(tmp, path)
         except OSError:
             os.unlink(tmp)
@@ -360,8 +369,9 @@ def write_svg(path, series: dict, steps: int, title: str):
 
 
 def _sequential_channel(cfg: ExperimentConfig) -> channels.KrausChannel:
-    """The channel a sequential arm applies; damping and dephasing at gamma = sin(theta/2),
-    the strength of the Markovian arm's circuit at theta."""
+    """The channel a sequential arm applies: the Markovian arm's circuit at theta, damping
+    or dephasing at gamma = sin(theta/2).  For damping at cos(theta/2) < 0 that circuit's
+    K_0 is diag(1, cos(theta/2)), so Z follows the damping; dephasing's sign cancels."""
     if cfg.channel in ("amplitude-damping", "dephasing"):
         # sin(13 / 2) > 0 is a valid gamma: the angle is refused as the Markovian arm does
         if not 0.0 <= cfg.theta < 2.0 * math.pi:
@@ -369,7 +379,11 @@ def _sequential_channel(cfg: ExperimentConfig) -> channels.KrausChannel:
         gamma = math.sin(cfg.theta / 2.0)
         if cfg.channel == "dephasing":
             return channels.dephasing(gamma)
-        return channels.amplitude_damping(gamma)
+        damping = channels.amplitude_damping(gamma)
+        if math.cos(cfg.theta / 2.0) >= 0.0:
+            return damping
+        ops = [channels.PAULI_Z @ k for k in damping.operators]
+        return channels.KrausChannel(2, ops, label=f"{damping.label} then Z")
     if cfg.channel == "pauli":
         return channels.pauli_channel(cfg.px, cfg.py, cfg.pz)
     try:
@@ -504,17 +518,28 @@ def _exit_code(run) -> int:
         return EXIT_OUTPUT
 
 
+def _unwritable(out: str) -> str | None:
+    """Why ``out`` cannot become a regular file, from one stat of it, or None.  A path that
+    stat cannot read (missing, a dangling symlink, a component that is a file) needs only
+    its directory to exist."""
+    try:
+        mode = os.stat(out).st_mode
+    except OSError:
+        return None if os.path.isdir(os.path.dirname(os.path.abspath(out))) else (
+            "No such file or directory"
+        )
+    if stat.S_ISDIR(mode):
+        return "Is a directory"
+    return None if stat.S_ISREG(mode) else "not a regular file"
+
+
 def _check_outputs(loaded) -> None:
     """Before anything runs, refuse an output two writers share or that cannot be a file."""
     writers = {}
     for i, (path, cfg) in enumerate(loaded):
         for (key, _), out in _output_paths(cfg).items():
-            if not os.path.isdir(os.path.dirname(os.path.abspath(out))):
-                raise OutputError(f"cannot write {out}: No such file or directory")
-            if os.path.isdir(out):
-                raise OutputError(f"cannot write {out}: Is a directory")
-            if os.path.exists(out) and not os.path.isfile(out):
-                raise OutputError(f"cannot write {out}: not a regular file")
+            if problem := _unwritable(out):
+                raise OutputError(f"cannot write {out}: {problem}")
             j, first_path, first_key = writers.setdefault(os.path.abspath(out), (i, path, key))
             if j != i:
                 raise ConfigError(f"{first_path} and {path} both write {out}")

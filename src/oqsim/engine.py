@@ -207,7 +207,10 @@ def evolve(step: StepCircuit, states, steps: int) -> np.ndarray:
         w = factors[i % len(states)]
         np.matmul(weighted(xi, w), w[0].conj().T, out=buffer[0, i])
     block = _block(dc, len(buffer))
-    powers = [superoperator(program[1]).T] if block > 1 else []  # S^T, (S^2)^T, .., (S^B)^T
+    if block > 1:  # S^T, (S^2)^T, .., (S^B)^T; S from the compile when it built one
+        powers = [(superoperator(program[1]) if program[3] is None else program[3]).T]
+    else:
+        powers = []
     for _ in range(block.bit_length() - 1):
         powers.append(powers[-1] @ powers[-1])
     n, vec = base, (-1, dc * dc)  # a slot's states as rows vec(rho)^T

@@ -1,3 +1,4 @@
+import errno
 import math
 import os
 import re
@@ -327,6 +328,21 @@ class TestMainRuns:
             assert want[:2] == got[:2]
             if want[0] != "step":
                 assert max(abs(float(a) - float(b)) for a, b in zip(want[2:], got[2:])) <= 1e-12
+
+    @pytest.mark.parametrize("theta", ["3.5", "6.2"])
+    def test_sequential_damping_keeps_the_coherences_past_pi(self, tmp_path, monkeypatch, theta):
+        # cos(theta/2) < 0: the coin step's K_0 is diag(1, cos(theta/2)), a Z after the damping
+        base = ["--channel", "amplitude-damping", "--theta", theta, "--steps", "20",
+                "--initial", "|+>", "--observables", "p0,p1,p+,p-"]
+        for mode in ("markovian", "sequential"):
+            argv = [*base, "--mode", mode, "--csv", f"{mode}.csv"]
+            assert run_main_in(tmp_path, monkeypatch, argv) == 0
+        rows = [[line.split(",") for line in (tmp_path / f"{mode}.csv").read_text().splitlines()]
+                for mode in ("markovian", "sequential")]
+        assert len(rows[0]) == len(rows[1]) == 1 + 21 * 4
+        for want, got in zip(rows[0][1:], rows[1][1:]):
+            assert want[:2] == got[:2]
+            assert max(abs(float(a) - float(b)) for a, b in zip(want[2:], got[2:])) <= 1e-12
 
     @pytest.mark.parametrize("channel", ["amplitude-damping", "dephasing"])
     def test_sequential_theta_out_of_range_exits_2_as_markovian(
@@ -811,6 +827,73 @@ class TestExitCodes:
         assert stat.S_ISFIFO(os.lstat(tmp_path / "pipe.csv").st_mode)
         assert os.listdir(tmp_path) == ["pipe.csv"]
 
+    def test_output_under_a_regular_file_exits_4_before_running(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        (tmp_path / "afile").write_text("keep\n")
+        argv = ["--preset", "fig6", "--csv", "afile/x.csv"]
+        assert run_main_in(tmp_path, monkeypatch, argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "output error: cannot write afile/x_markovian.csv: No such file or directory\n"
+        )
+        assert os.listdir(tmp_path) == ["afile"]
+        assert (tmp_path / "afile").read_text() == "keep\n"
+
+    def test_symlink_to_a_directory_exits_4_before_running(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "adir").mkdir()
+        os.symlink("adir", tmp_path / "link.csv")
+        argv = ["--channel", "dephasing", "--mode", "markovian", "--theta", "pi/5",
+                "--steps", "3", "--csv", "link.csv"]
+        assert run_main_in(tmp_path, monkeypatch, argv) == 4
+        assert capsys.readouterr().err == "output error: cannot write link.csv: Is a directory\n"
+        assert os.path.islink(tmp_path / "link.csv")
+        assert sorted(os.listdir(tmp_path)) == ["adir", "link.csv"]
+
+    @pytest.mark.parametrize("target", ["missing.csv", "link.csv"])
+    def test_a_symlink_that_stat_cannot_follow_is_replaced(self, tmp_path, monkeypatch, target):
+        # a dangling link and a link to itself: the check passes, and the rename replaces it
+        os.symlink(target, tmp_path / "link.csv")
+        argv = ["--channel", "dephasing", "--mode", "markovian", "--theta", "pi/5",
+                "--steps", "3", "--csv", "link.csv"]
+        assert run_main_in(tmp_path, monkeypatch, argv) == 0
+        assert stat.S_ISREG(os.lstat(tmp_path / "link.csv").st_mode)
+        assert os.listdir(tmp_path) == ["link.csv"]
+
+    def test_failed_write_exits_4_closes_and_leaves_no_temp_file(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        real_open, real_write, real_close = os.open, os.write, os.close
+        opened, closed = [], []
+
+        def tmp_open(path, *args):
+            fd = real_open(path, *args)
+            if str(path).endswith(".tmp"):
+                opened.append(fd)
+            return fd
+
+        def full(fd, data):
+            if fd in opened:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real_write(fd, data)
+
+        def tmp_close(fd):
+            if fd in opened:
+                closed.append(fd)
+            real_close(fd)
+
+        monkeypatch.setattr(cli.os, "open", tmp_open)
+        monkeypatch.setattr(cli.os, "write", full)
+        monkeypatch.setattr(cli.os, "close", tmp_close)
+        argv = ["--channel", "dephasing", "--mode", "markovian", "--theta", "pi/5", "--steps", "2"]
+        assert run_main_in(tmp_path, monkeypatch, argv) == 4
+        assert capsys.readouterr().err == (
+            "output error: cannot write dephasing-markovian.csv: No space left on device\n"
+        )
+        assert len(opened) == 1 and closed == opened
+        assert os.listdir(tmp_path) == []
+
     def test_failed_rename_exits_4_and_leaves_no_temp_file(self, tmp_path, monkeypatch, capsys):
         def refuse(src, dst):
             raise OSError(13, "Permission denied")
@@ -869,3 +952,29 @@ class TestAtomicWrite:
         assert path.read_text() in texts
         assert os.listdir(tmp_path) == ["same.csv"]
 
+    def test_a_taken_temp_name_is_drawn_again(self, tmp_path, monkeypatch):
+        tokens = iter([bytes(6), bytes(6), b"\x01" * 6])
+        monkeypatch.setattr(cli.os, "urandom", lambda n: next(tokens))
+        taken = tmp_path / f"tmp{bytes(6).hex()}.tmp"
+        taken.write_text("another writer's\n")
+        cli._atomic_write(str(tmp_path / "out.csv"), "a\n")
+        assert (tmp_path / "out.csv").read_text() == "a\n"
+        assert taken.read_text() == "another writer's\n"
+        assert sorted(os.listdir(tmp_path)) == sorted(["out.csv", taken.name])
+
+    def test_a_target_name_of_250_bytes_is_written(self, tmp_path):
+        path = tmp_path / ("a" * 246 + ".csv")
+        cli._atomic_write(str(path), "a\n")
+        assert path.read_text() == "a\n"
+        assert os.listdir(tmp_path) == [path.name]
+
+    def test_mode_follows_a_umask_set_after_import(self, tmp_path):
+        path = tmp_path / "out.csv"
+        for umask in (0o077, 0o002):
+            old = os.umask(umask)
+            try:
+                cli._atomic_write(str(path), "a\n")
+            finally:
+                os.umask(old)
+            assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+        assert os.listdir(tmp_path) == ["out.csv"]
