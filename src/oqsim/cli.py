@@ -519,15 +519,13 @@ def _exit_code(run) -> int:
 
 
 def _unwritable(out: str) -> str | None:
-    """Why ``out`` cannot become a regular file, from one stat of it, or None.  A path that
-    stat cannot read (missing, a dangling symlink, a component that is a file) needs only
-    its directory to exist."""
+    """Why ``out`` cannot become a regular file, from one stat of it, or None."""
     try:
         mode = os.stat(out).st_mode
-    except OSError:
-        return None if os.path.isdir(os.path.dirname(os.path.abspath(out))) else (
-            "No such file or directory"
-        )
+    except OSError:  # missing, a dangling symlink, under a file: its directory must exist
+        if os.path.isdir(os.path.dirname(os.path.abspath(out))):
+            return None
+        return "No such file or directory"
     if stat.S_ISDIR(mode):
         return "Is a directory"
     return None if stat.S_ISREG(mode) else "not a regular file"

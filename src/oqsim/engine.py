@@ -128,7 +128,8 @@ def evolve(step: StepCircuit, states, steps: int) -> np.ndarray:
     call on the slot before, written into the slot; slots f .. f + w - 1 are
     S^w times the w before, w the largest power of two <= min(f, B), in one
     product over all states.
-    S = sum_j K_j (x) conj(K_j) is squared once per run up to S^B, with B
+    S = sum_j K_j (x) conj(K_j), the compile's when it built one, is squared
+    once per run up to S^B, with B
     from :func:`_block`; B = 1 (d_c >= 16) is one call per step.  W, S and
     the buffer are in the program's dtype; X is float64 when every rho0 is
     real.  A float64 program carries complex starts in its buffer as 2n real
@@ -207,10 +208,9 @@ def evolve(step: StepCircuit, states, steps: int) -> np.ndarray:
         w = factors[i % len(states)]
         np.matmul(weighted(xi, w), w[0].conj().T, out=buffer[0, i])
     block = _block(dc, len(buffer))
-    if block > 1:  # S^T, (S^2)^T, .., (S^B)^T; S from the compile when it built one
-        powers = [(superoperator(program[1]) if program[3] is None else program[3]).T]
-    else:
-        powers = []
+    powers = []  # S^T, (S^2)^T, .., (S^B)^T
+    if block > 1:
+        powers.append((superoperator(program[1]) if program[3] is None else program[3]).T)
     for _ in range(block.bit_length() - 1):
         powers.append(powers[-1] @ powers[-1])
     n, vec = base, (-1, dc * dc)  # a slot's states as rows vec(rho)^T
