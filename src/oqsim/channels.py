@@ -1,9 +1,9 @@
 """Kraus channels: construction, application and dilation.
 
 A channel is its ordered Kraus operators; this module builds no matrix
-form of it.  The package's one superoperator is the one
-:func:`oqsim.circuit.superoperator` builds, ``sum_K K (x) conj(K)`` on the
-row-major ``vec(rho)``.
+form of it.  The package's one superoperator is the one ``oqsim.engine.evolve``
+builds with :func:`oqsim.circuit.superoperator`, ``sum_K K (x) conj(K)`` on
+the row-major ``vec(rho)``.
 """
 
 from __future__ import annotations

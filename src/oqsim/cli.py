@@ -293,9 +293,10 @@ def _atomic_write(path, text: str):
     """Write ``text`` to ``path`` through a temp file beside it: created exclusively under a
     random name (a writer never shares one, however long ``path``'s name), written in one
     ``os.write`` as UTF-8, closed, then renamed over ``path``.  The mode is the one open()
-    gives under the current umask; a failure removes the temp file."""
+    gives under the current umask; a failure removes the temp file.  The temp path keeps
+    ``path``'s directory as written, which the kernel resolves through symlinks as for ``path``."""
     data = memoryview(text.encode("utf-8"))
-    folder = os.path.dirname(os.path.abspath(path))
+    folder = os.path.dirname(path)
     try:
         for attempt in range(100):  # a name taken by another writer is drawn again
             tmp = os.path.join(folder, f"tmp{os.urandom(6).hex()}.tmp")
@@ -523,9 +524,8 @@ def _unwritable(out: str) -> str | None:
     try:
         mode = os.stat(out).st_mode
     except OSError:  # missing, a dangling symlink, under a file: its directory must exist
-        if os.path.isdir(os.path.dirname(os.path.abspath(out))):
-            return None
-        return "No such file or directory"
+        found = os.path.isdir(os.path.dirname(out) or ".")  # resolved as the write resolves it
+        return None if found else "No such file or directory"
     if stat.S_ISDIR(mode):
         return "Is a directory"
     return None if stat.S_ISREG(mode) else "not a regular file"
@@ -538,7 +538,13 @@ def _check_outputs(loaded) -> None:
         for (key, _), out in _output_paths(cfg).items():
             if problem := _unwritable(out):
                 raise OutputError(f"cannot write {out}: {problem}")
-            j, first_path, first_key = writers.setdefault(os.path.abspath(out), (i, path, key))
+            try:  # the directory as the write resolves it, through symlinks, in one stat
+                folder = os.stat(os.path.dirname(out) or ".")
+            except OSError as exc:  # removed since _unwritable looked
+                raise OutputError(f"cannot write {out}: {exc.strerror}") from None
+            # one key per output however spelled; a symlink as the last component is replaced
+            name = (folder.st_dev, folder.st_ino, os.path.basename(out))
+            j, first_path, first_key = writers.setdefault(name, (i, path, key))
             if j != i:
                 raise ConfigError(f"{first_path} and {path} both write {out}")
             if first_key != key:

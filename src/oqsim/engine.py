@@ -121,16 +121,15 @@ def evolve(step: StepCircuit, states, steps: int) -> np.ndarray:
     and W_{n+1} = [K_1 W_n, .., K_r W_n].  While W has fewer than d_c columns
     the kernel maps W, one call per state, and the record is
     tr_env W (I (x) X) W^dag from the system rows of W.  Then W (I (x) X) W^dag
-    is formed once (rho0 itself when W_0 fills the register) and the steps go
-    on densely, into a chunk buffer of at most ``2**14`` entries, or
-    one step's stack of carried states when that is larger, reduced
-    by one partial trace per full (or last) chunk.  Its slot 0 is one kernel
-    call on the slot before, written into the slot; slots f .. f + w - 1 are
-    S^w times the w before, w the largest power of two <= min(f, B), in one
-    product over all states.
-    S = sum_j K_j (x) conj(K_j), the compile's when it built one, is squared
-    once per run up to S^B, with B
-    from :func:`_block`; B = 1 (d_c >= 16) is one call per step.  W, S and
+    is formed once and the steps go on densely, into a chunk buffer of at
+    most ``2**14`` entries, or one step's stack of carried states when that
+    is larger, reduced by one partial trace per full (or last) chunk.  Its
+    slot 0 is one kernel call on the slot before, written into the slot;
+    slots f .. f + w - 1 are S^w times the w before, w the largest power of
+    two <= min(f, B), in one product over all states.
+    S = sum_j K_j (x) conj(K_j), built from the program's Kraus stack by
+    :func:`superoperator` once per run when B > 1, is squared up to S^B, with
+    B from :func:`_block`; B = 1 (d_c >= 13) is one call per step.  W, S and
     the buffer are in the program's dtype; X is float64 when every rho0 is
     real.  A float64 program carries complex starts in its buffer as 2n real
     states, [Re rho_1 .. Re rho_n, Im rho_1 .. Im rho_n] for n = len(states):
@@ -185,10 +184,8 @@ def evolve(step: StepCircuit, states, steps: int) -> np.ndarray:
     lift[0, occupied * blocks[2], range(len(occupied))] = 1
     factors = [lift] * len(states)
 
-    def weighted(xi, w):  # W (I (x) X) as a (d_c, .) matrix; X is a scalar at m = 1
-        if len(occupied) == 1:
-            return (w * xi[0, 0]).reshape(dc, -1)
-        return (w.reshape(-1, len(occupied)) @ xi).reshape(dc, -1)
+    def weighted(xi, w):  # W (I (x) X) as a (d_c, .) matrix; np.dot is @'s bits, 5x faster at m = 1
+        return np.dot(w.reshape(-1, len(occupied)), xi).reshape(dc, -1)
 
     out[0] = rho0  # tr_env W_0 (I (x) X) W_0^dag, as rho0 is 0 off the occupied states
     base = steps + 1  # the first dense step; none if the run ends among the factor steps
@@ -202,15 +199,13 @@ def evolve(step: StepCircuit, states, steps: int) -> np.ndarray:
             v = weighted(x[i], w).reshape(blocks[0], s, -1)  # rows: (before, system, after)
             out[n, i] = np.einsum("bik,bjk->ij", v, w.conj().reshape(blocks[0], s, -1))
     buffer = np.empty((min(chunk, steps + 1 - base), width, dc, dc), dtype=dtype)
-    if base == 0:  # W_0 = I fills the register: the carried states are rho0
-        buffer[0] = halves(rho0)
-    for i, xi in enumerate(halves(x) if 0 < base <= steps else ()):  # W (I (x) X) W^dag, once
+    for i, xi in enumerate(halves(x) if base <= steps else ()):  # W (I (x) X) W^dag, once
         w = factors[i % len(states)]
         np.matmul(weighted(xi, w), w[0].conj().T, out=buffer[0, i])
     block = _block(dc, len(buffer))
     powers = []  # S^T, (S^2)^T, .., (S^B)^T
     if block > 1:
-        powers.append((superoperator(program[1]) if program[3] is None else program[3]).T)
+        powers.append(superoperator(program[1]).T)
     for _ in range(block.bit_length() - 1):
         powers.append(powers[-1] @ powers[-1])
     n, vec = base, (-1, dc * dc)  # a slot's states as rows vec(rho)^T

@@ -71,6 +71,45 @@ def test_a_crashed_run_is_a_pair_run_and_not_won():
 
 
 def test_directions_and_run_length_come_from_the_benchmark_declaration():
-    directions, seconds = bench_pairs.read_benchmark(SCRIPT.parents[1] / "BENCHMARK.json")
+    declared = bench_pairs.read_benchmark(SCRIPT.parents[1] / "BENCHMARK.json")
+    directions, seconds, workloads = declared
     assert directions["steps_per_s"] == "higher" and directions["peak_rss_mib"] == "lower"
-    assert seconds == 30
+    assert seconds == 30 and "presets" in workloads and "sequential_l64" in workloads
+
+
+def _never(*args):
+    raise AssertionError("the input was not refused before anything was unpacked or run")
+
+
+@pytest.fixture
+def main(monkeypatch):
+    """bench_pairs.main with unpacking and benchmark runs replaced by a failure."""
+    monkeypatch.setattr(bench_pairs, "unpack", _never)
+    monkeypatch.setattr(bench_pairs, "run_one", _never)
+    return bench_pairs.main
+
+
+@pytest.mark.parametrize("pairs,err", [
+    ("presets", "--pairs 'presets' is not WORKLOAD=N"),
+    ("presets=", "--pairs 'presets=' is not WORKLOAD=N"),
+    ("presets=x", "--pairs 'presets=x' is not WORKLOAD=N"),
+    ("presets=-1", "--pairs 'presets=-1' is not WORKLOAD=N"),
+    ("presets=0", "--pairs 'presets=0' asks for 0 pairs; N must be >= 1"),
+    ("nosuch=3", "unknown workload 'nosuch'; expected one of ['presets', 'memory_k7', "
+                 "'sequential_l64', 'blp_grid']"),
+])
+def test_a_bad_pairs_item_exits_2_with_one_line(main, monkeypatch, tmp_path, capsys, pairs, err):
+    monkeypatch.setattr(bench_pairs, "resolve", _never)  # items are checked first
+    argv = ["HEAD", "HEAD", "--pairs", "blp_grid=2", "--pairs", pairs, "--seed", "1",
+            "--out", str(tmp_path / "out.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"bench_pairs: {err}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_unknown_revision_exits_2_with_one_line(main, tmp_path, capsys):
+    argv = ["nosuchrev", "HEAD", "--pairs", "presets=1", "--seed", "1",
+            "--out", str(tmp_path / "out.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "bench_pairs: unknown revision 'nosuchrev'\n"
+    assert list(tmp_path.iterdir()) == []

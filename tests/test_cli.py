@@ -601,6 +601,21 @@ class TestOutputCollisions:
         assert (captured.out, captured.err) == ("", err)
         assert os.listdir(tmp_path) == []
 
+    def test_two_spellings_through_a_symlinked_directory_exit_2(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # link/.. is a/, where link points, not the working directory b/ that it reads as
+        (tmp_path / "a" / "deep").mkdir(parents=True)
+        (tmp_path / "b").mkdir()
+        os.symlink("../a/deep", tmp_path / "b" / "link")
+        argv = ["--channel", "dephasing", "--mode", "markovian", "--theta", "pi/5",
+                "--csv", "link/../p.svg", "--svg", "../a/p.svg"]
+        assert run_main_in(tmp_path / "b", monkeypatch, argv) == 2
+        captured = capsys.readouterr()
+        err = "config error: csv and svg both write ../a/p.svg\n"
+        assert (captured.out, captured.err) == ("", err)
+        assert os.listdir(tmp_path / "a") == ["deep"] and os.listdir(tmp_path / "b") == ["link"]
+
     def test_two_outputs_of_one_config_file_name_the_file(self, tmp_path, monkeypatch, capsys):
         (tmp_path / "a.cfg").write_text("preset = fig6\nmode = markovian\ncsv = p.svg\n")
         assert run_main_in(tmp_path, monkeypatch, ["--config", "a.cfg", "--svg", "p"]) == 2
@@ -851,6 +866,20 @@ class TestExitCodes:
         assert os.path.islink(tmp_path / "link.csv")
         assert sorted(os.listdir(tmp_path)) == ["adir", "link.csv"]
 
+    def test_a_directory_reached_through_a_symlink_is_checked_where_it_resolves(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # link/../out is a/out, which exists; b/out, which link/../out reads as, does not
+        (tmp_path / "a" / "deep").mkdir(parents=True)
+        (tmp_path / "a" / "out").mkdir()
+        (tmp_path / "b").mkdir()
+        os.symlink("../a/deep", tmp_path / "b" / "link")
+        argv = ["--channel", "dephasing", "--mode", "markovian", "--theta", "pi/5",
+                "--steps", "3", "--csv", "link/../out/x.csv"]
+        assert run_main_in(tmp_path / "b", monkeypatch, argv) == 0
+        assert capsys.readouterr().err == ""
+        assert os.listdir(tmp_path / "a" / "out") == ["x.csv"]
+
     @pytest.mark.parametrize("target", ["missing.csv", "link.csv"])
     def test_a_symlink_that_stat_cannot_follow_is_replaced(self, tmp_path, monkeypatch, target):
         # a dangling link and a link to itself: the check passes, and the rename replaces it
@@ -961,6 +990,25 @@ class TestAtomicWrite:
         assert (tmp_path / "out.csv").read_text() == "a\n"
         assert taken.read_text() == "another writer's\n"
         assert sorted(os.listdir(tmp_path)) == sorted(["out.csv", taken.name])
+
+    def test_the_temp_file_is_made_where_the_directory_resolves(self, tmp_path, monkeypatch):
+        # b/link/.. is a/, where link points: the temp file goes there, beside x.csv, not in b/
+        (tmp_path / "a" / "deep").mkdir(parents=True)
+        (tmp_path / "b").mkdir()
+        os.symlink("../a/deep", tmp_path / "b" / "link")
+        real_open, seen = os.open, []
+
+        def listing_open(path, *args):
+            fd = real_open(path, *args)
+            seen.append((sorted(os.listdir(tmp_path / "a")), os.listdir(tmp_path / "b")))
+            return fd
+
+        monkeypatch.setattr(cli.os, "open", listing_open)
+        cli._atomic_write(str(tmp_path / "b" / "link" / ".." / "x.csv"), "a\n")
+        [(in_a, in_b)] = seen
+        assert len(in_a) == 2 and in_a[1].endswith(".tmp") and in_b == ["link"]
+        assert (tmp_path / "a" / "x.csv").read_text() == "a\n"
+        assert sorted(os.listdir(tmp_path / "a")) == ["deep", "x.csv"]
 
     def test_a_target_name_of_250_bytes_is_written(self, tmp_path):
         path = tmp_path / ("a" * 246 + ".csv")

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import oqsim.circuit as circuit
 import oqsim.engine as engine
 from oqsim.analysis import blp_witness
-from oqsim.channels import KrausChannel, pauli_channel
+from oqsim.channels import KrausChannel, pauli_channel, stinespring_dilate
 from oqsim.circuit import (
     GateOp,
     MemorySpec,
@@ -113,7 +113,7 @@ def _pure_state(step, rng):
 
 def _overshooting_step():
     """A random unitary on q, a, e1, e2, then resets of e1 and e2: d_c = 4 (q and a) and
-    r = 4 >= d_c, so the program has a superoperator and one factor step takes the (4, 2)
+    r = 4 >= d_c, so its Kraus operators stay square and one factor step takes the (4, 2)
     lift past d_c, to 8 columns."""
     g = np.random.default_rng(3).normal(size=(2, 16, 16))
     u = np.linalg.qr(g[0] + 1j * g[1])[0]
@@ -171,7 +171,6 @@ def test_steps_around_the_switch_to_dense_states(monkeypatch, rng, name, steps):
     want = [(1, dc, w) for w in factor for _ in states] + [(rows, dc, dc)] * (steps - len(factor))
     assert [s.shape for _, s in kernels] == want
     if name == "overshoot":
-        assert compile_step(step)[3] is not None
         assert shapes == ([(1, 4, 8)] * 2 + [(2, 4, 4)] * 2)[:steps + min(steps, 1)]
     _matches_oracle(step, states, got)
 
@@ -316,7 +315,6 @@ def test_a_call_from_zero_and_one_lifts_both_basis_states(monkeypatch):
 def test_markovian_arm_from_one_takes_one_factor_step_then_the_superoperator(monkeypatch, kind):
     step = BUILDERS[f"markovian-{kind}"]
     rho0 = _basis_state(step, 0.0, 1.0)
-    assert compile_step(step)[3] is not None
     kernels = _counting(monkeypatch, "run_compiled")
     got = evolve(step, [rho0], 5)
     # B = 2 for the dense steps 1..5: step 2 is one call, steps 3..5 are S^2 of steps 1..3
@@ -457,8 +455,51 @@ def test_wide_memory_steps_match_the_per_step_loop(monkeypatch, rng, kind, k):
     got = evolve(step, states, k + 3)
     assert np.max(np.abs(got - _per_step(step, states, k + 3))) <= 1e-12
     monkeypatch.setattr(circuit, "CALL_MACS", math.inf)  # no gather
-    assert compile_step(step)[4] is None
+    assert compile_step(step)[3] is None
     assert np.max(np.abs(got - evolve(step, states, k + 3))) <= 1e-12
+
+
+def _column_stochastic_step():
+    """The dilation of K_ij = sqrt(P(i|j)) |i><j| for a random column-stochastic 9 x 9 P on
+    (q:9, e:128): 81 operators with one nonzero column each, so r = 81 >= d_c = 9."""
+    p = np.random.default_rng(9).uniform(0.1, 1.0, size=(9, 9))
+    p /= p.sum(axis=0)
+    basis = np.eye(9)
+    ops = [np.sqrt(p[i, j]) * np.outer(basis[i], basis[j]) for i in range(9) for j in range(9)]
+    u = stinespring_dilate(KrausChannel(9, ops))
+    ops = [GateOp("unitary-apply", ("q", "e"), matrix=u), GateOp.reset("e")]
+    return StepCircuit("column-stochastic", (Wire("q", 9), Wire("e", 128)), ("q",), ops)
+
+
+def test_operators_with_one_column_each_stay_square_where_evolve_builds_s():
+    """A gather would keep one column of each K_j, but at d_c = 9 B exceeds 1 over 300 steps
+    and evolve builds S from the Kraus stack: no gather where r >= d_c."""
+    step = _column_stochastic_step()
+    _, kraus, _, columns = compile_step(step)
+    assert kraus.shape == (81, 9, 9) and columns is None
+    assert engine._block(9, engine._CHUNK_ENTRIES // 81) > 1  # a real start: one state a slot
+    mixed = [DensityMatrix(np.eye(9, dtype=complex) / 9, (Wire("q", 9),))]
+    got = evolve(step, mixed, 300)
+    assert np.max(np.abs(got - _per_step(step, mixed, 300))) <= 1e-12
+
+
+def test_evolve_builds_s_once_per_call_and_only_when_b_exceeds_1(monkeypatch):
+    markovian = build_markovian_step("amplitude-damping", math.pi / 10)  # fig6's Markovian arm
+    memory = BUILDERS["memory-amplitude-damping-k4"]  # d_c = 16: B = 1
+    built = _counting(monkeypatch, "superoperator")
+    for _ in range(2):
+        evolve(markovian, [_basis_state(markovian, 0.0, 1.0)], 50)
+    assert [kraus.shape[1:] for kraus, in built] == [(2, 2)] * 2  # once per call, from K_j
+    evolve(memory, [_basis_state(memory, 0.0, 1.0), _basis_state(memory, 1.0)], 50)
+    assert len(built) == 2
+
+
+def test_compile_builds_no_superoperator(monkeypatch):
+    built = []
+    monkeypatch.setattr(circuit, "superoperator", lambda *args: built.append(args))
+    for step in BUILDERS.values():
+        compile_step(step)
+    assert built == []
 
 
 def test_block_size_doubles_only_where_the_squarings_pay():

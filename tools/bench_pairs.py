@@ -9,7 +9,9 @@ null), and every run is ``python3 perfbench/run.py --workload W --seed S --secon
 from that directory with ``PYTHONDONTWRITEBYTECODE=1``, T being BENCHMARK.json's
 ``run_seconds``.  Pair i runs the parent first when i is even and the change first
 when it is odd; the seeds count up from ``--seed`` over the workloads in the order
-given, one seed per pair.  Runs go one at a time.
+given, one seed per pair.  Runs go one at a time.  An unknown revision, a ``--pairs``
+item that is not ``WORKLOAD=N`` with N >= 1, or a workload that BENCHMARK.json does not
+declare ends the script before anything is unpacked, with one stderr line and exit 2.
 
 Per workload and end-to-end metric (names and directions from BENCHMARK.json) the
 summary holds both sides' medians and quartiles (``numpy.percentile``, linear), the
@@ -36,12 +38,42 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
 
 
-def read_benchmark(benchmark_path: str) -> tuple[dict, float]:
-    """From the benchmark declaration: end-to-end metric name -> "higher" or "lower", and the
-    seconds of one run."""
+class InputError(Exception):
+    """A revision or ``--pairs`` item the script refuses before it unpacks or runs anything."""
+
+
+def read_benchmark(benchmark_path: str) -> tuple[dict, float, list]:
+    """From the benchmark declaration: end-to-end metric name -> "higher" or "lower", the
+    seconds of one run and the workload names."""
     with open(benchmark_path, encoding="utf-8") as f:
         declared = json.load(f)
-    return {m["name"]: m["better"] for m in declared["end_to_end"]}, declared["run_seconds"]
+    directions = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    return directions, declared["run_seconds"], [w["name"] for w in declared["workloads"]]
+
+
+def plan_pairs(items: list, seed: int, workloads: list) -> list:
+    """``(workload, seeds)`` for each ``WORKLOAD=N`` item, the seeds counting up from ``seed``."""
+    plan = []
+    for item in items:
+        workload, _, count = item.partition("=")
+        if not count.isdecimal():
+            raise InputError(f"--pairs {item!r} is not WORKLOAD=N")
+        if int(count) < 1:
+            raise InputError(f"--pairs {item!r} asks for {int(count)} pairs; N must be >= 1")
+        if workload not in workloads:
+            raise InputError(f"unknown workload {workload!r}; expected one of {workloads}")
+        plan.append((workload, list(range(seed, seed + int(count)))))
+        seed += int(count)
+    return plan
+
+
+def resolve(revision: str) -> str:
+    """The commit id of ``revision`` in this repository."""
+    done = subprocess.run(["git", "-C", ROOT, "rev-parse", "--verify", "--quiet",
+                           f"{revision}^{{commit}}"], capture_output=True, text=True)
+    if done.returncode:
+        raise InputError(f"unknown revision {revision!r}")
+    return done.stdout.strip()
 
 
 def better(a: float, b: float, direction: str) -> bool:
@@ -150,17 +182,13 @@ def main(argv=None) -> int:
     p.add_argument("--out", required=True, help="JSON file to write")
     args = p.parse_args(argv)
 
-    plan, seed = [], args.seed
-    for item in args.pairs:
-        workload, _, count = item.partition("=")
-        plan.append((workload, list(range(seed, seed + int(count)))))
-        seed += int(count)
-    directions, seconds = read_benchmark(os.path.join(ROOT, "BENCHMARK.json"))
-    revisions = {
-        side: subprocess.run(["git", "-C", ROOT, "rev-parse", rev], capture_output=True,
-                             text=True, check=True).stdout.strip()
-        for side, rev in zip(SIDES, (args.parent, args.change))
-    }
+    directions, seconds, workloads = read_benchmark(os.path.join(ROOT, "BENCHMARK.json"))
+    try:
+        plan = plan_pairs(args.pairs, args.seed, workloads)
+        revisions = {side: resolve(rev) for side, rev in zip(SIDES, (args.parent, args.change))}
+    except InputError as exc:
+        print(f"bench_pairs: {exc}", file=sys.stderr)
+        return 2
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as work:
         trees = {side: os.path.join(work, side) for side in SIDES}
