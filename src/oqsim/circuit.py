@@ -390,8 +390,8 @@ def _compress(acc: np.ndarray, dc: int, final: bool = False) -> np.ndarray:
 
 
 def compile_step(step: StepCircuit, full: bool = False):
-    """Compile a step into ``(carried, kraus, adjoints, columns)``, its Kraus map on
-    the wires that carry state, for :func:`run_compiled`.
+    """Compile a step into ``(carried, kraus, columns)``, its Kraus map on the wires that
+    carry state, for :func:`run_compiled`.
 
     Given |0> on the wires a step leaves in |0> (:func:`_fresh`), it maps a state rho on the
     others, the ``carried`` wire positions (all with ``full``), of dim d_c, to
@@ -401,9 +401,8 @@ def compile_step(step: StepCircuit, full: bool = False):
     those in |0> their full axis, a swap swaps two axes, a reset moves its wire's axis into the
     operator index and leaves length 1.  After a reset the stack is compressed once r is past
     the rows times d_c by :func:`_compress`'s priced margin, and at end to r <= d_c^2;
-    :func:`_kraus_form` stores it, as Kraus operators only: the one :func:`superoperator` of a
-    run is built by ``engine.evolve``.  It is float64 when no gate has a nonzero imaginary
-    part, else complex128.  A d_c too large to allocate raises :class:`MemoryError`.
+    :func:`_kraus_form` stores each operator once.  It is float64 when no gate has a nonzero
+    imaginary part, else complex128.  A d_c too large to allocate raises :class:`MemoryError`.
 
     The walk plans each gate's wire tuple once per call (:func:`_plan`), in a dict that lives
     only for the call; what can change between two uses of a tuple (which wires are in |0>,
@@ -444,29 +443,30 @@ CALL_MACS = 2**16  # one kernel call (about 10 us at d_c = 8) priced as multiply
 
 
 def _kraus_form(stack: np.ndarray):
-    """``(kraus, adjoints, columns)`` of a ``(d, r d)`` stack [K_1 .. K_r].  Where that saves
-    more multiply-adds per step than :data:`CALL_MACS`, K_j keeps only its columns C_j with a
+    """``(kraus, columns)`` of a ``(d, r d)`` stack [K_1 .. K_r].  Where that saves more
+    multiply-adds per step than :data:`CALL_MACS`, K_j keeps only its columns C_j with a
     nonzero entry, padded with zero columns to a common count c, and ``columns`` holds the C_j,
     ``(r, c)``; else it is None and c = d.  ``kraus`` is the ``(r, d, c)`` view of
-    [K_1[:, C_1] .. K_r[:, C_r]] and ``adjoints`` the K_j[:, C_j]^dag, ``(r, c, d)``."""
+    [K_1[:, C_1] .. K_r[:, C_r]]."""
     d = len(stack)
     r, ops, columns = stack.shape[1] // d, stack.reshape(d, -1, d), None
-    # evolve builds S from ``kraus``, so it must stay square wherever its block B can exceed 1:
-    # at d <= r, and at d <= 12 (B > 1 needs d_c <= 12, a gather at d > r needs d >= 14)
-    if d > r and 2 * r * d**3 > CALL_MACS:  # else no gather can pay
+    if 2 * r * d**3 > CALL_MACS:  # else no gather can pay
         nonzero = ops.any(axis=0)
         c = int(nonzero.sum(axis=1).max())
         if r * d * (2 * d * d - c * c - c * d) > CALL_MACS:
             columns = np.argsort(~nonzero, axis=1, kind="stable")[:, :c]
             stack = stack.take((columns + d * np.arange(r)[:, np.newaxis]).ravel(), axis=1)
-    stack = stack.reshape(d, r, -1)  # a view, as both branches leave it C-contiguous
-    return stack.transpose(1, 0, 2), np.conj(stack.transpose(1, 2, 0), order="C"), columns
+    return stack.reshape(d, r, -1).transpose(1, 0, 2), columns  # a view: stack is C-contiguous
 
 
-def superoperator(kraus: np.ndarray) -> np.ndarray:
-    """sum_j K_j (x) conj(K_j) of an ``(r, d, d)`` Kraus stack, the map on the row-major
-    vec(rho): one ``(d^2 x r) (r x d^2)`` product, its axes (i, j, k, l) put as (i, k, j, l)."""
+def superoperator(program) -> np.ndarray:
+    """sum_j K_j (x) conj(K_j) of a compiled program, the map on the row-major vec(rho): each
+    K_j[:, C_j] put back on C_j by an exact product with rows of I, then one
+    ``(d^2 x r) (r x d^2)`` product, its axes (i, j, k, l) put as (i, k, j, l)."""
+    _, kraus, columns = program
     r, d, _ = kraus.shape
+    if columns is not None:
+        kraus = kraus @ np.eye(d, dtype=kraus.dtype)[columns]
     outer = kraus.reshape(r, -1).T @ kraus.conj().reshape(r, -1)
     return outer.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, -1)
 
@@ -475,11 +475,12 @@ def run_compiled(program, states: np.ndarray, out: np.ndarray | None = None) -> 
     """One step on an ``(n, d_c, m)`` stack, in the program's one Kraus form.  A square stack
     (m = d_c) holds carried states: [K_1[:, C_1] .. K_r[:, C_r]] times the stacked
     rho[C_j, C_j] K_j[:, C_j]^dag, two products and no transpose copy, into ``out`` if given
-    (C-contiguous).  A narrower stack (m < d_c) holds factors W of states W X W^dag: it gives
+    (C-contiguous); K_j[:, C_j]^dag is a view, conjugated per call only in a complex program.
+    A narrower stack (m < d_c) holds factors W of states W X W^dag: it gives
     the ``(n, d_c, r m)`` [K_1 W, .., K_r W], K_j W = K_j[:, C_j] W[C_j], exactly, since
     sum_j K_j W X W^dag K_j^dag is [K_1 W, .., K_r W] (I_r (x) X) [K_1 W, .., K_r W]^dag.
     The result is real only when the program and the states are."""
-    _, kraus, adjoints, columns = program
+    _, kraus, columns = program
     n, dc, m = states.shape
     if columns is None:
         picked = states[:, np.newaxis]
@@ -493,7 +494,7 @@ def run_compiled(program, states: np.ndarray, out: np.ndarray | None = None) -> 
         wide = np.empty((n, dc, len(kraus), m), dtype=np.result_type(kraus, states))
         np.matmul(kraus, picked, out=wide.transpose(0, 2, 1, 3))
         return wide.reshape(n, dc, -1)
-    side = (picked @ adjoints).reshape(n, -1, dc)
+    side = (picked @ kraus.conj().transpose(0, 2, 1)).reshape(n, -1, dc)
     return np.matmul(kraus.transpose(1, 0, 2).reshape(dc, -1), side, out=out)
 
 

@@ -519,29 +519,24 @@ def _exit_code(run) -> int:
         return EXIT_OUTPUT
 
 
-def _unwritable(out: str) -> str | None:
-    """Why ``out`` cannot become a regular file, from one stat of it, or None."""
-    try:
-        mode = os.stat(out).st_mode
-    except OSError:  # missing, a dangling symlink, under a file: its directory must exist
-        found = os.path.isdir(os.path.dirname(out) or ".")  # resolved as the write resolves it
-        return None if found else "No such file or directory"
-    if stat.S_ISDIR(mode):
-        return "Is a directory"
-    return None if stat.S_ISREG(mode) else "not a regular file"
-
-
 def _check_outputs(loaded) -> None:
     """Before anything runs, refuse an output two writers share or that cannot be a file."""
     writers = {}
     for i, (path, cfg) in enumerate(loaded):
         for (key, _), out in _output_paths(cfg).items():
-            if problem := _unwritable(out):
-                raise OutputError(f"cannot write {out}: {problem}")
             try:  # the directory as the write resolves it, through symlinks, in one stat
                 folder = os.stat(os.path.dirname(out) or ".")
-            except OSError as exc:  # removed since _unwritable looked
-                raise OutputError(f"cannot write {out}: {exc.strerror}") from None
+            except OSError:
+                folder = None
+            if folder is None or not stat.S_ISDIR(folder.st_mode):
+                raise OutputError(f"cannot write {out}: No such file or directory")
+            try:
+                mode = os.stat(out).st_mode
+            except OSError:  # missing, or a dangling or looping symlink: the write replaces it
+                mode = stat.S_IFREG
+            if not stat.S_ISREG(mode):
+                problem = "Is a directory" if stat.S_ISDIR(mode) else "not a regular file"
+                raise OutputError(f"cannot write {out}: {problem}")
             # one key per output however spelled; a symlink as the last component is replaced
             name = (folder.st_dev, folder.st_ino, os.path.basename(out))
             j, first_path, first_key = writers.setdefault(name, (i, path, key))

@@ -127,14 +127,14 @@ def evolve(step: StepCircuit, states, steps: int) -> np.ndarray:
     slot 0 is one kernel call on the slot before, written into the slot;
     slots f .. f + w - 1 are S^w times the w before, w the largest power of
     two <= min(f, B), in one product over all states.
-    S = sum_j K_j (x) conj(K_j), built from the program's Kraus stack by
-    :func:`superoperator` once per run when B > 1, is squared up to S^B, with
-    B from :func:`_block`; B = 1 (d_c >= 13) is one call per step.  W, S and
-    the buffer are in the program's dtype; X is float64 when every rho0 is
-    real.  A float64 program carries complex starts in its buffer as 2n real
-    states, [Re rho_1 .. Re rho_n, Im rho_1 .. Im rho_n] for n = len(states):
-    a real map sends Re rho and Im rho to the real and imaginary parts of its
-    image, so each reduced chunk is written as re + 1j im.
+    S = sum_j K_j (x) conj(K_j), built from the program by :func:`superoperator`
+    once per run when B > 1, is squared up to S^B, with B from :func:`_block`;
+    B = 1 (d_c >= 13 with one state per slot, 12 with two, 11 with four) is
+    one call per step.  W, S and the buffer are in the program's dtype; X is
+    float64 when every rho0 is real.  A float64 program carries complex starts
+    in its buffer as 2n real states, [Re rho_1 .. Re rho_n, Im rho_1 .. Im rho_n]
+    for n = len(states): a real map sends Re rho and Im rho to the real and
+    imaginary parts of its image, so each reduced chunk is written as re + 1j im.
 
     Returns the ``(steps + 1, len(states), s, s)`` stack, complex128 as the states, after one
     :func:`check_states` in step order: an :class:`InvalidStateError` index
@@ -205,7 +205,7 @@ def evolve(step: StepCircuit, states, steps: int) -> np.ndarray:
     block = _block(dc, len(buffer))
     powers = []  # S^T, (S^2)^T, .., (S^B)^T
     if block > 1:
-        powers.append(superoperator(program[1]).T)
+        powers.append(superoperator(program).T)
     for _ in range(block.bit_length() - 1):
         powers.append(powers[-1] @ powers[-1])
     n, vec = base, (-1, dc * dc)  # a slot's states as rows vec(rho)^T

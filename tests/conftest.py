@@ -44,7 +44,7 @@ def kraus_apply(ops, rho):
 
 def full_kraus(program):
     """The ``(r, d, d)`` Kraus stack of a compiled program, each K_j[:, C_j] put back on C_j."""
-    _, kraus, _, columns = program
+    _, kraus, columns = program
     if columns is None:
         return kraus
     full = np.zeros(kraus.shape[:2] + kraus.shape[1:2], dtype=complex)

@@ -97,6 +97,7 @@ def main(monkeypatch):
     ("presets=0", "--pairs 'presets=0' asks for 0 pairs; N must be >= 1"),
     ("nosuch=3", "unknown workload 'nosuch'; expected one of ['presets', 'memory_k7', "
                  "'sequential_l64', 'blp_grid']"),
+    ("blp_grid=1", "--pairs names blp_grid twice"),
 ])
 def test_a_bad_pairs_item_exits_2_with_one_line(main, monkeypatch, tmp_path, capsys, pairs, err):
     monkeypatch.setattr(bench_pairs, "resolve", _never)  # items are checked first

@@ -36,6 +36,7 @@ from conftest import (
     brute_partial_trace,
     dense_reduce,
     dense_trajectory,
+    full_kraus,
     random_channel_ops,
     random_density,
     sequential_with_storage,
@@ -455,7 +456,7 @@ def test_wide_memory_steps_match_the_per_step_loop(monkeypatch, rng, kind, k):
     got = evolve(step, states, k + 3)
     assert np.max(np.abs(got - _per_step(step, states, k + 3))) <= 1e-12
     monkeypatch.setattr(circuit, "CALL_MACS", math.inf)  # no gather
-    assert compile_step(step)[3] is None
+    assert compile_step(step)[2] is None
     assert np.max(np.abs(got - evolve(step, states, k + 3))) <= 1e-12
 
 
@@ -471,16 +472,36 @@ def _column_stochastic_step():
     return StepCircuit("column-stochastic", (Wire("q", 9), Wire("e", 128)), ("q",), ops)
 
 
-def test_operators_with_one_column_each_stay_square_where_evolve_builds_s():
-    """A gather would keep one column of each K_j, but at d_c = 9 B exceeds 1 over 300 steps
-    and evolve builds S from the Kraus stack: no gather where r >= d_c."""
+def test_a_gathered_program_builds_s_where_b_exceeds_1(monkeypatch):
+    """Each K_j keeps its one nonzero column, and at d_c = 9 B exceeds 1 over 300 steps: evolve
+    builds S from the gathered program."""
     step = _column_stochastic_step()
-    _, kraus, _, columns = compile_step(step)
-    assert kraus.shape == (81, 9, 9) and columns is None
+    _, kraus, columns = compile_step(step)
+    assert kraus.shape == (81, 9, 1) and columns.shape == (81, 1)
     assert engine._block(9, engine._CHUNK_ENTRIES // 81) > 1  # a real start: one state a slot
+    built = _counting(monkeypatch, "superoperator")
     mixed = [DensityMatrix(np.eye(9, dtype=complex) / 9, (Wire("q", 9),))]
     got = evolve(step, mixed, 300)
+    assert [program[2].shape for program, in built] == [(81, 1)]
     assert np.max(np.abs(got - _per_step(step, mixed, 300))) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "name", [name for name, step in BUILDERS.items() if compile_step(step)[1].shape[1] <= 16]
+)
+def test_superoperator_is_the_sum_of_each_operator_times_its_conjugate(name):
+    program = compile_step(BUILDERS[name])
+    want = sum(np.kron(k, k.conj()) for k in full_kraus(program))
+    assert np.max(np.abs(circuit.superoperator(program) - want)) <= 1e-15
+
+
+def test_a_gathered_program_gives_the_square_programs_superoperator(monkeypatch):
+    step = BUILDERS["memory-amplitude-damping-k3"]
+    square = compile_step(step)
+    monkeypatch.setattr(circuit, "CALL_MACS", 1)  # a gather priced to pay
+    gathered = compile_step(step)
+    assert square[2] is None and gathered[1].shape == (2, 8, 6)
+    assert np.array_equal(circuit.superoperator(gathered), circuit.superoperator(square))
 
 
 def test_evolve_builds_s_once_per_call_and_only_when_b_exceeds_1(monkeypatch):
@@ -489,7 +510,7 @@ def test_evolve_builds_s_once_per_call_and_only_when_b_exceeds_1(monkeypatch):
     built = _counting(monkeypatch, "superoperator")
     for _ in range(2):
         evolve(markovian, [_basis_state(markovian, 0.0, 1.0)], 50)
-    assert [kraus.shape[1:] for kraus, in built] == [(2, 2)] * 2  # once per call, from K_j
+    assert [program[1].shape[1:] for program, in built] == [(2, 2)] * 2  # once per call
     evolve(memory, [_basis_state(memory, 0.0, 1.0), _basis_state(memory, 1.0)], 50)
     assert len(built) == 2
 

@@ -10,8 +10,9 @@ from that directory with ``PYTHONDONTWRITEBYTECODE=1``, T being BENCHMARK.json's
 ``run_seconds``.  Pair i runs the parent first when i is even and the change first
 when it is odd; the seeds count up from ``--seed`` over the workloads in the order
 given, one seed per pair.  Runs go one at a time.  An unknown revision, a ``--pairs``
-item that is not ``WORKLOAD=N`` with N >= 1, or a workload that BENCHMARK.json does not
-declare ends the script before anything is unpacked, with one stderr line and exit 2.
+item that is not ``WORKLOAD=N`` with N >= 1, a workload that BENCHMARK.json does not
+declare, or one named by two items ends the script before anything is unpacked, with one
+stderr line and exit 2.
 
 Per workload and end-to-end metric (names and directions from BENCHMARK.json) the
 summary holds both sides' medians and quartiles (``numpy.percentile``, linear), the
@@ -62,6 +63,8 @@ def plan_pairs(items: list, seed: int, workloads: list) -> list:
             raise InputError(f"--pairs {item!r} asks for {int(count)} pairs; N must be >= 1")
         if workload not in workloads:
             raise InputError(f"unknown workload {workload!r}; expected one of {workloads}")
+        if workload in dict(plan):  # its pairs would share numbers, and summarize keys by pair
+            raise InputError(f"--pairs names {workload} twice")
         plan.append((workload, list(range(seed, seed + int(count)))))
         seed += int(count)
     return plan
