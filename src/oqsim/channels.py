@@ -218,7 +218,7 @@ def load_channel(path) -> KrausChannel:
     for flat in operators:
         try:
             vals = complex_pairs(flat)
-        except (TypeError, ValueError):
+        except (OverflowError, TypeError, ValueError):
             raise InvalidChannelError(
                 f"operator entries must be [re, im] number pairs, got {flat!r}"
             ) from None

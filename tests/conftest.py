@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from oqsim.channels import KrausChannel
 from oqsim.circuit import GateOp, StepCircuit, build_sequential_step
 from oqsim.qmath import DensityMatrix, Wire
 
@@ -22,16 +23,22 @@ def random_density(rng, n=2):
     return rho / np.trace(rho)
 
 
-def random_density_state(rng, n=2, label="q"):
-    return DensityMatrix(random_density(rng, n), (Wire(label, n),))
-
-
 def random_channel_ops(rng, n=2, l=3):
     """Random Kraus set from the first block column of a Haar-ish unitary."""
     big = n * l
     g = rng.normal(size=(big, big)) + 1j * rng.normal(size=(big, big))
     q, _ = np.linalg.qr(g)
     return [q[i * n:(i + 1) * n, :n] for i in range(l)]
+
+
+def mixed_unitary(seed, l):
+    """sqrt(p_i) U_i for random weights p and Haar-ish unitaries U_i."""
+    rng = np.random.default_rng(seed)
+    ops = []
+    for p in rng.dirichlet(np.ones(l)):
+        q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        ops.append(math.sqrt(p) * q)
+    return KrausChannel(2, ops, label=f"mixed-unitary-l{l}")
 
 
 def kraus_apply(ops, rho):
@@ -131,20 +138,40 @@ def dense_reduce(mat, dims, keep):
     return np.einsum(t, list(range(n)) + cols, out).reshape(d, d)
 
 
+def embed(rho, dims, positions):
+    """``rho`` on the factors at ``positions``, |0><0| on every other, as a full matrix."""
+    at = tuple(slice(None) if i in positions else 0 for i in range(len(dims)))
+    full = np.zeros(list(dims) * 2, dtype=complex)
+    full[at + at] = np.asarray(rho).reshape([dims[i] for i in positions] * 2)
+    return full.reshape(math.prod(dims), -1)
+
+
+def _system_positions(step):
+    return [i for i, w in enumerate(step.layout) if w.label in step.system]
+
+
+def system_state(rho, step):
+    """The register state of ``step``: ``rho`` on its system wires, |0><0| on every other."""
+    dims = [w.dim for w in step.layout]
+    return DensityMatrix(embed(rho, dims, _system_positions(step)), step.layout)
+
+
+def system_reduce(state, step):
+    """The system wires' state, the other wires of ``step`` traced out by :func:`dense_reduce`."""
+    keep = _system_positions(step)
+    dims = [w.dim for w in step.layout]
+    return DensityMatrix(dense_reduce(state.matrix, dims, keep), [step.layout[i] for i in keep])
+
+
 def dense_trajectory(step, rho0, steps):
     """Reduced system matrices after 0..``steps`` steps of the per-op dense oracle.
 
-    The register starts with ``rho0`` on the (contiguous) system wires and
-    |0><0| on every other wire.
+    The register starts with ``rho0`` on the system wires and |0><0| on every
+    other wire.
     """
     dims = [w.dim for w in step.layout]
-    keep = [i for i, w in enumerate(step.layout) if w.label in step.system]
-    full = np.ones((1, 1), dtype=complex)
-    for i, d in enumerate(dims):
-        if i == keep[0]:
-            full = np.kron(full, rho0.matrix)
-        elif i not in keep:
-            full = np.kron(full, np.diag([1.0] + [0.0] * (d - 1)))
+    keep = _system_positions(step)
+    full = embed(rho0.matrix, dims, keep)
     maps = dense_maps(step)
     out = [dense_reduce(full, dims, keep)]
     for _ in range(steps):

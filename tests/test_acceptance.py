@@ -8,7 +8,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from oqsim.analysis import monotonicity_check, resource_count
 from oqsim.channels import (
@@ -31,16 +30,16 @@ from oqsim.circuit import (
 )
 from oqsim.cli import main
 from oqsim.engine import projector_observable, run
-from oqsim.qmath import DensityMatrix, Wire, partial_trace
 
 from conftest import (
-    KET0,
     KET1,
     KETP,
     choi_min_eigenvalue,
     proj,
     qstate,
     random_density,
+    system_reduce,
+    system_state,
     unit_images,
 )
 
@@ -51,29 +50,6 @@ PPLUS = projector_observable("p+")
 def read_series(path):
     rows = path.read_text().splitlines()[1:]
     return [float(r.split(",")[2]) for r in rows]
-
-
-def reduced(state, step):
-    red = state
-    for w in reversed(step.layout):
-        if w.label not in step.system:
-            red = partial_trace(red, w.label)
-    return red
-
-
-def embed_initial(rho_q, step):
-    blocks = []
-    for w in step.layout:
-        if w.label in step.system:
-            blocks.append(np.asarray(rho_q, dtype=complex))
-        else:
-            z = np.zeros((w.dim, w.dim), dtype=complex)
-            z[0, 0] = 1.0
-            blocks.append(z)
-    mat = blocks[0]
-    for b in blocks[1:]:
-        mat = np.kron(mat, b)
-    return DensityMatrix(mat, step.layout)
 
 
 def test_criterion_1_markovian_damping_exact(tmp_path, monkeypatch):
@@ -136,7 +112,7 @@ def test_criterion_4_channel_circuit_equivalence():
         ch = make(math.sin(theta / 2))
         for _ in range(50):
             rho = random_density(rng)
-            red = reduced(apply_step(step, embed_initial(rho, step)), step)
+            red = system_reduce(apply_step(step, system_state(rho, step)), step)
             want = apply_channel(ch, qstate(rho))
             worst = max(worst, float(np.max(np.abs(red.matrix - want.matrix))))
     assert worst <= 1e-10
@@ -170,7 +146,7 @@ def test_criterion_6_sequential_step_is_exact():
         step = build_sequential_step(ch)
         ds = []
         for rho in states:
-            red = reduced(apply_step(step, embed_initial(rho, step)), step)
+            red = system_reduce(apply_step(step, system_state(rho, step)), step)
             want = apply_channel(ch, qstate(rho))
             ds.append(0.5 * np.abs(np.linalg.eigvalsh(red.matrix - want.matrix)).sum())
         errs.append(max(ds))

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +12,7 @@ from oqsim.analysis import (
     resource_count,
     series_monotonicity,
 )
-from oqsim.channels import KrausChannel, PAULI_X, PAULI_Y, PAULI_Z, pauli_channel
+from oqsim.channels import KrausChannel, PAULI_X, PAULI_Y, PAULI_Z
 from oqsim.circuit import (
     MemorySpec,
     StepCircuit,

@@ -108,6 +108,19 @@ def test_a_bad_pairs_item_exits_2_with_one_line(main, monkeypatch, tmp_path, cap
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("out,err", [
+    ("missing/out.json", "--out '{tmp}/missing/out.json': cannot write in '{tmp}/missing'"),
+    ("", "--out '{tmp}/' is a directory"),
+], ids=["missing-directory", "a-directory"])
+def test_an_out_that_cannot_be_written_exits_2_with_one_line(main, monkeypatch, tmp_path, capsys,
+                                                               out, err):
+    monkeypatch.setattr(bench_pairs, "resolve", _never)  # --out is checked before revisions
+    argv = ["HEAD", "HEAD", "--pairs", "presets=1", "--seed", "1", "--out", f"{tmp_path}/{out}"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"bench_pairs: {err.format(tmp=tmp_path)}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_an_unknown_revision_exits_2_with_one_line(main, tmp_path, capsys):
     argv = ["nosuchrev", "HEAD", "--pairs", "presets=1", "--seed", "1",
             "--out", str(tmp_path / "out.json")]

@@ -274,7 +274,10 @@ class TestChannelFiles:
         with pytest.raises(InvalidChannelError, match="entries"):
             load_channel(path)
 
-    @pytest.mark.parametrize("pair", ["[true, 0]", "[1, false]", '["1", 0]', "[null, 0]"])
+    @pytest.mark.parametrize("pair", [
+        "[true, 0]", "[1, false]", '["1", 0]', "[null, 0]",
+        pytest.param(f"[{10**400}, 0]", id="too-large-for-a-float"),
+    ])
     def test_rejects_entry_that_is_not_a_number_pair(self, tmp_path, pair):
         path = tmp_path / "bad.json"
         path.write_text(f'{{"dim": 1, "operators": [[{pair}]]}}')

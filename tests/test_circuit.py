@@ -40,42 +40,10 @@ from oqsim.qmath import (
     DimensionMismatchError,
     Wire,
     partial_trace,
-    tensor_product,
 )
 
-from conftest import KET0, KET1, KETP, kraus_apply, proj, qstate, random_density
+from conftest import KET0, KET1, KETP, proj, qstate, random_density, system_reduce, system_state
 from test_compile import circuits
-
-
-def env_zero(k):
-    out = proj(KET0)
-    for _ in range(k - 1):
-        out = np.kron(out, proj(KET0))
-    return out
-
-
-def full_state(rho_q, step):
-    """System state tensored with |0..0| on the step's other wires."""
-    blocks = []
-    for w in step.layout:
-        if w.label in step.system:
-            blocks.append(np.asarray(rho_q, dtype=complex))
-        else:
-            z = np.zeros((w.dim, w.dim), dtype=complex)
-            z[0, 0] = 1.0
-            blocks.append(z)
-    mat = blocks[0]
-    for b in blocks[1:]:
-        mat = np.kron(mat, b)
-    return DensityMatrix(mat, step.layout)
-
-
-def reduced_system(state, step):
-    red = state
-    for w in reversed(step.layout):
-        if w.label not in step.system:
-            red = partial_trace(red, w.label)
-    return red
 
 
 class TestStandardGate:
@@ -221,21 +189,21 @@ class TestMarkovianStep:
     def test_theta_zero_identity(self, rng):
         step = build_markovian_step("amplitude-damping", 0.0)
         rho = random_density(rng)
-        out = apply_step(step, full_state(rho, step))
+        out = apply_step(step, system_state(rho, step))
         assert np.allclose(
-            reduced_system(out, step).matrix, rho, atol=1e-12
+            system_reduce(out, step).matrix, rho, atol=1e-12
         )
 
     def test_damping_one_step_population(self):
         step = build_markovian_step("amplitude-damping", math.pi / 10)
-        out = apply_step(step, full_state(proj(KET1), step))
-        p1 = reduced_system(out, step).matrix[1, 1].real
+        out = apply_step(step, system_state(proj(KET1), step))
+        p1 = system_reduce(out, step).matrix[1, 1].real
         assert abs(p1 - 0.9755282581475768) < 1e-12
 
     def test_dephasing_one_step_population(self):
         step = build_markovian_step("dephasing", math.pi / 5)
-        out = apply_step(step, full_state(proj(KETP), step))
-        red = reduced_system(out, step).matrix
+        out = apply_step(step, system_state(proj(KETP), step))
+        red = system_reduce(out, step).matrix
         pop = np.real(np.trace(proj(KETP) @ red))
         assert abs(pop - 0.9045084971874737) < 1e-12
 
@@ -252,7 +220,7 @@ class TestMarkovianStep:
         ch = amplitude_damping(gamma) if kind == "amplitude-damping" else dephasing(gamma)
         for _ in range(50):
             rho = random_density(rng)
-            red = reduced_system(apply_step(step, full_state(rho, step)), step)
+            red = system_reduce(apply_step(step, system_state(rho, step)), step)
             want = apply_channel(ch, qstate(rho))
             assert np.max(np.abs(red.matrix - want.matrix)) < 1e-10
 
@@ -290,35 +258,35 @@ class TestNonMarkovianStep:
         nm = build_nonmarkovian_step(kind, MemorySpec(3, (theta, 0.0, 0.0)))
         mk = build_markovian_step(kind, theta)
         start = proj(KET1) if kind == "amplitude-damping" else proj(KETP)
-        rho_nm = full_state(start, nm)
-        rho_mk = full_state(start, mk)
+        rho_nm = system_state(start, nm)
+        rho_mk = system_state(start, mk)
         for _ in range(50):
             rho_nm = apply_step(nm, rho_nm)
             rho_mk = apply_step(mk, rho_mk)
-            a = reduced_system(rho_nm, nm).matrix
-            b = reduced_system(rho_mk, mk).matrix
+            a = system_reduce(rho_nm, nm).matrix
+            b = system_reduce(rho_mk, mk).matrix
             assert np.max(np.abs(a - b)) < 1e-10
 
     def test_damping_memory_is_nonmonotone(self):
         step = build_nonmarkovian_step(
             "amplitude-damping", MemorySpec(3, (math.pi / 10, 2 * math.pi / 3, 5 * math.pi / 6))
         )
-        rho = full_state(proj(KET1), step)
-        pops = [reduced_system(rho, step).matrix[1, 1].real]
+        rho = system_state(proj(KET1), step)
+        pops = [system_reduce(rho, step).matrix[1, 1].real]
         for _ in range(30):
             rho = apply_step(step, rho)
-            pops.append(reduced_system(rho, step).matrix[1, 1].real)
+            pops.append(system_reduce(rho, step).matrix[1, 1].real)
         assert any(pops[i + 1] > pops[i] for i in range(len(pops) - 1))
 
     def test_dephasing_memory_limit(self):
         step = build_nonmarkovian_step(
             "dephasing", MemorySpec(3, (math.pi / 5, math.pi / 4, math.pi / 2))
         )
-        rho = full_state(proj(KETP), step)
-        pops = [np.real(np.trace(proj(KETP) @ reduced_system(rho, step).matrix))]
+        rho = system_state(proj(KETP), step)
+        pops = [np.real(np.trace(proj(KETP) @ system_reduce(rho, step).matrix))]
         for _ in range(100):
             rho = apply_step(step, rho)
-            pops.append(np.real(np.trace(proj(KETP) @ reduced_system(rho, step).matrix)))
+            pops.append(np.real(np.trace(proj(KETP) @ system_reduce(rho, step).matrix)))
         diffs = np.diff(pops)
         assert (diffs > 1e-9).any()
         assert abs(pops[-1] - 0.5) <= 0.05
@@ -326,7 +294,7 @@ class TestNonMarkovianStep:
     def test_swap_bookkeeping(self):
         thetas = (math.pi / 10, 2 * math.pi / 3, 5 * math.pi / 6)
         step = build_nonmarkovian_step("amplitude-damping", MemorySpec(3, thetas))
-        out = apply_step(step, full_state(proj(KET1), step))
+        out = apply_step(step, system_state(proj(KET1), step))
         # e1 now carries the second-order rotation written this step; e3 is fresh
         e1 = out
         for label in ("e3", "e2", "q"):
@@ -359,7 +327,7 @@ class TestSequentialStep:
     def test_zero_probability_identity(self, rng):
         step = build_sequential_step(pauli_channel(0, 0, 0))
         rho = random_density(rng)
-        out = reduced_system(apply_step(step, full_state(rho, step)), step)
+        out = system_reduce(apply_step(step, system_state(rho, step)), step)
         assert np.max(np.abs(out.matrix - rho)) < 1e-12
 
     def test_layout_is_three_qubits(self):
@@ -372,7 +340,7 @@ class TestSequentialStep:
         step = build_sequential_step(ch)
         for _ in range(20):
             rho = random_density(rng)
-            red = reduced_system(apply_step(step, full_state(rho, step)), step)
+            red = system_reduce(apply_step(step, system_state(rho, step)), step)
             want = apply_channel(ch, qstate(rho))
             dist = 0.5 * np.abs(np.linalg.eigvalsh(red.matrix - want.matrix)).sum()
             assert dist <= 5e-4
@@ -383,7 +351,7 @@ class TestSequentialStep:
             ch = pauli_channel(eps, eps, eps)
             step = build_sequential_step(ch)
             for rho in states:
-                red = reduced_system(apply_step(step, full_state(rho, step)), step)
+                red = system_reduce(apply_step(step, system_state(rho, step)), step)
                 want = apply_channel(ch, qstate(rho))
                 dist = 0.5 * np.abs(np.linalg.eigvalsh(red.matrix - want.matrix)).sum()
                 assert dist <= 1e-12, eps
@@ -404,7 +372,7 @@ class TestSequentialStep:
         assert step.wire_labels == ("c", "q", "e") and len(step.ops) == 3 * len(ch) + 2
         for _ in range(10):
             rho = random_density(rng)
-            red = reduced_system(apply_step(step, full_state(rho, step)), step)
+            red = system_reduce(apply_step(step, system_state(rho, step)), step)
             want = apply_channel(ch, qstate(rho))
             assert np.max(np.abs(red.matrix - want.matrix)) <= 1e-12
 
@@ -418,7 +386,7 @@ class TestSequentialStep:
         assert any(op.kind == "unitary-apply" and op.name is None for op in step.ops)
         for _ in range(10):
             rho = random_density(rng)
-            red = reduced_system(apply_step(step, full_state(rho, step)), step)
+            red = system_reduce(apply_step(step, system_state(rho, step)), step)
             want = apply_channel(ch, qstate(rho))
             assert np.max(np.abs(red.matrix - want.matrix)) < 1e-10
 
@@ -483,7 +451,7 @@ def test_sequential_step_applies_every_complete_kraus_set(ch, seed):
     assert step.wire_labels == ("c", "q", "e") and len(step.ops) == 3 * len(ch) + 2
     rng = np.random.default_rng(seed)
     for rho in (random_density(rng), random_density(rng)):
-        red = reduced_system(apply_step(step, full_state(rho, step)), step)
+        red = system_reduce(apply_step(step, system_state(rho, step)), step)
         want = apply_channel(ch, qstate(rho))
         assert np.max(np.abs(red.matrix - want.matrix)) <= 1e-12
 
@@ -494,7 +462,7 @@ class TestDilationStep:
         step = build_dilation_step(ch)
         for _ in range(10):
             rho = random_density(rng)
-            red = reduced_system(apply_step(step, full_state(rho, step)), step)
+            red = system_reduce(apply_step(step, system_state(rho, step)), step)
             want = apply_channel(ch, qstate(rho))
             assert np.max(np.abs(red.matrix - want.matrix)) < 1e-9
 
@@ -523,9 +491,9 @@ class TestApplyStep:
         theta = math.pi / 10
         gamma = math.sin(theta / 2)
         step = build_markovian_step("amplitude-damping", theta)
-        state = full_state(proj(KET1), step)
+        state = system_state(proj(KET1), step)
         state = apply_step(step, apply_step(step, state))
-        p1 = reduced_system(state, step).matrix[1, 1].real
+        p1 = system_reduce(state, step).matrix[1, 1].real
         assert abs(p1 - (1 - gamma**2) ** 2) < 1e-12
 
     def test_layout_mismatch(self, rng):
@@ -540,7 +508,7 @@ class TestApplyStep:
             build_sequential_step(pauli_channel(0.05, 0.1, 0.02)),
         ]
         for step in steps:
-            state = full_state(random_density(rng), step)
+            state = system_state(random_density(rng), step)
             for _ in range(10):
                 state = apply_step(step, state)  # constructor re-validates
                 assert abs(np.trace(state.matrix) - 1) < 1e-10

@@ -21,12 +21,10 @@ from oqsim.circuit import (
 )
 from oqsim.cli import (
     ConfigError,
-    ExperimentConfig,
     main,
     parse_angle,
     parse_config,
     parse_initial,
-    run_experiment,
 )
 from oqsim.engine import StepRecord, projector_observable, run
 
@@ -705,6 +703,7 @@ class TestExitCodes:
         "5",
         '{"dim": 2, "operators": [[1, 2, 3, 4]]}',
         '{"dim": 2.5, "operators": [[[1, 0], [0, 0], [0, 0], [1, 0]]]}',
+        pytest.param(f'{{"dim": 1, "operators": [[[{10**400}, 0]]]}}', id="too-large-for-a-float"),
     ])
     def test_malformed_channel_file_exits_2(self, tmp_path, monkeypatch, capsys, text):
         (tmp_path / "ch.json").write_text(text)

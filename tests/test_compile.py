@@ -34,8 +34,10 @@ from conftest import (
     dense_apply,
     dense_maps,
     dense_trajectory,
+    embed,
     full_kraus,
     kraus_apply,
+    mixed_unitary,
     random_channel_ops,
     random_density,
     sequential_with_storage,
@@ -45,16 +47,6 @@ KINDS = ("amplitude-damping", "dephasing")
 THETAS = (math.pi / 10, 2 * math.pi / 3, 5 * math.pi / 6, math.pi / 4, 1.1)
 QUBITS3 = (Wire("q"), Wire("a"), Wire("b"))
 ORACLE_STEPS = 50
-
-
-def _mixed_unitary(seed, l):
-    """sqrt(p_i) U_i for random weights p and Haar-ish unitaries U_i."""
-    rng = np.random.default_rng(seed)
-    ops = []
-    for p in rng.dirichlet(np.ones(l)):
-        q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-        ops.append(math.sqrt(p) * q)
-    return KrausChannel(2, ops, label=f"mixed-unitary-l{l}")
 
 
 def _unitary(seed, n):
@@ -74,7 +66,7 @@ def _steps():
     pauli = pauli_channel(0.05, 0.1, 0.15)
     steps["sequential"] = build_sequential_step(pauli)
     steps["sequential-memory-k3"] = sequential_with_storage(pauli, *THETAS[1:3])
-    steps["sequential-l16"] = build_sequential_step(_mixed_unitary(3, 16))
+    steps["sequential-l16"] = build_sequential_step(mixed_unitary(3, 16))
     ops = random_channel_ops(np.random.default_rng(5), n=4, l=3)
     steps["dilation-2-qubit"] = build_dilation_step(KrausChannel(4, ops, label="rand4"))
     steps["no-reset"] = StepCircuit(
@@ -177,14 +169,6 @@ def _dims(step):
     return [w.dim for w in step.layout]
 
 
-def embed_carried(rho, dims, carried):
-    """``rho`` on the factors at ``carried``, |0><0| on every other, as a full matrix."""
-    at = tuple(slice(None) if i in carried else 0 for i in range(len(dims)))
-    full = np.zeros(dims * 2, dtype=complex)
-    full[at + at] = rho.reshape([dims[i] for i in carried] * 2)
-    return full.reshape(math.prod(dims), -1)
-
-
 def _full_form_matches(step, rho, steps):
     maps, want = dense_maps(step), rho
     state = DensityMatrix(rho, step.layout)
@@ -200,12 +184,12 @@ def _carried_form_matches(step, rho, steps):
     dims = _dims(step)
     program = compile_step(step)
     carried = program[0]
-    maps, want = dense_maps(step), embed_carried(rho, dims, carried)
+    maps, want = dense_maps(step), embed(rho, dims, carried)
     states = rho[np.newaxis]
     for _ in range(steps):
         states = run_compiled(program, states)
         want = dense_apply(maps, want)
-        assert np.max(np.abs(embed_carried(states[0], dims, carried) - want)) <= 1e-12
+        assert np.max(np.abs(embed(states[0], dims, carried) - want)) <= 1e-12
 
 
 @pytest.mark.parametrize("name", sorted(STEPS))
@@ -316,7 +300,7 @@ def test_markovian_and_sequential_steps_carry_only_the_system(name):
 
 
 def test_sequential_l64_step_compresses_to_at_most_dc_squared_operators():
-    step = build_sequential_step(_mixed_unitary(7, 64))
+    step = build_sequential_step(mixed_unitary(7, 64))
     assert sum(op.kind == "trace-reset" for op in step.ops) == 65
     carried, kraus, columns = compile_step(step)
     assert len(carried) == 1 and kraus.shape[1:] == (2, 2) and len(kraus) <= 4
@@ -419,7 +403,7 @@ def reset_heavy_steps(draw):
     wires; or a sequential step of up to l = 96 operators."""
     if draw(st.booleans()):
         seed, l = draw(st.integers(0, 2**16)), draw(st.integers(1, 96))
-        return build_sequential_step(_mixed_unitary(seed, l))
+        return build_sequential_step(mixed_unitary(seed, l))
     n = draw(st.integers(2, 4))
     dims = [draw(st.sampled_from([2, 3]))]
     dims += draw(st.lists(st.sampled_from([1, 2, 2, 3]), min_size=n - 1, max_size=n - 1))
@@ -495,7 +479,7 @@ def test_reset_heavy_steps_compile_to_the_oracles_map_with_at_most_dc_squared_op
 def test_sequential_l64_compile_runs_a_qr_at_every_fourth_reset(monkeypatch):
     """64 operators give 65 resets at n = rows d_c = 8: r doubles from 8 to 128 before each QR
     in the walk (2 r n^3 > CALL_MACS), then one final QR to r <= d_c^2 = 4."""
-    step = build_sequential_step(_mixed_unitary(7, 64))
+    step = build_sequential_step(mixed_unitary(7, 64))
     shapes, qr = [], np.linalg.qr
     monkeypatch.setattr(np.linalg, "qr", lambda a, mode: shapes.append(a.shape) or qr(a, mode=mode))
     kraus = compile_step(step)[1]
@@ -612,7 +596,7 @@ def _arms():
         )
         steps[f"markovian-{kind}"] = build_markovian_step(kind, 1.1)
     steps["sequential"] = build_sequential_step(pauli_channel(0.05, 0.1, 0.15))
-    steps["sequential-l64"] = build_sequential_step(_mixed_unitary(7, 64))
+    steps["sequential-l64"] = build_sequential_step(mixed_unitary(7, 64))
     steps.update({f"dephasing-k{k}": _memory_step("dephasing", k) for k in range(2, 10)})
     return steps
 
@@ -649,7 +633,7 @@ def _with_gate(op):
 
 
 COMPLEX_STEPS = {
-    "sequential-l64": build_sequential_step(_mixed_unitary(7, 64)),  # Haar factors
+    "sequential-l64": build_sequential_step(mixed_unitary(7, 64)),  # Haar factors
     "pauli-y": _with_gate(GateOp.gate("Y", ("q",))),
     "imaginary-1e-300": _with_gate(
         GateOp("unitary-apply", ("q",), matrix=np.diag([1.0, 1.0 + 1e-300j]))

@@ -25,21 +25,11 @@ from oqsim.circuit import (
     run_compiled,
 )
 
-from conftest import choi_min_eigenvalue, random_channel_ops
+from conftest import choi_min_eigenvalue, mixed_unitary, random_channel_ops
 
 KINDS = st.sampled_from(["amplitude-damping", "dephasing"])
 ANGLES = st.floats(0.0, 2.0 * math.pi, exclude_max=True)
 SEEDS = st.integers(0, 2**16)
-
-
-def _mixed_unitary(seed, l):
-    """sqrt(p_i) U_i for random weights p and Haar-ish unitaries U_i."""
-    rng = np.random.default_rng(seed)
-    ops = []
-    for p in rng.dirichlet(np.ones(l)):
-        q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-        ops.append(math.sqrt(p) * q)
-    return KrausChannel(2, ops, label=f"mixed-unitary-l{l}")
 
 
 STEPS = st.one_of(
@@ -49,7 +39,7 @@ STEPS = st.one_of(
         KINDS, st.lists(ANGLES, min_size=2, max_size=3),
     ),
     st.builds(
-        lambda seed, l: build_sequential_step(_mixed_unitary(seed, l)),
+        lambda seed, l: build_sequential_step(mixed_unitary(seed, l)),
         SEEDS, st.integers(1, 4),
     ),
     st.builds(

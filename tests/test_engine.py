@@ -6,7 +6,7 @@ import pytest
 import oqsim.engine as eng
 from oqsim.analysis import blp_witness
 from oqsim.channels import amplitude_damping, apply_channel, dephasing
-from oqsim.circuit import GateOp, StepCircuit, build_markovian_step
+from oqsim.circuit import StepCircuit, build_markovian_step
 from oqsim.engine import (
     NumericalViolationError,
     Observable,

@@ -10,6 +10,7 @@ from oqsim import circuit, engine, qmath
 
 MODULES = sorted(Path(oqsim.__file__).parent.glob("*.py"))
 SIBLINGS = {path.stem for path in MODULES}
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def private_imports(source: str):
@@ -81,6 +82,48 @@ def test_every_module_uses_what_it_imports():
         if path.name != "__init__.py"
     }
     assert {name: hits for name, hits in bad.items() if hits} == {}
+
+
+def test_every_test_module_uses_what_it_imports():
+    assert "conftest.py" in {path.name for path in TESTS}
+    bad = {path.name: unused_imports(path.read_text(encoding="utf-8")) for path in TESTS}
+    assert {name: hits for name, hits in bad.items() if hits} == {}
+
+
+# Classes and step builders: the dense references never run the code they check.
+REFERENCE_IMPORTS = {
+    "GateOp", "StepCircuit", "build_sequential_step", "DensityMatrix", "Wire", "KrausChannel",
+}
+
+
+def kernel_imports(source: str):
+    """(line, name) for each oqsim import outside :data:`REFERENCE_IMPORTS`.
+
+    A whole module (``import oqsim.circuit``) counts, since every kernel is reachable through it.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names if a.name.split(".")[0] == "oqsim"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "oqsim":
+            found += [(node.lineno, a.name) for a in node.names if a.name not in REFERENCE_IMPORTS]
+    return found
+
+
+def test_guard_catches_a_kernel_import():
+    text = (
+        "import numpy as np\nfrom oqsim.circuit import GateOp, compile_step\n"
+        "import oqsim.engine as eng\nfrom oqsim.qmath import Wire, partial_trace\n"
+        "from oqsim import circuit\n"
+    )
+    assert kernel_imports(text) == [
+        (2, "compile_step"), (3, "oqsim.engine"), (4, "partial_trace"), (5, "circuit"),
+    ]
+
+
+def test_the_dense_references_call_no_kernel():
+    conftest = Path(__file__).parent / "conftest.py"
+    assert kernel_imports(conftest.read_text(encoding="utf-8")) == []
 
 
 def unused_privates(source: str):

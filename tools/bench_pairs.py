@@ -11,7 +11,8 @@ from that directory with ``PYTHONDONTWRITEBYTECODE=1``, T being BENCHMARK.json's
 when it is odd; the seeds count up from ``--seed`` over the workloads in the order
 given, one seed per pair.  Runs go one at a time.  An unknown revision, a ``--pairs``
 item that is not ``WORKLOAD=N`` with N >= 1, a workload that BENCHMARK.json does not
-declare, or one named by two items ends the script before anything is unpacked, with one
+declare, one named by two items, or an ``--out`` that is a directory or lies in a directory
+that is missing or not writable ends the script before anything is unpacked, with one
 stderr line and exit 2.
 
 Per workload and end-to-end metric (names and directions from BENCHMARK.json) the
@@ -40,7 +41,8 @@ SIDES = ("parent", "change")
 
 
 class InputError(Exception):
-    """A revision or ``--pairs`` item the script refuses before it unpacks or runs anything."""
+    """A revision, ``--pairs`` item or ``--out`` the script refuses before it unpacks or runs
+    anything."""
 
 
 def read_benchmark(benchmark_path: str) -> tuple[dict, float, list]:
@@ -68,6 +70,15 @@ def plan_pairs(items: list, seed: int, workloads: list) -> list:
         plan.append((workload, list(range(seed, seed + int(count)))))
         seed += int(count)
     return plan
+
+
+def check_out(path: str) -> None:
+    """Refuse an ``--out`` that is a directory or whose directory is missing or not writable."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        raise InputError(f"--out {path!r} is a directory")
+    if not os.path.isdir(folder) or not os.access(folder, os.W_OK):
+        raise InputError(f"--out {path!r}: cannot write in {folder!r}")
 
 
 def resolve(revision: str) -> str:
@@ -188,6 +199,7 @@ def main(argv=None) -> int:
     directions, seconds, workloads = read_benchmark(os.path.join(ROOT, "BENCHMARK.json"))
     try:
         plan = plan_pairs(args.pairs, args.seed, workloads)
+        check_out(args.out)
         revisions = {side: resolve(rev) for side, rev in zip(SIDES, (args.parent, args.change))}
     except InputError as exc:
         print(f"bench_pairs: {exc}", file=sys.stderr)
