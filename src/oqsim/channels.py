@@ -190,6 +190,17 @@ def save_channel(ch: KrausChannel, path) -> None:
         fh.write("\n")
 
 
+def _refused(flat):
+    """The first entry of an operator list that :func:`complex_pairs` refuses, or the
+    operator itself when it is no list."""
+    for pair in flat if isinstance(flat, list) else ():
+        try:
+            complex_pairs([pair])
+        except (OverflowError, TypeError, ValueError):
+            return pair
+    return flat
+
+
 def load_channel(path) -> KrausChannel:
     """Read a channel spec file written by :func:`save_channel`.
 
@@ -220,7 +231,7 @@ def load_channel(path) -> KrausChannel:
             vals = complex_pairs(flat)
         except (OverflowError, TypeError, ValueError):
             raise InvalidChannelError(
-                f"operator entries must be [re, im] number pairs, got {flat!r}"
+                f"operator entries must be [re, im] number pairs, got {_refused(flat)!r:.80}"
             ) from None
         if len(vals) != dim * dim:
             raise InvalidChannelError(

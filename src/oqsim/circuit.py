@@ -334,7 +334,7 @@ def build_dilation_step(ch: ch_mod.KrausChannel) -> StepCircuit:
 def _fresh(step: StepCircuit) -> list[int]:
     """Positions of the non-system wires a step leaves in |0>: each one's last
     reset, followed through the swaps after it, with no gate on it since."""
-    zero = dict.fromkeys(step.wire_labels, False)
+    zero = dict.fromkeys(labels := step.wire_labels, False)
     for op in step.ops:
         if op.kind == "swap":
             a, b = op.wires
@@ -342,50 +342,80 @@ def _fresh(step: StepCircuit) -> list[int]:
         else:
             for w in op.wires:
                 zero[w] = op.kind == "trace-reset"
-    return [i for i, w in enumerate(step.wire_labels) if zero[w] and w not in step.system]
+    return [i for i, w in enumerate(labels) if zero[w] and w not in step.system]
 
 
-def _plan(wires: list, dims) -> tuple:
-    """Bookkeeping of a gate on the row axes ``wires`` of an operator tensor with one row axis
-    per wire and a column axis last, which depends on the wires alone:
-    ``(wires, pick, full, order, inverse, outs)``.  ``pick`` reads the wires' entries of a
-    shape and ``full`` is ``pick(dims)``, ``order`` brings their axes to the front and
-    ``inverse`` takes them back, and ``outs`` is the gate's output dims."""
+def _plan(wires: list, dims, reuse: bool = False) -> tuple:
+    """A gate on the row axes ``wires`` (its order) of a tensor with one row axis per wire and a
+    column axis last: ``(axes, pick, full, order, inverse, outs, reorder, gathers)``.  ``pick``
+    reads the axes from a shape, ``full`` and ``outs`` are their dims, ``order`` brings them to
+    the front and ``inverse`` takes them back.  A ``reuse`` plan acts in layout order: the axes
+    sorted, ``reorder`` puts the gate's basis in their order, and ``gathers`` keeps a ``take``
+    index of :func:`_columns` per input shape."""
+    reorder = None
+    if reuse and wires != (axes := sorted(wires)):
+        own = [wires.index(w) for w in axes]
+        reorder, wires = ([dims[w] for w in wires] * 2, own + [len(wires) + i for i in own]), axes
     order = [*wires, *[i for i in range(len(dims) + 1) if i not in wires]]
     inverse = [0] * len(order)
     for i, axis in enumerate(order):
         inverse[axis] = i
-    pick = operator.itemgetter(*wires)
-    return wires, pick, pick(dims), order, inverse, tuple([dims[w] for w in wires])
+    pick, outs = operator.itemgetter(*wires), tuple([dims[w] for w in wires])
+    return wires, pick, pick(dims), order, inverse, outs, reorder, {} if reuse else None
+
+
+def _columns(gate: np.ndarray, plan: tuple, shape: tuple) -> np.ndarray:
+    """``gate`` in its plan's axis order, only its columns for the axis lengths in ``shape``."""
+    axes, pick, full, _, _, outs, reorder, _ = plan
+    g = gate.reshape(reorder[0]).transpose(reorder[1]) if reorder else gate.reshape(outs * 2)
+    if pick(shape) != full:
+        g = g[(..., *map(slice, [shape[w] for w in axes]))]
+    return g.reshape(len(gate), -1)
 
 
 def _apply_rows(t: np.ndarray, gate: np.ndarray, plan: tuple) -> np.ndarray:
     """``gate`` on the wires of ``plan`` (:func:`_plan`) in an operator tensor with one row axis
-    per wire: their axes go to the front (a view), one ``(g_out x g_in) @ (g_in x rest)``
-    product, and back by the inverse permutation.  A wire in |0> has an axis of length 1: only
-    the gate's columns for its value 0 act, and the wire leaves with its full axis.  Which
-    wires are in |0>, and so the slice of the gate, is read from ``t`` at every call."""
-    wires, pick, full, order, inverse, outs = plan
-    if pick(t.shape) != full:
-        ins = [t.shape[w] for w in wires]
-        gate = gate.reshape(outs * 2)[(..., *map(slice, ins))].reshape(len(gate), -1)
+    per wire: the gate's columns for the axis lengths in ``t`` (a wire in |0> has 1 and leaves
+    with its full axis) in the plan's order, by a cached ``take`` on a reuse; the axes go to the
+    front (a view), one ``(g_out x g_in) @ (g_in x rest)`` product, and back."""
+    axes, pick, full, order, inverse, outs, reorder, gathers = plan
+    ins = pick(t.shape)
+    if gathers is not None and (reorder or ins != full):
+        if (index := gathers.get(ins)) is None:
+            index = gathers[ins] = _columns(np.arange(gate.size).reshape(gate.shape), plan, t.shape)
+        gate = gate.take(index)
+    elif ins != full:
+        gate = _columns(gate, plan, t.shape)
     front = t.transpose(order)
     out = gate @ front.reshape(gate.shape[1], -1)
-    return out.reshape(outs + front.shape[len(wires):]).transpose(inverse)
+    return out.reshape(outs + front.shape[len(axes):]).transpose(inverse)
 
 
-def _compress(acc: np.ndarray, dc: int, final: bool = False) -> np.ndarray:
+def _embed(gate: np.ndarray, wires: list, dims: list) -> np.ndarray:
+    """``gate`` on the factors ``wires`` (its order) of dims ``dims``, as a whole-space matrix."""
+    order = [*wires, *[i for i in range(len(dims)) if i not in wires]]
+    back = [order.index(i) for i in range(len(dims))]
+    rest = math.prod(dims) // len(gate)
+    e = np.multiply.outer(gate, np.eye(rest)).transpose(0, 2, 1, 3) if rest > 1 else gate
+    e = e.reshape([dims[i] for i in order] * 2).transpose(back + [len(dims) + i for i in back])
+    return e.reshape(math.prod(dims), -1)  # gate (x) I, its factors put in place
+
+
+def _compress(acc: np.ndarray, dc: int, masks: dict, final: bool = False) -> np.ndarray:
     """At most n = ``rows * dc`` operators for the map of an operator tensor with ``rows`` row
     entries: the map is fixed by sum_j vec(K_j) vec(K_j)^dag, which R of a QR of the rows
     vec(K_j) keeps.  A QR is a call, so the walk's waits while its r operators, priced as a
     step on n dimensions at 2 r n^3 multiply-adds (as :func:`_kraus_form` prices one), cost no
-    more than a call, :data:`CALL_MACS`: at n = 8 it runs at every fourth qubit reset.  A
-    ``final`` one runs whenever r > n."""
+    more than a call, :data:`CALL_MACS`: at n = 8 it runs at every fourth qubit reset; a
+    ``final`` one whenever r > n.  R is ``mode="raw"``'s, masked by ``masks[n]`` (no ``triu``)."""
     rows, r = math.prod(acc.shape[:-1]), acc.shape[-1] // dc
     n = rows * dc
     if r <= n or not final and 2 * r * n**3 <= CALL_MACS:
         return acc
-    kept = np.linalg.qr(acc.reshape(rows, r, dc).transpose(1, 0, 2).reshape(r, -1), mode="r")
+    h = np.linalg.qr(acc.reshape(rows, r, dc).transpose(1, 0, 2).reshape(r, -1), mode="raw")[0]
+    if (lower := masks.get(n)) is None:
+        lower = masks[n] = np.tri(n, k=-1, dtype=bool)
+    kept = np.where(lower, 0, h.T[:n])
     return kept.reshape(-1, rows, dc).transpose(1, 0, 2).reshape(acc.shape[:-1] + (-1,))
 
 
@@ -404,39 +434,49 @@ def compile_step(step: StepCircuit, full: bool = False):
     :func:`_kraus_form` stores each operator once.  It is float64 when no gate has a nonzero
     imaginary part, else complex128.  A d_c too large to allocate raises :class:`MemoryError`.
 
-    The walk plans each gate's wire tuple once per call (:func:`_plan`), in a dict that lives
-    only for the call; what can change between two uses of a tuple (which wires are in |0>,
-    the sliced gate, r and the QR) is read per op.  Repeated tuples pay: a sequential step's
-    gates fall on 3 tuples for any l (126 of 129 gates repeat one at l = 64), while
-    Markovian and memory steps repeat none.
+    A gate waits for the next op: a library gate with no theta but H, a signed permutation, on a
+    subset of its wires folds in exactly as ``E @ G`` (:func:`_embed`).  A wire tuple acts in the
+    gate's order at its first use and in layout order from its second (:func:`_plan`); plans live
+    in dicts of the call, and what is in |0>, r and the QR are read per op.  A sequential l = 64
+    step's 129 gates are 65 products.
     """
     dims = [w.dim for w in step.layout]
     fresh = () if full else _fresh(step)
-    carried = tuple(i for i in range(len(dims)) if i not in fresh)
-    dc = math.prod(dims[i] for i in carried)
+    carried = tuple([i for i in range(len(dims)) if i not in fresh])
+    dc = math.prod([dims[i] for i in carried])
     rows = [1 if i in fresh else d for i, d in enumerate(dims)]
-    real = not any(op.matrix.imag.any() for op in step.ops if op.kind == "unitary-apply")
+    real = not any(np.count_nonzero(op.matrix.imag) for op in step.ops if op.matrix is not None)
     try:
         acc = np.eye(dc, dtype=float if real else complex).reshape(rows + [dc])
     except ValueError as exc:  # a shape beyond numpy's index range
         raise MemoryError(str(exc)) from None
     where = {w.label: i for i, w in enumerate(step.layout)}
-    plans = {}  # op.wires -> its _plan, for this call only
+    plans, folds, masks, gate = {}, {}, {}, None  # gate: the one waiting, on wires by plan
     for op in step.ops:
+        if (gate is not None and op.kind == "unitary-apply" and op.name not in (None, "H")
+                and op.theta is None and set(op.wires).issubset(wires)):  # it folds in
+            if (e := folds.get(key := (op.name, op.wires, wires))) is None:
+                e = folds[key] = _embed(op.matrix.real if real else op.matrix, [
+                    wires.index(w) for w in op.wires], [dims[where[w]] for w in wires])
+            gate = e @ gate
+            continue
+        if gate is not None:
+            acc, gate = _apply_rows(acc, gate, plan), None
         if op.kind == "unitary-apply":
-            if (plan := plans.get(op.wires)) is None:
-                plan = plans[op.wires] = _plan([where[w] for w in op.wires], dims)
-            acc = _apply_rows(acc, op.matrix.real if real else op.matrix, plan)
+            if (plan := plans.get(op.wires)) is None or plan[-1] is None:
+                plan = plans[op.wires] = _plan([where[w] for w in op.wires], dims, plan is not None)
+            gate, wires = op.matrix.real if real else op.matrix, op.wires
         elif op.kind == "swap":
             acc = acc.swapaxes(where[op.wires[0]], where[op.wires[1]])
         elif acc.shape[a := where[op.wires[0]]] > 1:  # its axis goes into the operator index
             order = [*range(a), *range(a + 1, acc.ndim - 1), a, acc.ndim - 1]
             shape = [*acc.shape[:a], 1, *acc.shape[a + 1:-1], -1]
-            acc = _compress(acc.transpose(order).reshape(shape), dc)
+            acc = _compress(acc.transpose(order).reshape(shape), dc, masks)
+    acc = acc if gate is None else _apply_rows(acc, gate, plan)
     at_zero = [w for w in carried if acc.shape[w] < dims[w]]  # carried wires that end in |0>
     if at_zero:
         acc = _apply_rows(acc, np.eye(math.prod(dims[w] for w in at_zero)), _plan(at_zero, dims))
-    return (carried, *_kraus_form(_compress(acc.reshape(dc, -1), dc, final=True)))
+    return (carried, *_kraus_form(_compress(acc.reshape(dc, -1), dc, masks, final=True)))
 
 
 CALL_MACS = 2**16  # one kernel call (about 10 us at d_c = 8) priced as multiply-adds

@@ -284,6 +284,17 @@ class TestChannelFiles:
         with pytest.raises(InvalidChannelError, match=r"^operator entries must be \[re, im\] number"):
             load_channel(path)
 
+    def test_a_refused_entry_is_quoted_alone_and_short(self, tmp_path):
+        """One number too large for a float among long entries: the message quotes the first
+        refused pair, cut short, not the whole operator."""
+        path = tmp_path / "bad.json"
+        pairs = ["[0.123456789012345, 0.987654321098765]"] * 3 + [f"[{10**400}, 0]"]
+        path.write_text(f'{{"dim": 2, "operators": [[{", ".join(pairs)}]]}}')
+        with pytest.raises(InvalidChannelError) as info:
+            load_channel(path)
+        line = f"config error: cannot load channel file 'bad.json': {info.value}"
+        assert len(line) < 200 and str(info.value).endswith(f"got {[10**400, 0]!r:.80}")
+
     def test_deeply_nested_file_is_an_invalid_channel(self, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 10**5 + "]" * 10**5)

@@ -486,6 +486,69 @@ def test_sequential_l64_compile_runs_a_qr_at_every_fourth_reset(monkeypatch):
     assert shapes[:-1] == [(128, 8)] * 15 and shapes[-1][1] == 4 and len(kraus) <= 4
 
 
+def test_sequential_l64_compile_runs_one_product_per_factor(monkeypatch):
+    """Each factor's CNOT e -> c folds into its controlled unitary: of the 129 gates (the X,
+    then a unitary and a CNOT per operator), 65 are products on the operator tensor."""
+    step = build_sequential_step(mixed_unitary(7, 64))
+    products, apply_rows = [], circuit._apply_rows
+
+    def counted(t, gate, plan):
+        products.append(gate.shape)
+        return apply_rows(t, gate, plan)
+
+    monkeypatch.setattr(circuit, "_apply_rows", counted)
+    compile_step(step)
+    assert sum(op.kind == "unitary-apply" for op in step.ops) == 129 and len(products) == 65
+
+
+LIBRARY = {1: ["X", "Y", "Z", "H"], 2: ["CNOT", "CY", "CZ", "SWAP"]}
+
+
+@st.composite
+def folding_steps(draw):
+    """Steps on 2-4 wires, one of them a qutrit, whose gates reuse a few wire tuples drawn in
+    any order (a tuple's reuse acts in layout order), with library gates right after a gate on
+    a superset of their wires (they fold into it) or anywhere, resets, swaps and fresh wires."""
+    n = draw(st.integers(2, 4))
+    dims = [2] * n
+    dims[draw(st.integers(0, n - 1))] = 3
+    labels = [f"w{i}" for i in range(n)]
+    pool = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, 3),
+                                  unique=True), min_size=1, max_size=3))
+    ops = []
+    for _ in range(draw(st.integers(1, 14))):
+        kind = draw(st.sampled_from(["gate", "gate", "fold", "fold", "named", "reset", "swap"]))
+        if kind == "gate":
+            wires = draw(st.sampled_from(pool))
+            u = _unitary(draw(st.integers(0, 2**16)), math.prod(dims[w] for w in wires))
+            ops.append(GateOp("unitary-apply", [labels[w] for w in wires], matrix=u))
+        elif kind == "reset":
+            ops.append(GateOp.reset(labels[draw(st.integers(1, n - 1))]))
+        elif kind == "swap":
+            a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            if dims[a] == dims[b]:
+                ops.append(GateOp.swap(labels[a], labels[b]))
+        else:  # a library gate on qubits; "fold" draws them from the gate just before
+            around = ops[-1].wires if kind == "fold" and ops and ops[-1].kind == "unitary-apply" \
+                else labels
+            qubits = [w for w in around if dims[labels.index(w)] == 2]
+            arity = draw(st.integers(1, min(2, len(qubits)))) if qubits else 0
+            if arity:
+                wires = draw(st.permutations(qubits))[:arity]
+                ops.append(GateOp.gate(draw(st.sampled_from(LIBRARY[arity])), wires))
+    layout = tuple(Wire(lab, d) for lab, d in zip(labels, dims))
+    return StepCircuit("folding", layout, (labels[0],), ops)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(step=folding_steps(), seed=st.integers(0, 2**16))
+def test_reordered_and_folded_gates_compile_to_the_oracles_map(step, seed):
+    rng = np.random.default_rng(seed)
+    carried, full = (compile_step(step, full)[1] for full in (False, True))
+    _carried_form_matches(step, random_density(rng, carried.shape[1]), 3)
+    _full_form_matches(step, random_density(rng, full.shape[1]), 3)
+
+
 # -- the Kraus form: each K_j on its nonzero columns C_j only -----------------
 
 
