@@ -1,7 +1,8 @@
 """Experiment runner: config parsing, trajectory CSVs, SVG plots, tables.
 
 Configs are flat ``key = value`` text with optional ``[experiment]`` and
-``[outputs]`` sections; unknown keys are rejected with their line number.
+``[outputs]`` sections; unknown keys, and keys that no configured arm reads,
+are rejected with their line number.
 Angles accept fractions of pi (``pi/10``, ``2pi/3``) and plain decimals.
 """
 
@@ -146,6 +147,10 @@ _KEYS = {
     "circuit": ("step circuit dump output path", _output_path),
 }
 _SECTIONS = ("experiment", "outputs")
+# keys that only some arms read, by mode, or by channel for the pauli and custom-file runs
+# (which read no theta); every run reads every other key of _KEYS
+_ARM_KEYS = {"markovian": ("theta",), "non-markovian": ("thetas", "k"), "sequential": ("theta",),
+             "pauli": ("px", "py", "pz"), "custom-file": ("channel_file",)}
 
 
 @dataclass
@@ -212,6 +217,7 @@ _DEFAULTS = {"steps": "50", "initial": "|1>", "observables": "p1"}
 
 def _build_config(raw: dict, path=None) -> ExperimentConfig:
     """Validate a raw key -> (value, origin) mapping; a flag's origin is None."""
+    user = tuple(raw)  # the keys set in the file or as flags, before presets and defaults
 
     def fail(key, message):
         raise ConfigError(message, raw[key][1] if key in raw else path)
@@ -270,6 +276,11 @@ def _build_config(raw: dict, path=None) -> ExperimentConfig:
         fail("channel_file", "channel custom-file requires 'channel_file'")
     if values["steps"] < 1:
         fail("steps", f"steps must be >= 1, got {values['steps']}")
+    arms = (channel,) if channel in _ARM_KEYS else modes
+    read = set(_KEYS).difference(*_ARM_KEYS.values()).union(*map(_ARM_KEYS.get, arms))
+    for key in user:
+        if key not in read:
+            fail(key, f"key {key!r} is not read by channel {channel} in mode {' or '.join(modes)}")
 
     return ExperimentConfig(
         channel=channel,

@@ -642,6 +642,64 @@ class TestErrorOrigins:
         assert str(err.value) == f"{path}: missing required key 'channel'"
 
 
+class TestUnreadKeys:
+    """A key that the user sets and that no configured arm reads exits 2 and names the key."""
+
+    @pytest.mark.parametrize("argv,err", [
+        (["--channel", "dephasing", "--mode", "markovian", "--theta", "pi/5",
+          "--thetas", "pi/4, pi/3", "--steps", "3"],
+         "key 'thetas' is not read by channel dephasing in mode markovian"),
+        (["--channel", "amplitude-damping", "--mode", "markovian", "--theta", "pi/5",
+          "--px", "0.3"],
+         "key 'px' is not read by channel amplitude-damping in mode markovian"),
+        (["--channel", "amplitude-damping", "--mode", "non-markovian",
+          "--thetas", "pi/4, pi/3", "--theta", "1"],
+         "key 'theta' is not read by channel amplitude-damping in mode non-markovian"),
+        (["--channel", "pauli", "--mode", "sequential", "--px", "0.1",
+          "--channel-file", "/nonexistent"],
+         "key 'channel_file' is not read by channel pauli in mode sequential"),
+        (["--channel", "amplitude-damping", "--mode", "sequential", "--theta", "1", "--k", "5"],
+         "key 'k' is not read by channel amplitude-damping in mode sequential"),
+        (["--preset", "fig6", "--px", "0.1"],
+         "key 'px' is not read by channel amplitude-damping in mode markovian or non-markovian"),
+    ])
+    def test_an_unread_flag_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys, argv, err):
+        assert run_main_in(tmp_path, monkeypatch, argv) == 2
+        assert capsys.readouterr().err == f"config error: {err}\n"
+        assert os.listdir(tmp_path) == []
+
+    def test_an_unread_file_key_names_its_line(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "p.cfg").write_text(
+            "channel = pauli\nmode = sequential\npx = 0.1\ntheta = pi/5\n"
+        )
+        assert run_main_in(tmp_path, monkeypatch, ["--config", "p.cfg"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: p.cfg:4: key 'theta' is not read by channel pauli in mode sequential\n"
+        )
+        assert os.listdir(tmp_path) == ["p.cfg"]
+
+    def test_a_preset_key_that_the_mode_does_not_read_is_exempt(self, tmp_path, monkeypatch):
+        argv = ["--preset", "fig6", "--mode", "markovian", "--steps", "3"]  # thetas, k unread
+        assert run_main_in(tmp_path, monkeypatch, argv) == 0
+        assert os.listdir(tmp_path) == ["fig6.csv"]
+
+    def test_an_unread_flag_fails_only_the_sweep_configs_that_do_not_read_it(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        (tmp_path / "a.cfg").write_text(
+            "channel = dephasing\nmode = markovian\ntheta = pi/5\ncsv = a.csv\n"
+        )
+        (tmp_path / "b.cfg").write_text(
+            "channel = dephasing\nmode = non-markovian\nthetas = pi/5, pi/4\ncsv = b.csv\n"
+        )
+        argv = ["--sweep", "a.cfg", "b.cfg", "--k", "2", "--steps", "3"]
+        assert run_main_in(tmp_path, monkeypatch, argv) == 2
+        assert capsys.readouterr().err == (
+            "config error: key 'k' is not read by channel dephasing in mode markovian\n"
+        )
+        assert sorted(os.listdir(tmp_path)) == ["a.cfg", "b.cfg", "b.csv"]
+
+
 class TestExitCodes:
     def test_bad_config_exits_2(self, tmp_path, monkeypatch, capsys):
         (tmp_path / "bad.cfg").write_text("channel = dephasing\nmode = warp\n")

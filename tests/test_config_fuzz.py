@@ -8,7 +8,8 @@ Each example starts from a runnable experiment over the real config keys,
 then overwrites or drops up to two keys with odd values and may add a
 garbage line. Step counts and memory orders stay small, so an example runs
 in milliseconds in its own temporary directory. ``--sweep`` over the one
-file must give the same exit code, output and files as ``--config``.
+file must give the same exit code, output and files as ``--config``. A key
+that the file sets and that none of its arms reads exits 2.
 """
 
 import contextlib
@@ -20,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oqsim.channels import pauli_channel, save_channel
-from oqsim.cli import _KEYS, main
+from oqsim.cli import _ARM_KEYS, _KEYS, PRESETS, main
 
 ANGLES = st.sampled_from(["pi/10", "2pi/3", "5pi/6", "0.3", "0", "pi"])
 KINDS = st.sampled_from(["amplitude-damping", "dephasing"])
@@ -75,7 +76,17 @@ def config_text(draw):
     lines = [f"{key} = {value}" for key, value in chosen.items()]
     if draw(st.integers(0, 3)) == 0:
         lines.insert(draw(st.integers(0, len(lines))), draw(GARBAGE))
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", chosen
+
+
+def _unread(chosen):
+    """The keys in ``chosen`` that only some arms read and that none of its arms reads."""
+    preset = PRESETS.get(chosen.get("preset"), {})
+    channel = chosen.get("channel", preset.get("channel"))
+    modes = [chosen["mode"]] if "mode" in chosen else ["markovian", "non-markovian"] * bool(preset)
+    arms = [channel] if channel in ("pauli", "custom-file") else modes
+    read = {key for arm in arms for key in _ARM_KEYS.get(arm, ())}
+    return {key for keys in _ARM_KEYS.values() for key in keys if key in chosen} - read
 
 
 def _run(argv, text):
@@ -98,7 +109,9 @@ def _run(argv, text):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(config_text())
-def test_config_text_exits_0_or_2(text):
+def test_config_text_exits_0_or_2(config):
+    text, chosen = config
     alone = code, _, err, _ = _run(["--config", "exp.cfg"], text)
     assert code in (0, 2) or (code == 4 and "/" in text and err.startswith("output error: "))
+    assert code == 2 or not _unread(chosen)
     assert _run(["--sweep", "exp.cfg"], text) == alone

@@ -629,7 +629,8 @@ def test_blp_witness_of_a_real_and_a_complex_state_is_the_oracle_revival_sum(nam
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_complex_starts_of_a_real_k6_memory_step_match_the_per_step_loop(rng, kind):
-    """The factor steps weigh a real W by a complex X: W Re X and W Im X, as real products."""
+    """Complex starts of a real k = 6 program, through its factor steps and into the dense
+    phase, match the per-step loop to 1e-12."""
     step = build_nonmarkovian_step(kind, MemorySpec(6, tuple(0.3 + 0.7 * i for i in range(6))))
     states = _qubits(rng, "complex", "|+i>", "|1>")
     assert compile_step(step)[1].dtype == np.float64
