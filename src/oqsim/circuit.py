@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -432,7 +433,9 @@ def compile_step(step: StepCircuit, full: bool = False):
     operator index and leaves length 1.  After a reset the stack is compressed once r is past
     the rows times d_c by :func:`_compress`'s priced margin, and at end to r <= d_c^2;
     :func:`_kraus_form` stores each operator once.  It is float64 when no gate has a nonzero
-    imaginary part, else complex128.  A d_c too large to allocate raises :class:`MemoryError`.
+    imaginary part, else complex128.  A d_c too large to allocate raises :class:`MemoryError`,
+    also where the walk's three largest tensors, d d_c entries each, would outgrow physical
+    memory: an overcommitting kernel lets the allocation pass and kills the process on use.
 
     A gate waits for the next op: a library gate with no theta but H, a signed permutation, on a
     subset of its wires folds in exactly as ``E @ G`` (:func:`_embed`).  A wire tuple acts in the
@@ -446,6 +449,9 @@ def compile_step(step: StepCircuit, full: bool = False):
     dc = math.prod([dims[i] for i in carried])
     rows = [1 if i in fresh else d for i, d in enumerate(dims)]
     real = not any(np.count_nonzero(op.matrix.imag) for op in step.ops if op.matrix is not None)
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if 3 * math.prod(dims) * dc * (8 if real else 16) > memory:
+        raise MemoryError(f"the compile of a dim {math.prod(dims)} register outgrows memory")
     try:
         acc = np.eye(dc, dtype=float if real else complex).reshape(rows + [dc])
     except ValueError as exc:  # a shape beyond numpy's index range

@@ -85,7 +85,7 @@ class Trajectory:
         return [r.values[name] for r in self.records]
 
 
-_CHUNK_ENTRIES = 2**14  # entries of carried states that evolve reduces in one call
+_CHUNK_ENTRIES = 2**14  # entries of one state's carried states that evolve reduces in one call
 
 
 def _block(dc: int, slots: int) -> int:
@@ -115,26 +115,28 @@ def evolve(step: StepCircuit, states, steps: int) -> np.ndarray:
     be contiguous, with the other wires before and after them in |0>.  One
     compile to the carried register (dim d_c).
 
-    A state after n steps is W_n (I (x) X) W_n^dag: X is the block of rho0 on
-    the m system basis states that the call's initial states occupy (a row or
-    column not all zero), W_0 the ``(d_c, m)`` lift of those into the register
-    and W_{n+1} = [K_1 W_n, .., K_r W_n].  While W has fewer than d_c columns
-    the kernel maps W, one call per state, and the record is
-    tr_env W (I (x) X) W^dag from the system rows of W.  Then W (I (x) X) W^dag
-    is formed once and the steps go on densely, into a chunk buffer of at
-    most ``2**14`` entries, or one step's stack of carried states when that
-    is larger, reduced by one partial trace per full (or last) chunk.  Its
-    slot 0 is one kernel call on the slot before, written into the slot;
-    slots f .. f + w - 1 are S^w times the w before, w the largest power of
-    two <= min(f, B), in one product over all states.
-    S = sum_j K_j (x) conj(K_j), built from the program by :func:`superoperator`
-    once per run when B > 1, is squared up to S^B, with B from :func:`_block`;
-    B = 1 (d_c >= 13 with one state per slot, 12 with two, 11 with four) is
-    one call per step.  W, S and the buffer are in the program's dtype; X is
-    float64 when every rho0 is real.  A float64 program carries complex starts
-    in its buffer as 2n real states, [Re rho_1 .. Re rho_n, Im rho_1 .. Im rho_n]
-    for n = len(states): a real map sends Re rho and Im rho to the real and
-    imaginary parts of its image, so each reduced chunk is written as re + 1j im.
+    The steps run densely, into a chunk buffer of ``2**14`` entries a state (a real half
+    below), or one step when that is larger, reduced by one partial trace per full (or last)
+    chunk.  Its slot 0 is one kernel call on the slot before, written into the slot; slots
+    f .. f + w - 1 are S^w times the w before, w the largest power of two <= min(f, B), in
+    one product over all states of at least two rows (one row takes gemv, whose bits are not
+    gemm's), so that a stack of states is its single-state runs bit for bit.
+    S = sum_j K_j (x) conj(K_j), built from the program by :func:`superoperator` once per run
+    when B > 1, is squared up to S^B, B = :func:`_block` (d_c, min(chunk, steps + 1)).
+
+    When B > 1 (d_c <= 12 and runs long enough) the run is dense from step 0: slot 0 is
+    |0><0| (x) rho0 (x) |0><0|, and the call for slot 1 serves all states.  When B = 1
+    (d_c >= 13, or short runs), where each dense step is a call, factor steps come first:
+    a state after n steps is W_n (I (x) X) W_n^dag, X the block of rho0 on the m system
+    basis states that the call's initial states occupy (a row or column not all zero), W_0
+    the ``(d_c, m)`` lift of those into the register and W_{n+1} = [K_1 W_n, .., K_r W_n].
+    While W has fewer than d_c columns the kernel maps W, one call per state, and the record
+    is tr_env W (I (x) X) W^dag from the system rows of W; then W (I (x) X) W^dag is slot 0.
+    W, S and the buffer are in the program's dtype; X is float64 when every rho0 is real.
+    A float64 program carries complex starts in its buffer as 2n real states,
+    [Re rho_1 .. Re rho_n, Im rho_1 .. Im rho_n] for n = len(states): a real map sends Re rho
+    and Im rho to the real and imaginary parts of its image, so each reduced chunk is written
+    as re + 1j im.
 
     Returns the ``(steps + 1, len(states), s, s)`` stack, complex128 as the states, after one
     :func:`check_states` in step order: an :class:`InvalidStateError` index
@@ -176,38 +178,40 @@ def evolve(step: StepCircuit, states, steps: int) -> np.ndarray:
     def halves(a):  # a stack of n as the buffer holds it: [Re a, Im a] when split
         return np.concatenate([a.real, a.imag]) if split else a
 
-    chunk = max(1, _CHUNK_ENTRIES // (width * dc * dc))
-    seen = rho0.any(axis=0)
-    occupied = np.flatnonzero((seen | seen.T).any(axis=0))  # a row or a column not all zero
-    x = rho0.take(occupied, 1).take(occupied, 2)
-    lift = np.zeros((1, dc, len(occupied)), dtype=dtype)  # W_0: |0> off the system
-    lift[0, occupied * blocks[2], range(len(occupied))] = 1
-    factors = [lift] * len(states)
-
-    def weighted(xi, w):  # W (I (x) X) as a (d_c, .) matrix; np.dot is @'s bits, 5x faster at m = 1
-        return np.dot(w.reshape(-1, len(occupied)), xi).reshape(dc, -1)
-
-    out[0] = rho0  # tr_env W_0 (I (x) X) W_0^dag, as rho0 is 0 off the occupied states
+    chunk = max(1, _CHUNK_ENTRIES // (dc * dc))  # steps a buffer holds: 2**14 entries a state
+    block = _block(dc, min(chunk, steps + 1))  # the dense loop's B when it starts at step 0
     base = steps + 1  # the first dense step; none if the run ends among the factor steps
-    for n in range(steps + 1):  # factor steps, while W is narrower than the register
-        if n:
-            factors = [run_compiled(program, w) for w in factors]  # one kernel call per state
-        if factors[0].shape[-1] >= dc:
-            base = n
-            break
-        for i, w in enumerate(factors if n else ()):  # tr_env W (I (x) X) W^dag
-            v = weighted(x[i], w).reshape(blocks[0], s, -1)  # rows: (before, system, after)
-            out[n, i] = np.einsum("bik,bjk->ij", v, w.conj().reshape(blocks[0], s, -1))
-    buffer = np.empty((min(chunk, steps + 1 - base), width, dc, dc), dtype=dtype)
-    for i, xi in enumerate(halves(x) if base <= steps else ()):  # W (I (x) X) W^dag, once
-        w = factors[i % len(states)]
-        np.matmul(weighted(xi, w), w[0].conj().T, out=buffer[0, i])
-    block = _block(dc, len(buffer))
-    powers = []  # S^T, (S^2)^T, .., (S^B)^T
-    if block > 1:
-        powers.append(superoperator(program).T)
-    for _ in range(block.bit_length() - 1):
-        powers.append(powers[-1] @ powers[-1])
+    if block > 1:  # dense from step 0: |0><0| (x) rho0 (x) |0><0|, rows i * after for i < s
+        base, buffer = 0, np.zeros((min(chunk, steps + 1), width, dc, dc), dtype=dtype)
+        buffer[0, :, :s * blocks[2]:blocks[2], :s * blocks[2]:blocks[2]] = halves(rho0)
+        powers = [superoperator(program).T]  # S^T, (S^2)^T, .., (S^B)^T
+        for _ in range(block.bit_length() - 1):
+            powers.append(powers[-1] @ powers[-1])
+    else:
+        seen = rho0.any(axis=0)
+        occupied = np.flatnonzero((seen | seen.T).any(axis=0))  # a row or a column not all zero
+        x = rho0.take(occupied, 1).take(occupied, 2)
+        lift = np.zeros((1, dc, len(occupied)), dtype=dtype)  # W_0: |0> off the system
+        lift[0, occupied * blocks[2], range(len(occupied))] = 1
+        factors = [lift] * len(states)
+
+        def weighted(xi, w):  # W (I (x) X), (d_c, .); np.dot is @'s bits, 5x faster at m = 1
+            return np.dot(w.reshape(-1, len(occupied)), xi).reshape(dc, -1)
+
+        out[0] = rho0  # tr_env W_0 (I (x) X) W_0^dag, as rho0 is 0 off the occupied states
+        for n in range(steps + 1):  # factor steps, while W is narrower than the register
+            if n:
+                factors = [run_compiled(program, w) for w in factors]  # one kernel call per state
+            if factors[0].shape[-1] >= dc:
+                base = n
+                break
+            for i, w in enumerate(factors if n else ()):  # tr_env W (I (x) X) W^dag
+                v = weighted(x[i], w).reshape(blocks[0], s, -1)  # rows: (before, system, after)
+                out[n, i] = np.einsum("bik,bjk->ij", v, w.conj().reshape(blocks[0], s, -1))
+        buffer = np.empty((min(chunk, steps + 1 - base), width, dc, dc), dtype=dtype)
+        for i, xi in enumerate(halves(x) if base <= steps else ()):  # W (I (x) X) W^dag, once
+            w = factors[i % len(states)]
+            np.matmul(weighted(xi, w), w[0].conj().T, out=buffer[0, i])
     n, vec = base, (-1, dc * dc)  # a slot's states as rows vec(rho)^T
     while n <= steps:  # dense steps
         j = (n - base) % len(buffer)  # slot j - 1 (the last one when j == 0) holds step n - 1
@@ -215,7 +219,10 @@ def evolve(step: StepCircuit, states, steps: int) -> np.ndarray:
         m = min(w, len(buffer) - j, steps + 1 - n)
         if w > 1:  # slots j .. j + m - 1 are S^w of the slots w before them
             src, dst = buffer[j - w:j - w + m].reshape(vec), buffer[j:j + m].reshape(vec)
-            np.matmul(src, powers[w.bit_length() - 1], out=dst)
+            if len(src) > 1:
+                np.matmul(src, powers[w.bit_length() - 1], out=dst)
+            else:  # one row goes to gemv, whose bits are not gemm's: add the next slot's row
+                dst[:] = (buffer[j - w:j - w + 2].reshape(vec) @ powers[w.bit_length() - 1])[:1]
         elif n > base:  # one kernel call for all states
             run_compiled(program, buffer[j - 1], out=buffer[j])
         n += m

@@ -2,6 +2,7 @@
 internals they check."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -238,6 +239,12 @@ def proj(v):
 
 def qstate(matrix, label="q"):
     return DensityMatrix(matrix, (Wire(label),))
+
+
+def physical_pages(monkeypatch, pages):
+    """Make ``os.sysconf`` report ``pages`` pages of physical memory, of 4096 bytes each."""
+    original, sizes = os.sysconf, {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": pages}
+    monkeypatch.setattr(os, "sysconf", lambda name: sizes.get(name) or original(name))
 
 
 def sequential_with_storage(ch, theta2, theta3):

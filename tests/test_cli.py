@@ -28,7 +28,7 @@ from oqsim.cli import (
 )
 from oqsim.engine import StepRecord, projector_observable, run
 
-from conftest import dense_trajectory
+from conftest import dense_trajectory, physical_pages
 
 
 class TestParseAngle:
@@ -823,6 +823,19 @@ class TestExitCodes:
         assert run_main_in(tmp_path, monkeypatch, argv) == 2
         assert capsys.readouterr().err == (
             f"config error: the nonmarkovian run (register dimension {2 ** (k + 1)}, 3 steps) "
+            "does not fit in memory\n"
+        )
+        assert os.listdir(tmp_path) == []
+
+    def test_memory_order_beyond_physical_memory_exits_2(self, tmp_path, monkeypatch, capsys):
+        """A compile that would outgrow physical memory is refused, not left to the kernel's
+        out-of-memory kill: k = 6 with memory made 47 pages of 4096 B, one short of its walk."""
+        physical_pages(monkeypatch, 47)
+        argv = ["--channel", "amplitude-damping", "--mode", "non-markovian",
+                "--thetas", ",".join(["0.1"] * 6), "--steps", "2", "--csv", "x.csv"]
+        assert run_main_in(tmp_path, monkeypatch, argv) == 2
+        assert capsys.readouterr().err == (
+            "config error: the nonmarkovian run (register dimension 128, 2 steps) "
             "does not fit in memory\n"
         )
         assert os.listdir(tmp_path) == []

@@ -38,6 +38,7 @@ from conftest import (
     full_kraus,
     kraus_apply,
     mixed_unitary,
+    physical_pages,
     random_channel_ops,
     random_density,
     sequential_with_storage,
@@ -642,6 +643,17 @@ def test_amplitude_damping_memory_steps_from_k6_keep_three_quarters_of_the_colum
     assert kraus.transpose(1, 0, 2).flags.c_contiguous
     full = full_kraus(program)
     assert [np.flatnonzero(op.any(axis=0)).tolist() for op in full] == columns.tolist()
+
+
+def test_a_compile_that_outgrows_physical_memory_raises_memory_error(monkeypatch):
+    """k = 6 (d = 128, d_c = 64, real): the walk's three largest tensors are 3 * 128 * 64 * 8 B
+    = 48 pages; one page fewer refuses before anything is allocated."""
+    step = _memory_step("amplitude-damping", 6)
+    physical_pages(monkeypatch, 48)
+    assert compile_step(step)[1].shape[1] == 64
+    physical_pages(monkeypatch, 47)
+    with pytest.raises(MemoryError, match="dim 128 register"):
+        compile_step(step)
 
 
 def _arms():

@@ -134,8 +134,8 @@ class TestRun:
 
         original = eng.run_compiled
 
-        def corrupting(compiled, states):
-            return states * 1.01
+        def corrupting(compiled, states, out=None):
+            return np.multiply(states, 1.01, out=out)
 
         eng.run_compiled = corrupting
         try:

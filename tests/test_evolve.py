@@ -96,14 +96,21 @@ def test_evolve_matches_dense_oracle(name, rng):
         assert np.max(np.abs(g - w)) <= 1e-12, f"step {n}"
 
 
-@pytest.mark.parametrize("name", ["memory-amplitude-damping-k3", "sequential-memory-k3"])
+@pytest.mark.parametrize(
+    "name",
+    ["memory-amplitude-damping-k3", "sequential-memory-k3", "markovian-dephasing",
+     "memory-dephasing-k2"],
+)
 def test_evolve_of_several_states_stacks_the_single_state_results(name, rng):
+    """Bit for bit at every length, across chunk ends and both starts of the dense loop: a
+    pair's chunks and block size are a single state's, and no S^w product has one row."""
     step = BUILDERS[name]
     a, b = _system_state(step, rng), _system_state(step, rng)
-    got = evolve(step, [a, b], 12)
-    assert got.shape == (13, 2, 2, 2)
-    want = np.stack([evolve(step, [a], 12)[:, 0], evolve(step, [b], 12)[:, 0]], axis=1)
-    assert np.array_equal(got, want)
+    for n in range(1, 71):
+        got = evolve(step, [a, b], n)
+        assert got.shape == (n + 1, 2, 2, 2)
+        want = np.stack([evolve(step, [a], n)[:, 0], evolve(step, [b], n)[:, 0]], axis=1)
+        assert np.array_equal(got, want), f"{n} steps"
 
 
 def _pure_state(step, rng):
@@ -148,18 +155,23 @@ def _matches_oracle(step, states, got):
 def test_factor_start_matches_dense_oracle(monkeypatch, rng, name, purity):
     step = FACTOR_STEPS[name]
     rho0 = (_pure_state if purity == "pure" else _system_state)(step, rng)
-    factor, dc = _factor_widths(step, 8), compile_step(step)[1].shape[1]
+    dc = compile_step(step)[1].shape[1]
+    steps = max(n for n in range(9) if engine._block(dc, n + 1) == 1)  # B = 1: factor steps run
+    factor = _factor_widths(step, steps)
     kernels = _counting(monkeypatch, "run_compiled")
-    got = evolve(step, [rho0], 8)
+    got = evolve(step, [rho0], steps)
     widths = [states.shape[-1] for _, states in kernels]
     assert widths[:len(factor)] == factor and set(widths[len(factor):]) <= {dc}
     _matches_oracle(step, [rho0], got)
 
 
-@pytest.mark.parametrize("steps", [0, 1, 2, 3])
-@pytest.mark.parametrize("name", ["overshoot", "memory-dephasing-k3"])
+@pytest.mark.parametrize(
+    "name, steps",
+    [("overshoot", n) for n in range(3)] + [("memory-dephasing-k3", n) for n in range(4)],
+)
 def test_steps_around_the_switch_to_dense_states(monkeypatch, rng, name, steps):
-    step = FACTOR_STEPS[name]  # overshoot switches after step 1, memory k=3 (d_c = 8) after 2
+    step = FACTOR_STEPS[name]  # overshoot switches after step 1, memory k=3 (d_c = 8) after 2;
+    # from 3 steps overshoot's d_c = 4 has B = 2 and starts dense (test_a_run_where_b_exceeds_1..)
     states = [_pure_state(step, rng), _system_state(step, rng)]
     shapes = []
     kernels = _counting(monkeypatch, "run_compiled", lambda _, out: shapes.append(out.shape) or out)
@@ -172,7 +184,7 @@ def test_steps_around_the_switch_to_dense_states(monkeypatch, rng, name, steps):
     want = [(1, dc, w) for w in factor for _ in states] + [(rows, dc, dc)] * (steps - len(factor))
     assert [s.shape for _, s in kernels] == want
     if name == "overshoot":
-        assert shapes == ([(1, 4, 8)] * 2 + [(2, 4, 4)] * 2)[:steps + min(steps, 1)]
+        assert shapes == ([(1, 4, 8)] * 2 + [(2, 4, 4)])[:steps + min(steps, 1)]
     _matches_oracle(step, states, got)
 
 
@@ -184,7 +196,7 @@ def test_factor_steps_across_chunk_boundaries(monkeypatch, rng, steps_per_chunk)
     whole = evolve(step, states, 40)
     want = [(1, 16, w) for w in (2, 4, 8) for _ in states] + [(4, 16, 16)] * 37
     assert [s.shape for _, s in kernels] == want  # one call per dense step, for both states
-    _chunk_steps(monkeypatch, step, 4, steps_per_chunk)  # 2 states as 4 real ones
+    _chunk_steps(monkeypatch, step, steps_per_chunk)
     got = evolve(step, states, 40)
     assert np.array_equal(got, whole)
     _matches_oracle(step, states, got)
@@ -217,10 +229,11 @@ def _counting(monkeypatch, name, replace=None):
     return calls
 
 
-def _chunk_steps(monkeypatch, step, n_states, steps_per_chunk):
-    """Set evolve's chunk budget so that one chunk holds ``steps_per_chunk`` steps."""
+def _chunk_steps(monkeypatch, step, steps_per_chunk):
+    """Set evolve's chunk budget, entries per state, so that one chunk holds ``steps_per_chunk``
+    steps."""
     dc = math.prod(step.layout[i].dim for i in engine.compile_step(step)[0])
-    monkeypatch.setattr(engine, "_CHUNK_ENTRIES", steps_per_chunk * n_states * dc * dc)
+    monkeypatch.setattr(engine, "_CHUNK_ENTRIES", steps_per_chunk * dc * dc)
 
 
 @pytest.mark.parametrize("steps_per_chunk", [1, 2, 3])
@@ -228,7 +241,7 @@ def test_chunked_evolve_is_bit_identical_to_one_chunk(monkeypatch, rng, steps_pe
     step = BUILDERS["sequential-memory-k3"]
     states = [_system_state(step, rng) for _ in range(3)]
     whole = evolve(step, states, 7)
-    _chunk_steps(monkeypatch, step, 3, steps_per_chunk)
+    _chunk_steps(monkeypatch, step, steps_per_chunk)
     reductions = _counting(monkeypatch, "partial_trace_matrix")
     got = evolve(step, states, 7)
     assert np.array_equal(got, whole)
@@ -248,17 +261,17 @@ def test_chunk_budget_below_one_step_gives_one_step_chunks(monkeypatch, rng):
 
 
 def test_chunk_buffer_holds_at_most_the_budget(monkeypatch, rng):
-    step = BUILDERS["markovian-dephasing"]  # d_c = 2: 2048 steps of Re rho and Im rho fill
-    reductions = _counting(monkeypatch, "partial_trace_matrix")  # the 2**14 entries
+    step = BUILDERS["markovian-dephasing"]  # d_c = 2: 4096 steps of Re rho fill 2**14 entries,
+    reductions = _counting(monkeypatch, "partial_trace_matrix")  # and so do those of Im rho
     evolve(step, [_system_state(step, rng)], 9000)
-    assert [len(stack) for stack, *_ in reductions] == [2048] * 4 + [809]
-    assert all(stack.size <= 2**14 for stack, *_ in reductions)
+    assert [len(stack) for stack, *_ in reductions] == [4096] * 2 + [809]
+    assert all(stack[:, 0].size <= 2**14 for stack, *_ in reductions)
 
 
 @pytest.mark.parametrize("steps_per_chunk", [1, 2, 3, 6])  # 6: all 5 steps and the start
 def test_evolve_compiles_once_and_runs_each_state_once_per_step(monkeypatch, rng, steps_per_chunk):
     step = BUILDERS["sequential-memory-k3"]
-    _chunk_steps(monkeypatch, step, 3, steps_per_chunk)
+    _chunk_steps(monkeypatch, step, steps_per_chunk)
     programs = []
     compiles = _counting(monkeypatch, "compile_step", lambda _, p: programs.append(p) or p)
     kernels = _counting(monkeypatch, "run_compiled")
@@ -280,6 +293,46 @@ def test_k7_factor_doubles_until_it_fills_the_carried_register(monkeypatch, rng)
     want = [(1, 128, 2**n) for n in range(1, 7)] + [(2, 128, 128)] * 2  # Re rho and Im rho
     assert [states.shape for _, states in kernels] == want
     _matches_oracle(step, [rho0], got)
+
+
+@pytest.mark.parametrize(
+    "name, starts, steps",
+    [
+        ("overshoot", ("pure", "mixed"), 3),  # d_c = 4: B = 2 from 4 slots
+        ("markovian-amplitude-damping", ("basis",), 5),  # the (2, 1) lift is not taken
+        ("memory-dephasing-k2", ("basis", "mixed"), 8),  # real: Re and Im of each state
+        ("memory-amplitude-damping-k3", ("pure", "pure"), 50),  # a blp_grid pair: B = 8
+        ("sequential-memory-k3", ("basis", "mixed", "pure"), 40),  # complex, system between
+    ],
+)
+def test_a_run_where_b_exceeds_1_starts_dense_from_step_0(monkeypatch, rng, name, starts, steps):
+    """No kernel call maps a narrow W: slot 0 is the lifted states, and the one call of the
+    chunk, for slot 1, takes the square (n, d_c, d_c) stack of all of them."""
+    step = FACTOR_STEPS[name]
+    states = [_start(step, rng, kind) for kind in starts]
+    _, kraus, _ = compile_step(step)
+    dc = kraus.shape[1]
+    assert engine._block(dc, steps + 1) > 1
+    kernels = _counting(monkeypatch, "run_compiled")
+    got = evolve(step, states, steps)
+    _, lifted = _carried(step, states)
+    if kraus.dtype == np.float64 and any(r.matrix.imag.any() for r in states):
+        lifted = np.concatenate([lifted.real, lifted.imag])
+    assert len(kernels) == 1 and np.array_equal(kernels[0][1], lifted)
+    _matches_oracle(step, states, got)
+
+
+def test_k7_damping_from_one_keeps_its_factor_phase_at_any_length(monkeypatch):
+    """d_c = 128 puts one slot in a chunk, so B = 1: widths 1, 2, .., 64, then dense calls."""
+    mem = MemorySpec(7, (0.3, 1.1, 2.0, 0.7, 2.9, 0.4, 1.6))
+    step = build_nonmarkovian_step("amplitude-damping", mem)
+    rho0 = _basis_state(step, 0.0, 1.0)
+    kernels = _counting(monkeypatch, "run_compiled")
+    built = _counting(monkeypatch, "superoperator")
+    got = evolve(step, [rho0], 40)
+    want = [(1, 128, 2**n) for n in range(7)] + [(1, 128, 128)] * 33
+    assert [states.shape for _, states in kernels] == want and built == []
+    assert np.max(np.abs(got - _per_step(step, [rho0], 40))) <= 1e-12
 
 
 def _basis_state(step, *weights):
@@ -313,13 +366,14 @@ def test_a_call_from_zero_and_one_lifts_both_basis_states(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_markovian_arm_from_one_takes_one_factor_step_then_the_superoperator(monkeypatch, kind):
+def test_markovian_arm_from_one_takes_one_factor_step_where_b_is_1(monkeypatch, kind):
     step = BUILDERS[f"markovian-{kind}"]
     rho0 = _basis_state(step, 0.0, 1.0)
     kernels = _counting(monkeypatch, "run_compiled")
-    got = evolve(step, [rho0], 5)
-    # B = 2 for the dense steps 1..5: step 2 is one call, steps 3..5 are S^2 of steps 1..3
-    assert [s.shape for _, s in kernels] == [(1, 2, 1), (1, 2, 2)]
+    built = _counting(monkeypatch, "superoperator")
+    got = evolve(step, [rho0], 2)
+    # 3 slots at d_c = 2: B = 1, so the (2, 1) lift takes one factor step, then one dense call
+    assert [s.shape for _, s in kernels] == [(1, 2, 1), (1, 2, 2)] and built == []
     _matches_oracle(step, [rho0], got)
 
 
@@ -344,18 +398,18 @@ def _qutrit_step():
 
 
 @pytest.mark.parametrize(
-    "name, weights, width",
+    "name, weights, width, steps",
     [
-        ("memory-dephasing-k3", (0.25, 0.75), 2),
-        ("behind", (0.0, 1.0), 1),
-        ("qutrit", (0.5, 0.0, 0.5), 2),  # rows 0 and 2: a lift with a gap
+        ("memory-dephasing-k3", (0.25, 0.75), 2, 6),
+        ("behind", (0.0, 1.0), 1, 2),  # d_c = 4: B = 1 up to 2 steps
+        ("qutrit", (0.5, 0.0, 0.5), 2, 6),  # rows 0 and 2: a lift with a gap
     ],
 )
-def test_diagonal_mixed_start_matches_the_oracle(monkeypatch, name, weights, width):
+def test_diagonal_mixed_start_matches_the_oracle(monkeypatch, name, weights, width, steps):
     step = {"behind": _system_behind_a_carried_wire(), "qutrit": _qutrit_step(), **BUILDERS}[name]
     rho0 = _basis_state(step, *weights)
     kernels = _counting(monkeypatch, "run_compiled")
-    got = evolve(step, [rho0], 6)
+    got = evolve(step, [rho0], steps)
     assert kernels[0][1].shape[-1] == width
     _matches_oracle(step, [rho0], got)
 
@@ -372,9 +426,11 @@ def test_a_run_that_ends_among_the_factor_steps_forms_no_carried_state(monkeypat
 
 @pytest.mark.parametrize("steps_per_chunk", [1, 2, 3, 6])
 def test_evolve_error_index_is_step_times_states_plus_state(monkeypatch, rng, steps_per_chunk):
-    step = BUILDERS["memory-dephasing-k2"]  # d_c = 4: step 1 fills it, steps 1..5 are reduced
-    _chunk_steps(monkeypatch, step, 2, steps_per_chunk)
-    first = [1]  # the step of the next reduced slot
+    step = BUILDERS["memory-dephasing-k2"]  # d_c = 4
+    _chunk_steps(monkeypatch, step, steps_per_chunk)
+    # chunks of 1..3 steps have B = 1: step 1 fills d_c and steps 1..5 are reduced; a chunk of 6
+    # has B = 2, so the run is dense, and reduced, from step 0
+    first = [1 if steps_per_chunk < 4 else 0]  # the step of the next reduced slot
 
     def break_state_1_from_step_3(_, reduced):
         reduced[max(3 - first[0], 0):, 1] *= 2
@@ -387,21 +443,28 @@ def test_evolve_error_index_is_step_times_states_plus_state(monkeypatch, rng, st
     assert info.value.invariant == "trace" and info.value.index == 7
 
 
-def _per_step(step, states, steps):
-    """The plain loop: |0><0| (x) rho0 (x) |0><0| on the carried register, one kernel call per
-    step on all states, and the system block of each step's states by a partial trace."""
-    program = compile_step(step)
-    kept = [step.layout[i] for i in program[0]]
+def _carried(step, states):
+    """``(blocks, start)``: the carried register's (before, system, after) dims, and the stack
+    of |0><0| (x) rho0 (x) |0><0| on it."""
+    kept = [step.layout[i] for i in compile_step(step)[0]]
     at = [w.label for w in kept].index(step.system[0])
     s = states[0].dim
     before = math.prod(w.dim for w in kept[:at])
     after = math.prod(w.dim for w in kept) // (before * s)
     zero = [np.diag([1.0] + [0.0] * (d - 1)) for d in (before, after)]
-    rho = np.array([np.kron(np.kron(zero[0], r.matrix), zero[1]) for r in states])
+    lifted = [np.kron(np.kron(zero[0], r.matrix), zero[1]) for r in states]
+    return (before, s, after), np.array(lifted)
+
+
+def _per_step(step, states, steps):
+    """The plain loop: |0><0| (x) rho0 (x) |0><0| on the carried register, one kernel call per
+    step on all states, and the system block of each step's states by a partial trace."""
+    program = compile_step(step)
+    blocks, rho = _carried(step, states)
     stack = [rho]
     for _ in range(steps):
         stack.append(rho := run_compiled(program, rho))
-    return partial_trace_matrix(np.array(stack), (before, s, after), 0, 2)
+    return partial_trace_matrix(np.array(stack), blocks, 0, 2)
 
 
 SMALL_STEPS = {  # d_c <= 9, where evolve's block size B can exceed 1
@@ -433,9 +496,44 @@ def test_block_loop_matches_the_per_step_loop(name, kinds, steps, steps_per_chun
     states = [_start(step, rng, kind) for kind in kinds]
     with pytest.MonkeyPatch.context() as patch:
         if steps_per_chunk is not None:
-            _chunk_steps(patch, step, len(states), steps_per_chunk)
+            _chunk_steps(patch, step, steps_per_chunk)
         got = evolve(step, states, steps)
     assert np.max(np.abs(got - _per_step(step, states, steps)), initial=0.0) <= 1e-12
+
+
+def _random_step(seed, carried, at, resets, real):
+    """One Haar unitary (orthogonal if ``real``) on q, the ``carried`` wires of those dims with q
+    at index ``at`` among them, and ``resets`` qubits, which are then reset: d_c = 2 prod(carried)
+    and r = 2**resets operators."""
+    wires = [Wire(f"a{i}", d) for i, d in enumerate(carried)]
+    layout = (*wires[:at], Wire("q"), *wires[at:], *[Wire(f"e{i}") for i in range(resets)])
+    d, rng = math.prod(w.dim for w in layout), np.random.default_rng(seed)
+    g = rng.normal(size=(d, d)) + (0 if real else 1j * rng.normal(size=(d, d)))
+    ops = [GateOp("unitary-apply", tuple(w.label for w in layout), matrix=np.linalg.qr(g)[0])]
+    ops += [GateOp.reset(f"e{i}") for i in range(resets)]
+    return StepCircuit("random", layout, ("q",), ops)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    carried=st.lists(st.sampled_from([2, 3]), max_size=3).filter(lambda c: math.prod(c) <= 8),
+    at=st.integers(0, 2),
+    resets=st.integers(1, 2),
+    real=st.booleans(),
+    kinds=st.lists(st.sampled_from(["mixed", "pure", "basis"]), min_size=1, max_size=3),
+    steps=st.integers(0, 40),
+    seed=st.integers(0, 2**16),
+)
+@example(carried=[2], at=0, resets=1, real=True, kinds=["pure"], steps=2, seed=0)  # B = 1
+@example(carried=[2], at=1, resets=1, real=True, kinds=["pure"], steps=3, seed=0)  # B = 2
+@example(carried=[2, 2], at=1, resets=2, real=False, kinds=["basis", "mixed"], steps=40, seed=1)
+def test_random_steps_match_the_dense_oracle(carried, at, resets, real, kinds, steps, seed):
+    """Random steps on d_c <= 16 from 1..3 starts, across the switch between B = 1 (the factor
+    phase, then one call a step) and B > 1 (dense from step 0)."""
+    step = _random_step(seed, carried, min(at, len(carried)), resets, real)
+    rng = np.random.default_rng(seed + 1)
+    states = [_start(step, rng, kind) for kind in kinds]
+    _matches_oracle(step, states, evolve(step, states, steps))
 
 
 def test_fig7_memory_arm_over_3000_steps_matches_the_per_step_loop():
@@ -478,7 +576,7 @@ def test_a_gathered_program_builds_s_where_b_exceeds_1(monkeypatch):
     step = _column_stochastic_step()
     _, kraus, columns = compile_step(step)
     assert kraus.shape == (81, 9, 1) and columns.shape == (81, 1)
-    assert engine._block(9, engine._CHUNK_ENTRIES // 81) > 1  # a real start: one state a slot
+    assert engine._block(9, engine._CHUNK_ENTRIES // 81) > 1
     built = _counting(monkeypatch, "superoperator")
     mixed = [DensityMatrix(np.eye(9, dtype=complex) / 9, (Wire("q", 9),))]
     got = evolve(step, mixed, 300)
@@ -526,7 +624,7 @@ def test_compile_builds_no_superoperator(monkeypatch):
 def test_block_size_doubles_only_where_the_squarings_pay():
     assert engine._block(16, 64) == 1  # 64 slots: the largest chunk at d_c = 16
     assert engine._block(128, 2) == 1
-    assert engine._block(8, 49) == 8  # a blp_grid pair's 49 dense steps
+    assert engine._block(8, 51) == 8  # a blp_grid pair: steps 0..50 in one chunk
     assert engine._block(2, 4096) == 2048
     assert [engine._block(2, slots) for slots in (1, 2, 3)] == [1, 1, 1]
 
@@ -675,8 +773,8 @@ def test_complex_starts_of_a_real_program_match_the_dense_oracle(
     ]
     assert compile_step(step)[1].dtype == np.float64
     with pytest.MonkeyPatch.context() as patch:
-        if steps_per_chunk is not None:  # 2 n real states per step
-            _chunk_steps(patch, step, 2 * len(states), steps_per_chunk)
+        if steps_per_chunk is not None:
+            _chunk_steps(patch, step, steps_per_chunk)
         seen, reductions = _kernel_dtypes(patch), _counting(patch, "partial_trace_matrix")
         got = evolve(step, states, steps)
         budget = engine._CHUNK_ENTRIES
@@ -684,14 +782,14 @@ def test_complex_starts_of_a_real_program_match_the_dense_oracle(
     buffers = [stack for stack, *_ in reductions]  # the dense buffer, which S^w products write
     assert set(seen + [b.dtype for b in buffers]) <= {np.dtype(np.float64)}
     assert all(b.shape[1] == 2 * len(states) for b in buffers)
-    assert all(b.size <= max(budget, b[0].size) for b in buffers)
+    assert all(b[:, 0].size <= max(budget, b[0, 0].size) for b in buffers)  # entries a state
     _matches_oracle(step, states, got)
 
 
 @pytest.mark.parametrize("half", [0, 1])  # the real or the imaginary part of state 1
 def test_error_index_of_a_complex_pair_is_step_times_states_plus_state(monkeypatch, rng, half):
     step = BUILDERS["memory-dephasing-k2"]  # real, d_c = 4: step 1 fills it, 1..5 are reduced
-    _chunk_steps(monkeypatch, step, 4, 2)
+    _chunk_steps(monkeypatch, step, 2)
     first = [1]  # the step of the next reduced slot
 
     def break_state_1_from_step_3(_, reduced):  # rows Re rho_0, Re rho_1, Im rho_0, Im rho_1
