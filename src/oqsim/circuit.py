@@ -433,9 +433,9 @@ def compile_step(step: StepCircuit, full: bool = False):
     operator index and leaves length 1.  After a reset the stack is compressed once r is past
     the rows times d_c by :func:`_compress`'s priced margin, and at end to r <= d_c^2;
     :func:`_kraus_form` stores each operator once.  It is float64 when no gate has a nonzero
-    imaginary part, else complex128.  A d_c too large to allocate raises :class:`MemoryError`,
-    also where the walk's three largest tensors, d d_c entries each, would outgrow physical
-    memory: an overcommitting kernel lets the allocation pass and kills the process on use.
+    imaginary part, else complex128.  It raises :class:`MemoryError` before the walk allocates
+    where its three largest tensors, d d_c entries each, would outgrow physical memory: an
+    overcommitting kernel lets the allocation pass and kills the process on use.
 
     A gate waits for the next op: a library gate with no theta but H, a signed permutation, on a
     subset of its wires folds in exactly as ``E @ G`` (:func:`_embed`).  A wire tuple acts in the
@@ -452,10 +452,7 @@ def compile_step(step: StepCircuit, full: bool = False):
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if 3 * math.prod(dims) * dc * (8 if real else 16) > memory:
         raise MemoryError(f"the compile of a dim {math.prod(dims)} register outgrows memory")
-    try:
-        acc = np.eye(dc, dtype=float if real else complex).reshape(rows + [dc])
-    except ValueError as exc:  # a shape beyond numpy's index range
-        raise MemoryError(str(exc)) from None
+    acc = np.eye(dc, dtype=float if real else complex).reshape(rows + [dc])
     where = {w.label: i for i, w in enumerate(step.layout)}
     plans, folds, masks, gate = {}, {}, {}, None  # gate: the one waiting, on wires by plan
     for op in step.ops:

@@ -148,9 +148,12 @@ _KEYS = {
 }
 _SECTIONS = ("experiment", "outputs")
 # keys that only some arms read, by mode, or by channel for the pauli and custom-file runs
-# (which read no theta); every run reads every other key of _KEYS
+# (which stand for mode sequential and read no theta); every run reads every other key of _KEYS
 _ARM_KEYS = {"markovian": ("theta",), "non-markovian": ("thetas", "k"), "sequential": ("theta",),
              "pauli": ("px", "py", "pz"), "custom-file": ("channel_file",)}
+# the one key of _ARM_KEYS that an arm cannot run without; pauli's probabilities default to 0
+_ARM_REQUIRED = {"markovian": "theta", "non-markovian": "thetas", "sequential": "theta",
+                 "custom-file": "channel_file"}
 
 
 @dataclass
@@ -257,26 +260,21 @@ def _build_config(raw: dict, path=None) -> ExperimentConfig:
             except (ConfigError, ValueError) as exc:
                 fail(key, str(exc))
 
-    for mode in modes:
-        if mode == "markovian" or mode == "sequential" and channel not in ("pauli", "custom-file"):
-            if "theta" not in values:
-                fail("theta", f"mode {mode} requires 'theta'")
+    arms = tuple(channel if m == "sequential" and channel in _ARM_KEYS else m for m in modes)
+    for arm in arms:
+        if (key := _ARM_REQUIRED.get(arm)) is not None and key not in raw:
+            fail(key, f"{'channel' if arm == channel else 'mode'} {arm} requires {key!r}")
     if "non-markovian" in modes:
-        if "thetas" not in values:
-            fail("thetas", "mode non-markovian requires 'thetas'")
         thetas = values["thetas"]
         k = values.setdefault("k", len(thetas))
         if k < 2:
             fail("k", f"mode non-markovian requires k >= 2, got {k}")
         if len(thetas) != k:
             fail("thetas", f"'thetas' has {len(thetas)} angles but k = {k}")
-    if channel in ("pauli", "custom-file") and modes != ("sequential",):
+    if channel in _ARM_KEYS and modes != ("sequential",):
         fail("channel", f"channel {channel} requires mode sequential")
-    if channel == "custom-file" and "channel_file" not in raw:
-        fail("channel_file", "channel custom-file requires 'channel_file'")
     if values["steps"] < 1:
         fail("steps", f"steps must be >= 1, got {values['steps']}")
-    arms = (channel,) if channel in _ARM_KEYS else modes
     read = set(_KEYS).difference(*_ARM_KEYS.values()).union(*map(_ARM_KEYS.get, arms))
     for key in user:
         if key not in read:

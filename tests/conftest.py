@@ -7,8 +7,15 @@ import os
 import numpy as np
 import pytest
 
-from oqsim.channels import KrausChannel
-from oqsim.circuit import GateOp, StepCircuit, build_sequential_step
+from oqsim.channels import KrausChannel, pauli_channel
+from oqsim.circuit import (
+    GateOp,
+    MemorySpec,
+    StepCircuit,
+    build_markovian_step,
+    build_nonmarkovian_step,
+    build_sequential_step,
+)
 from oqsim.qmath import DensityMatrix, Wire
 
 
@@ -265,3 +272,26 @@ def sequential_with_storage(ch, theta2, theta3):
            *factor_ops, GateOp.swap("e1", "e2"), GateOp.swap("e2", "e3"), reset_c]
     layout = tuple(Wire(w) for w in ("c", "q", "e1", "e2", "e3"))
     return StepCircuit(plain.label, layout, ("q",), ops)
+
+
+KINDS = ("amplitude-damping", "dephasing")
+THETAS = (math.pi / 10, 2 * math.pi / 3, 5 * math.pi / 6, math.pi / 4)
+
+
+def _example_steps():
+    steps = {}
+    for kind in KINDS:
+        steps[f"markovian-{kind}"] = build_markovian_step(kind, math.pi / 7)
+        for k in range(2, 5):
+            steps[f"memory-{kind}-k{k}"] = build_nonmarkovian_step(kind, MemorySpec(k, THETAS[:k]))
+    pauli = pauli_channel(0.05, 0.1, 0.15)
+    # layout (c, q, e..): q sits between two traced blocks
+    steps["sequential"] = build_sequential_step(pauli)
+    steps["sequential-memory-k3"] = sequential_with_storage(pauli, *THETAS[1:3])
+    return steps
+
+
+# The suite's shared example steps by name, built once: the Markovian steps at pi/7, the memory
+# steps at k = 2..4 on THETAS[:k], the sequential step of a Pauli channel and that step with
+# storage wires.  A test module copies the dict to add its own.
+EXAMPLE_STEPS = _example_steps()

@@ -101,6 +101,15 @@ class TestStandardGate:
 
 
 class TestStepCircuitInvariants:
+    @pytest.mark.parametrize("obj, attr", [
+        (GateOp.gate("H", ("q",)), "name"),
+        (build_markovian_step("dephasing", 0.3), "label"),
+        (KrausChannel(2, [np.eye(2)]), "label"),
+    ], ids=["GateOp", "StepCircuit", "KrausChannel"])
+    def test_setting_an_attribute_raises(self, obj, attr):
+        with pytest.raises(AttributeError, match=f"^{type(obj).__name__} is immutable$"):
+            setattr(obj, attr, "x")
+
     def test_unknown_wire_rejected(self):
         with pytest.raises(BuilderError, match="unknown wire"):
             StepCircuit("bad", (Wire("q"),), ("q",), [GateOp.reset("e")])
@@ -469,6 +478,10 @@ class TestDilationStep:
     def test_amplitude_damping_single_env_qubit(self):
         step = build_dilation_step(amplitude_damping(0.3))
         assert [w.label for w in step.layout] == ["q", "e1"]
+
+    def test_channel_dim_must_be_a_power_of_two(self):
+        with pytest.raises(BuilderError, match=r"^channel dim 3 is not a power of two$"):
+            build_dilation_step(KrausChannel(3, [np.eye(3)]))
 
 
 class TestApplyStep:

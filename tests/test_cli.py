@@ -645,6 +645,11 @@ class TestErrorOrigins:
 class TestUnreadKeys:
     """A key that the user sets and that no configured arm reads exits 2 and names the key."""
 
+    def test_every_arm_reads_the_key_it_requires(self):
+        """So no arm can require a key that it also refuses as unread."""
+        assert set(cli._ARM_KEYS) | set(cli._ARM_REQUIRED) <= set(cli._MODES + cli._CHANNELS)
+        assert all(key in cli._ARM_KEYS.get(arm, ()) for arm, key in cli._ARM_REQUIRED.items())
+
     @pytest.mark.parametrize("argv,err", [
         (["--channel", "dephasing", "--mode", "markovian", "--theta", "pi/5",
           "--thetas", "pi/4, pi/3", "--steps", "3"],
@@ -724,6 +729,16 @@ class TestExitCodes:
         assert done.stdout == cli._resource_comparison_table() + "\n"
         assert os.listdir(tmp_path) == []
 
+    def test_resource_table_alone_prints_the_header_and_four_rows(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        assert run_main_in(tmp_path, monkeypatch, ["--resource-table"]) == 0
+        out, err = capsys.readouterr()
+        rows = [line.split() for line in out.splitlines()]
+        assert rows[0] == ["l", "sequential_qubits", "dilation_qubits", "sequential_gates_per_step"]
+        assert [row[0] for row in rows[1:]] == ["2", "4", "8", "16"]
+        assert err == "" and os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("flag,key", [
         ("--csv", "csv"), ("--svg", "svg"), ("--dump-circuit", "circuit"),
     ])
@@ -768,6 +783,17 @@ class TestExitCodes:
         argv = ["--channel", "custom-file", "--mode", "sequential", "--channel-file", "ch.json"]
         assert run_main_in(tmp_path, monkeypatch, argv) == 2
         assert "config error: cannot load channel file 'ch.json'" in capsys.readouterr().err
+
+    def test_an_operator_that_is_not_a_pair_list_exits_2_quoting_it(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        (tmp_path / "ch.json").write_text('{"dim": 2, "operators": ["abc"]}')
+        argv = ["--channel", "custom-file", "--mode", "sequential", "--channel-file", "ch.json"]
+        assert run_main_in(tmp_path, monkeypatch, argv) == 2
+        assert capsys.readouterr().err == (
+            "config error: cannot load channel file 'ch.json': "
+            "operator entries must be [re, im] number pairs, got 'abc'\n"
+        )
 
     def test_deeply_nested_channel_file_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys):
         (tmp_path / "deep.json").write_text("[" * 200000 + "]" * 200000)
@@ -1020,6 +1046,13 @@ class TestExitCodes:
         (["--channel", "dephasing", "--mode", "markovian", "--theta", "pi/5",
           "--initial", "1,0;0,inf"],
          "cannot parse initial state '1,0;0,inf': trace (inf+0j) deviates from 1 beyond 1e-10"),
+        (["--channel", "dephasing", "--mode", "markovian", "--theta", "pi/5", "--initial", "1;0"],
+         "cannot parse initial state '1;0': expected a square matrix, got shape (2, 1)"),
+        # two faults each: the arm's required key comes before the channel's mode
+        (["--channel", "pauli", "--mode", "markovian"], "mode markovian requires 'theta'"),
+        (["--channel", "pauli", "--mode", "non-markovian"], "mode non-markovian requires 'thetas'"),
+        (["--channel", "custom-file", "--mode", "markovian", "--theta", "pi/5"],
+         "channel custom-file requires mode sequential"),
     ])
     def test_config_rule_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys, argv, err):
         (tmp_path / "dup.cfg").write_text(
@@ -1060,6 +1093,15 @@ class TestAtomicWrite:
         assert (tmp_path / "out.csv").read_text() == "a\n"
         assert taken.read_text() == "another writer's\n"
         assert sorted(os.listdir(tmp_path)) == sorted(["out.csv", taken.name])
+
+    def test_a_temp_name_taken_100_times_raises_output_error(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli.os, "urandom", lambda n: bytes(6))
+        taken = tmp_path / f"tmp{bytes(6).hex()}.tmp"
+        taken.write_text("another writer's\n")
+        with pytest.raises(cli.OutputError, match=r"^cannot write .*out\.csv: File exists$"):
+            cli._atomic_write(str(tmp_path / "out.csv"), "a\n")
+        assert os.listdir(tmp_path) == [taken.name]
+        assert taken.read_text() == "another writer's\n"
 
     def test_the_temp_file_is_made_where_the_directory_resolves(self, tmp_path, monkeypatch):
         # b/link/.. is a/, where link points: the temp file goes there, beside x.csv, not in b/

@@ -31,6 +31,9 @@ from oqsim.engine import evolve
 from oqsim.qmath import DensityMatrix, Wire
 
 from conftest import (
+    EXAMPLE_STEPS,
+    KINDS,
+    THETAS,
     dense_apply,
     dense_maps,
     dense_trajectory,
@@ -41,11 +44,8 @@ from conftest import (
     physical_pages,
     random_channel_ops,
     random_density,
-    sequential_with_storage,
 )
 
-KINDS = ("amplitude-damping", "dephasing")
-THETAS = (math.pi / 10, 2 * math.pi / 3, 5 * math.pi / 6, math.pi / 4, 1.1)
 QUBITS3 = (Wire("q"), Wire("a"), Wire("b"))
 ORACLE_STEPS = 50
 
@@ -57,16 +57,9 @@ def _unitary(seed, n):
 
 
 def _steps():
-    steps = {}
+    steps = dict(EXAMPLE_STEPS)
     for kind in KINDS:
-        steps[f"markovian-{kind}"] = build_markovian_step(kind, math.pi / 7)
-        for k in range(2, 6):
-            steps[f"memory-{kind}-k{k}"] = build_nonmarkovian_step(
-                kind, MemorySpec(k, THETAS[:k])
-            )
-    pauli = pauli_channel(0.05, 0.1, 0.15)
-    steps["sequential"] = build_sequential_step(pauli)
-    steps["sequential-memory-k3"] = sequential_with_storage(pauli, *THETAS[1:3])
+        steps[f"memory-{kind}-k5"] = build_nonmarkovian_step(kind, MemorySpec(5, (*THETAS, 1.1)))
     steps["sequential-l16"] = build_sequential_step(mixed_unitary(3, 16))
     ops = random_channel_ops(np.random.default_rng(5), n=4, l=3)
     steps["dilation-2-qubit"] = build_dilation_step(KrausChannel(4, ops, label="rand4"))

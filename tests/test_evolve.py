@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import oqsim.circuit as circuit
 import oqsim.engine as engine
 from oqsim.analysis import blp_witness
-from oqsim.channels import KrausChannel, pauli_channel, stinespring_dilate
+from oqsim.channels import KrausChannel, stinespring_dilate
 from oqsim.circuit import (
     GateOp,
     MemorySpec,
@@ -19,7 +19,6 @@ from oqsim.circuit import (
     build_dilation_step,
     build_markovian_step,
     build_nonmarkovian_step,
-    build_sequential_step,
     compile_step,
     run_compiled,
 )
@@ -33,38 +32,24 @@ from oqsim.qmath import (
 )
 
 from conftest import (
+    EXAMPLE_STEPS,
+    KINDS,
+    THETAS,
     brute_partial_trace,
     dense_reduce,
     dense_trajectory,
     full_kraus,
     random_channel_ops,
     random_density,
-    sequential_with_storage,
 )
 
-KINDS = ("amplitude-damping", "dephasing")
-THETAS = (math.pi / 10, 2 * math.pi / 3, 5 * math.pi / 6, math.pi / 4)
 STEPS = 30
-
-
-def _steps():
-    steps = {}
-    for kind in KINDS:
-        steps[f"markovian-{kind}"] = build_markovian_step(kind, math.pi / 7)
-        for k in range(2, 5):
-            steps[f"memory-{kind}-k{k}"] = build_nonmarkovian_step(
-                kind, MemorySpec(k, THETAS[:k])
-            )
-    pauli = pauli_channel(0.05, 0.1, 0.15)
-    # layout (c, q, e..): q sits between two traced blocks
-    steps["sequential"] = build_sequential_step(pauli)
-    steps["sequential-memory-k3"] = sequential_with_storage(pauli, *THETAS[1:3])
-    ops = random_channel_ops(np.random.default_rng(5), n=2, l=4)
-    steps["dilation"] = build_dilation_step(KrausChannel(2, ops, label="rand2"))
-    return steps
-
-
-BUILDERS = _steps()
+BUILDERS = {
+    **EXAMPLE_STEPS,
+    "dilation": build_dilation_step(
+        KrausChannel(2, random_channel_ops(np.random.default_rng(5), n=2, l=4), label="rand2")
+    ),
+}
 
 
 def _system_state(step, rng):

@@ -92,7 +92,8 @@ def test_every_test_module_uses_what_it_imports():
 
 # Classes and step builders: the dense references never run the code they check.
 REFERENCE_IMPORTS = {
-    "GateOp", "StepCircuit", "build_sequential_step", "DensityMatrix", "Wire", "KrausChannel",
+    "GateOp", "StepCircuit", "DensityMatrix", "Wire", "KrausChannel", "MemorySpec",
+    "build_markovian_step", "build_nonmarkovian_step", "build_sequential_step", "pauli_channel",
 }
 
 

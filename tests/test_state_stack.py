@@ -8,17 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oqsim.channels import pauli_channel
-from oqsim.circuit import (
-    MemorySpec,
-    build_markovian_step,
-    build_nonmarkovian_step,
-    build_sequential_step,
-)
 from oqsim.engine import evolve, measure, projector_observable, purity, run
 from oqsim.qmath import DensityMatrix, InvalidStateError, Wire, check_states
 
-from conftest import random_density
+from conftest import EXAMPLE_STEPS, random_density
 
 BREAKS = ("none", "trace", "hermitian", "psd", "nan")
 
@@ -122,11 +115,10 @@ def test_nan_state_fails_as_hermitian(rng, index, defect):
     assert str(err.value) == "matrix is not Hermitian within 1e-10"
 
 
-THETAS = (math.pi / 10, 2 * math.pi / 3, 5 * math.pi / 6)
 BUILDERS = {
-    "markovian": build_markovian_step("amplitude-damping", math.pi / 7),
-    "memory-k3": build_nonmarkovian_step("dephasing", MemorySpec(3, THETAS)),
-    "sequential": build_sequential_step(pauli_channel(0.05, 0.1, 0.15)),
+    "markovian": EXAMPLE_STEPS["markovian-amplitude-damping"],
+    "memory-k3": EXAMPLE_STEPS["memory-dephasing-k3"],
+    "sequential": EXAMPLE_STEPS["sequential"],
 }
 NAMES = ("p0", "p1", "p+", "p-")
 
