@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,8 +18,7 @@ from .qmath import (
 MONOTONE_ATOL = 1e-9
 
 
-@dataclass(frozen=True)
-class MonotonicityVerdict:
+class MonotonicityVerdict(NamedTuple):
     """Whether an observable series ever rises by more than ``MONOTONE_ATOL``.
 
     ``max_revival`` is the largest single-step increase (negative when the
@@ -60,8 +59,7 @@ def blp_witness(
     return float(revivals[revivals > 0].sum())
 
 
-@dataclass(frozen=True)
-class ResourceReport:
+class ResourceReport(NamedTuple):
     """Counted resources of a step circuit.
 
     ``gates_per_step`` counts every directive (trace-reset and SWAP are one
@@ -85,7 +83,9 @@ class ResourceReport:
 
 
 def resource_count(step: StepCircuit, steps: int) -> ResourceReport:
-    """Count the qubits and ops of a step, and its ops over ``steps`` steps."""
+    """Count the qubits and ops of a step, and its ops over ``steps`` >= 0 steps."""
+    if steps < 0:
+        raise ValueError(f"step count {steps} must be >= 0")
     qubits = 0
     for w in step.layout:
         nq = int(round(math.log2(w.dim)))

@@ -15,7 +15,7 @@ import json
 import math
 import operator
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -154,24 +154,21 @@ class GateOp:
         return f"GateOp({self.name or 'U'} on {self.wires}{extra})"
 
 
-@dataclass(frozen=True)
-class MemorySpec:
-    """Memory order k and the storage angles theta^1..theta^k."""
+class MemorySpec(namedtuple("MemorySpec", "k thetas")):
+    """Memory order k and the storage angles theta^1..theta^k, stored as floats."""
 
-    k: int
-    thetas: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "thetas", tuple(float(t) for t in self.thetas))
-        if self.k < 1:
-            raise BuilderError(f"memory order k={self.k} must be >= 1")
-        if len(self.thetas) != self.k:
-            raise BuilderError(
-                f"{len(self.thetas)} angles given for memory order k={self.k}"
-            )
-        for t in self.thetas:
+    def __new__(cls, k: int, thetas):
+        thetas = tuple(float(t) for t in thetas)
+        if k < 1:
+            raise BuilderError(f"memory order k={k} must be >= 1")
+        if len(thetas) != k:
+            raise BuilderError(f"{len(thetas)} angles given for memory order k={k}")
+        for t in thetas:
             if not 0.0 <= t < 2.0 * math.pi:
                 raise BuilderError(f"angle {t} outside [0, 2*pi)")
+        return super().__new__(cls, k, thetas)
 
 
 class StepCircuit:
@@ -420,6 +417,11 @@ def _compress(acc: np.ndarray, dc: int, masks: dict, final: bool = False) -> np.
     return kept.reshape(-1, rows, dc).transpose(1, 0, 2).reshape(acc.shape[:-1] + (-1,))
 
 
+def physical_memory() -> int:
+    """Bytes of physical memory, the most a process can touch before the kernel kills it."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def compile_step(step: StepCircuit, full: bool = False):
     """Compile a step into ``(carried, kraus, columns)``, its Kraus map on the wires that
     carry state, for :func:`run_compiled`.
@@ -449,8 +451,7 @@ def compile_step(step: StepCircuit, full: bool = False):
     dc = math.prod([dims[i] for i in carried])
     rows = [1 if i in fresh else d for i, d in enumerate(dims)]
     real = not any(np.count_nonzero(op.matrix.imag) for op in step.ops if op.matrix is not None)
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if 3 * math.prod(dims) * dc * (8 if real else 16) > memory:
+    if 3 * math.prod(dims) * dc * (8 if real else 16) > physical_memory():
         raise MemoryError(f"the compile of a dim {math.prod(dims)} register outgrows memory")
     acc = np.eye(dc, dtype=float if real else complex).reshape(rows + [dc])
     where = {w.label: i for i, w in enumerate(step.layout)}

@@ -16,7 +16,7 @@ import os
 import re
 import stat
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -156,8 +156,7 @@ _ARM_REQUIRED = {"markovian": "theta", "non-markovian": "thetas", "sequential": 
                  "custom-file": "channel_file"}
 
 
-@dataclass
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     channel: str
     modes: tuple[str, ...]          # one mode, or both arms for a preset
     label: str
@@ -449,14 +448,25 @@ def _resource_comparison_table() -> str:
     return "\n".join(lines)
 
 
+def _run_bytes(steps: int, s: int, observables: int) -> int:
+    """Peak bytes of one arm's run: per step, the ``s x s`` complex128 state of the stack that
+    :func:`engine.measure` checks, its observables, trace and purity as Python floats (32 B
+    with a list slot), and a CSV row per observable, priced at 100 characters held three
+    times (the row, the joined text, its UTF-8 bytes) and a 64 B str header."""
+    return (steps + 1) * (16 * s * s + 32 * (observables + 2) + observables * (3 * 100 + 64))
+
+
 def run_experiment(cfg: ExperimentConfig) -> int:
-    """Build the configured circuits, run them and write the outputs."""
+    """Build the configured circuits, run them and write the outputs.  An arm whose run
+    (:func:`_run_bytes`) or compile outgrows physical memory is refused before it allocates."""
     arms = [(_ARMS[mode], *_build_arm(cfg, mode)) for mode in cfg.modes]
     observables = [engine.projector_observable(n) for n in cfg.observables]
     paths = _output_paths(cfg)
     all_series = {}
     for arm, step, method, k, l in arms:
         try:
+            if _run_bytes(cfg.steps, cfg.initial.dim, len(observables)) > circuit.physical_memory():
+                raise MemoryError
             values, traces, purities = engine.measure(step, cfg.initial, cfg.steps, observables)
         except MemoryError:
             raise ConfigError(

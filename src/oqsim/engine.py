@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,24 +29,22 @@ class NumericalViolationError(RuntimeError):
         self.invariant = invariant
 
 
-@dataclass(frozen=True)
-class Observable:
-    """Named projector on the system wires."""
+class Observable(namedtuple("Observable", "name projector")):
+    """Named projector on the system wires, stored as a read-only complex copy."""
 
-    name: str
-    projector: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        p = np.asarray(self.projector, dtype=complex)
+    def __new__(cls, name: str, projector):
+        p = np.asarray(projector, dtype=complex)
         if not (np.abs(p) <= 1.0 + 1e-10).all():  # before any product can overflow
-            raise ValueError(f"projector {self.name!r} has an entry not finite or above 1")
+            raise ValueError(f"projector {name!r} has an entry not finite or above 1")
         if not is_hermitian(p):
-            raise ValueError(f"projector {self.name!r} is not Hermitian")
+            raise ValueError(f"projector {name!r} is not Hermitian")
         if np.max(np.abs(p @ p - p)) > 1e-10:
-            raise ValueError(f"projector {self.name!r} is not idempotent")
+            raise ValueError(f"projector {name!r} is not idempotent")
         p = p.copy()
         p.flags.writeable = False
-        object.__setattr__(self, "projector", p)
+        return super().__new__(cls, name, p)
 
 
 _NAMED_KETS = {

@@ -13,7 +13,7 @@ rule (``A`` on the more significant factor).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +41,7 @@ class InvalidStateError(ValueError):
         self.index = index
 
 
-@dataclass(frozen=True)
-class Wire:
+class Wire(NamedTuple):
     """A register wire: a label plus its Hilbert-space dimension."""
 
     label: str

@@ -172,6 +172,12 @@ class TestResourceCount:
         with pytest.raises(ValueError, match=r"^wire 'q' dim 3 is not a power of two$"):
             resource_count(step, 1)
 
+    def test_negative_step_count_is_refused(self):
+        step = build_markovian_step("dephasing", 0.1)
+        assert resource_count(step, 0).total_gates == 0
+        with pytest.raises(ValueError, match=r"^step count -1 must be >= 0$"):
+            resource_count(step, -1)
+
     def test_report_text_block(self):
         step = build_markovian_step("dephasing", 0.1)
         text = resource_count(step, 5).as_text()

@@ -866,6 +866,21 @@ class TestExitCodes:
         )
         assert os.listdir(tmp_path) == []
 
+    def test_run_beyond_physical_memory_exits_2(self, tmp_path, monkeypatch, capsys):
+        """A run whose trajectory, columns and CSV would outgrow physical memory is refused
+        before it allocates: memory made fig6's measured peak slope, 417 B a step, is short."""
+        physical_pages(monkeypatch, 417 * 100_001 // 4096)
+        assert run_main_in(tmp_path, monkeypatch, ["--preset", "fig6", "--steps", "100000"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: the markovian run (register dimension 4, 100000 steps) "
+            "does not fit in memory\n"
+        )
+        assert os.listdir(tmp_path) == []
+
+    def test_long_run_within_physical_memory_exits_0(self, tmp_path, monkeypatch):
+        assert run_main_in(tmp_path, monkeypatch, ["--preset", "fig6", "--steps", "100000"]) == 0
+        assert len((tmp_path / "fig6_nonmarkovian.csv").read_text().splitlines()) == 100_002
+
     @pytest.mark.parametrize("steps", ["99999999999999999999", str(2**58)])
     def test_step_count_beyond_numpy_shapes_exits_2(self, tmp_path, monkeypatch, capsys, steps):
         argv = ["--channel", "dephasing", "--mode", "markovian", "--theta", "pi/5",

@@ -243,3 +243,41 @@ def test_the_run_path_takes_its_dtype_from_its_data():
     run_path = (circuit.compile_step, circuit.run_compiled, engine.evolve, qmath.partial_trace_matrix)
     bad = {f.__name__: forced_complex(inspect.getsource(f)) for f in run_path}
     assert {name: hits for name, hits in bad.items() if hits} == {}
+
+
+# perfbench/test_perfbench.py calls dataclasses.replace on these two, so they stay dataclasses;
+# every other value type is a namedtuple, whose class costs no generated code at import.
+DATACLASSES = {("engine.py", "StepRecord"), ("engine.py", "Trajectory")}
+
+
+def dataclass_definitions(source: str):
+    """(line, class) for each class decorated with ``dataclass`` or ``dataclasses.dataclass``,
+    called or not."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            for deco in node.decorator_list:
+                target = deco.func if isinstance(deco, ast.Call) else deco
+                if (getattr(target, "id", None) or getattr(target, "attr", None)) == "dataclass":
+                    found.append((node.lineno, node.name))
+    return found
+
+
+def test_guard_catches_a_dataclass():
+    text = (
+        "import dataclasses\nfrom dataclasses import dataclass\nfrom typing import NamedTuple\n"
+        "@dataclass\nclass A:\n    x: int\n"
+        "@dataclass(frozen=True)\nclass B:\n    x: int\n"
+        "@dataclasses.dataclass(eq=False)\nclass C:\n    x: int\n"
+        "@functools.total_ordering\nclass D(NamedTuple):\n    x: int\n"
+    )
+    assert dataclass_definitions(text) == [(5, "A"), (8, "B"), (11, "C")]
+
+
+def test_only_the_records_perfbench_replaces_are_dataclasses():
+    found = {
+        (path.name, name)
+        for path in MODULES
+        for _, name in dataclass_definitions(path.read_text(encoding="utf-8"))
+    }
+    assert found == DATACLASSES
